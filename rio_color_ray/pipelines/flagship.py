@@ -1,14 +1,14 @@
 """The flagship end-to-end pipeline (the north-star composition).
 
 pages -> geocode -> cellify -> PIP join (broadcast STRtree) -> per-tile
-pixel partials -> hash-shuffle groupby(tile bucket) rasterize -> rio-color
-stage.
+pixel partials -> boundary-partitioned sort(tile bucket) -> one reduce
+that rasterizes and color-corrects each tile (pipelines/tiles.py).
 
 One streaming Dataset: no stage materializes the corpus; the only
-all-to-all exchange is the hash shuffle over pre-summed (tile_key, pix)
-partials. Stateful stages run task-pool with per-process cached state by
+all-to-all exchange is the sort over pre-summed (tile_key, pix)
+partials. The PIP join runs task-pool with per-process cached state by
 default (fused with the map chain, warm workers) — pass
-``use_actors=True`` for dedicated actor pools (see stages/statecache.py
+``use_actors=True`` for a dedicated actor pool (see stages/statecache.py
 for the measured trade-off). Used by ``__ray_entry__.entry()`` (sf0.001)
 and ``bench.py`` (sf0.1 with replication).
 """
@@ -17,7 +17,7 @@ from ..sources.polygons import make_admin_polygons
 from ..stages.pip_stage import PIPJoinStage
 from ..stages.statecache import make_stage_fn
 from .geo import cellified
-from .tiles import DEFAULT_OPS, DEFAULT_ZOOM, color_stage, render_tiles_from
+from .tiles import DEFAULT_OPS, DEFAULT_ZOOM, render_tiles_from
 
 
 def flagship(
@@ -41,5 +41,4 @@ def flagship(
             make_stage_fn(PIPJoinStage, make_admin_polygons(), "left"),
             batch_format="pyarrow",
         )
-    tiles = render_tiles_from(joined, z)
-    return color_stage(tiles, ops, concurrency=concurrency, use_actors=use_actors)
+    return render_tiles_from(joined, z, ops=ops)

@@ -2,8 +2,10 @@
 
 cell-level point density -> web-mercator raster tiles (the engine's analog
 of the reference GeoTIFF: 32x32 uint8 band-major buffers in a binary
-column) -> the rio-color stage applying a DSL program (task-pool with
-per-process parsed state by default; actor pool on request).
+column), color-corrected by a DSL program inside the same reduce. The
+standalone stage (:func:`color_stage`) colors arbitrary tiles tables for
+the CLI (task-pool with per-process parsed state by default; actor pool
+on request).
 
 Shuffle discipline (round-5 design; measurements in BASELINE.md):
 * stage 1 (map_batches): per-batch PARTIAL pixel histograms
@@ -14,8 +16,9 @@ Shuffle discipline (round-5 design; measurements in BASELINE.md):
   id from tile adjacency, so hot cities spread uniformly), and ONE
   ``sort("bucket", boundaries=[...])`` with explicit equal-width
   ranges co-locates every tile's partials. Each output block — a
-  range of dozens of buckets — is assembled in ONE vectorized call
-  (np.add.at scatter), no per-bucket Python. NOT groupby().map_groups:
+  range of dozens of buckets — is assembled and colored in ONE
+  vectorized call over its distinct pixel counts, no per-bucket
+  Python. NOT groupby().map_groups:
   under the pinned sort-shuffle strategy its num_partitions is ignored
   and quantile sampling over 1024 discrete values quantizes ranges
   unevenly (render_tiles_from docstring).
@@ -26,9 +29,10 @@ Tile identity is the (z, x, y) triple — never row order.
 import numpy as np
 import pyarrow as pa
 
+from ..color import parse_operations
 from ..ctx import shuffle_partitions
 from ..spatial import mercator_tile, tile_pixel
-from ..stages.color_stage import ColorStage, apply_ops_to_tiles
+from ..stages.color_stage import ColorStage, apply_ops_to_tiles, color_tuples
 from ..stages.sampling import splitmix64
 from ..stages.statecache import make_stage_fn
 
@@ -36,8 +40,10 @@ from ..stages.statecache import make_stage_fn
 def color_stage(tiles_ds, ops, concurrency=4, use_actors=False, out_dtype=None):
     """Apply the rio-color DSL program to a tiles Dataset.
 
-    Task-pool by default (ops parsed once per worker process, fuses with
-    the rasterize stage); ``use_actors=True`` for a dedicated actor pool.
+    For tiles tables the engine did not render itself (the CLI's
+    ``color``/``atmos``); rendered tiles are colored inside their reduce
+    (:func:`render_tiles_from`). Task-pool by default (ops parsed once
+    per worker process); ``use_actors=True`` for a dedicated actor pool.
     batch_size=128 keeps the stacked per-batch pixel array cache-resident
     — measured ~10x faster per pixel than one giant stacked array, and
     the fastest point of the 64/128/256/512 sweep (BASELINE.md).
@@ -101,51 +107,58 @@ def _partial_pixel_counts(z):
     return fn
 
 
-def _assemble_bucket(group: pa.Table) -> pa.Table:
-    """All tiles of one bucket RANGE (one exchange block), assembled
-    vectorized.
+def _assemble_bucket(group: pa.Table, ops=None) -> pa.Table:
+    """All tiles of one bucket RANGE (one exchange block), rendered and,
+    given an ops program, color-corrected in one vectorized pass.
 
-    No per-tile Python: the pixel buffers land in one contiguous uint8
-    block wrapped as a FixedSizeBinary array (then cast to binary), and
-    tile ids are built with Arrow string kernels. Requires only that
-    every partial of a given tile is co-located in the batch — the
-    np.unique over tile_key handles any number of buckets at once.
+    Every output byte of a pixel depends only on that pixel's count, so
+    the render contract and the color program run once per DISTINCT
+    count in the block — a few hundred values instead of tiles x 1024
+    pixels. Every tile buffer is filled with the count-0 tuple and only
+    occupied pixels are scattered. Output is byte-identical to rendering
+    densely and then applying ``ColorStage`` (tested), with the same
+    schema: ``dtype`` stays the input's uint8 and an ``ops`` column is
+    appended. Requires only that every partial of a given tile is
+    co-located in the block.
     """
     import pyarrow.compute as pc
 
-    if group.num_rows == 0:  # an empty boundary range
-        return pa.table(
-            {
-                "tile_id": pa.array([], pa.string()),
-                "z": pa.array([], pa.int32()),
-                "x": pa.array([], pa.int32()),
-                "y": pa.array([], pa.int32()),
-                "band_count": pa.array([], pa.uint8()),
-                "dtype": pa.array([], pa.string()),
-                "width": pa.array([], pa.int32()),
-                "height": pa.array([], pa.int32()),
-                "pixels": pa.array([], pa.binary()),
-            }
-        )
-
+    npix = TILE_SIZE * TILE_SIZE
     tk = group.column("tile_key").to_numpy()
-    pix = group.column("pix").to_numpy()
-    n = group.column("n").to_numpy()
-    uniq, inv = np.unique(tk, return_inverse=True)
-    counts = np.zeros((len(uniq), TILE_SIZE * TILE_SIZE), dtype=np.int64)
-    np.add.at(counts, (inv, pix), n)  # partials may repeat (tile, pix)
-    counts = counts.reshape(len(uniq), TILE_SIZE, TILE_SIZE)
+    # one sort: (tile, pix) cells, partials summed (they repeat across
+    # input batches); cells come out grouped by tile
+    cells, cinv = np.unique(tk * npix + group.column("pix").to_numpy(), return_inverse=True)
+    sums = np.zeros(len(cells), dtype=np.int64)
+    np.add.at(sums, cinv, group.column("n").to_numpy())
+    cell_tile = cells // npix
+    first = np.ones(len(cells), dtype=bool)
+    first[1:] = cell_tile[1:] != cell_tile[:-1]
+    uniq = cell_tile[first]
+    k = len(uniq)
 
+    values, vinv = np.unique(sums, return_inverse=True)
+    # count 0 only where some pixel is empty, so the program's range
+    # checks see exactly the values ColorStage would (an empty block
+    # keeps it too: the ops reject zero-size input)
+    if k == 0 or len(cells) < k * npix:
+        values = np.concatenate([[0], values])
+        vinv += 1
     # integer-deterministic banding: log-density, occupancy mask, density%256
-    b0 = np.clip(np.round(32.0 * np.log2(1.0 + counts)), 0, 255).astype(np.uint8)
-    b1 = np.where(counts > 0, 255, 0).astype(np.uint8)
-    b2 = (counts % 256).astype(np.uint8)
-    px = np.ascontiguousarray(np.stack([b0, b1, b2], axis=1))  # (tiles, 3, h, w)
+    tuples = np.stack([
+        np.clip(np.round(32.0 * np.log2(1.0 + values)), 0, 255).astype(np.uint8),
+        np.where(values > 0, 255, 0).astype(np.uint8),
+        (values % 256).astype(np.uint8),
+    ])
+    if ops is not None:
+        tuples = color_tuples(tuples, parse_operations(ops), "uint8")
+    px = np.empty((k, 3, npix), dtype=np.uint8)
+    px[:] = tuples[:, 0, None]  # count 0's tuple, where one is needed
+    px[np.cumsum(first) - 1, :, cells % npix] = tuples[:, vinv].T
 
-    nbytes = 3 * TILE_SIZE * TILE_SIZE
+    nbytes = 3 * npix
     pixels = pc.cast(
         pa.FixedSizeBinaryArray.from_buffers(
-            pa.binary(nbytes), len(uniq), [None, pa.py_buffer(px.tobytes())]
+            pa.binary(nbytes), k, [None, pa.py_buffer(px)]
         ),
         pa.binary(),
     )
@@ -161,24 +174,25 @@ def _assemble_bucket(group: pa.Table) -> pa.Table:
         pc.cast(pa.array(yt), pa.string()),
         "",
     )
-    k = len(uniq)
-    return pa.table(
-        {
-            "tile_id": tile_id,
-            "z": pa.array(z),
-            "x": pa.array(xt),
-            "y": pa.array(yt),
-            "band_count": pa.array(np.full(k, 3, dtype=np.uint8)),
-            "dtype": pa.array(["uint8"] * k, pa.string()),
-            "width": pa.array(np.full(k, TILE_SIZE, dtype=np.int32)),
-            "height": pa.array(np.full(k, TILE_SIZE, dtype=np.int32)),
-            "pixels": pixels,
-        }
-    )
+    cols = {
+        "tile_id": tile_id,
+        "z": pa.array(z),
+        "x": pa.array(xt),
+        "y": pa.array(yt),
+        "band_count": pa.array(np.full(k, 3, dtype=np.uint8)),
+        "dtype": pa.array(["uint8"] * k, pa.string()),
+        "width": pa.array(np.full(k, TILE_SIZE, dtype=np.int32)),
+        "height": pa.array(np.full(k, TILE_SIZE, dtype=np.int32)),
+        "pixels": pixels,
+    }
+    if ops is not None:
+        cols["ops"] = pa.array([ops] * k, pa.string())
+    return pa.table(cols)
 
 
-def render_tiles_from(points_ds, z=DEFAULT_ZOOM):
-    """Any Dataset with lat/lon columns -> raster tiles at zoom z.
+def render_tiles_from(points_ds, z=DEFAULT_ZOOM, ops=None):
+    """Any Dataset with lat/lon columns -> raster tiles at zoom z,
+    color-corrected by the DSL program ``ops`` when one is given.
 
     The exchange is ``sort("bucket", boundaries=...)`` with EXPLICIT
     equal-width bucket ranges + one vectorized assemble call per output
@@ -196,43 +210,44 @@ def render_tiles_from(points_ds, z=DEFAULT_ZOOM):
       uniform tile sample, so tasks are even by construction.
     * map_groups calls the UDF once per bucket (Python-per-group);
       the boundary-partitioned map_batches(batch_size=None) assembles a
-      whole range — dozens of buckets — in ONE np.unique/np.add.at
-      pass.
+      whole range — dozens of buckets — in ONE np.unique pass.
 
-    ``npart`` is ~2 reduce tasks per CPU — the measured optimum of an
-    interleaved same-load 1x/2x/4x sweep (32 CPUs, sf0.1: z7
-    2.46/2.55/2.80s, z10 6.06/3.41/3.82s min-of-4). 1x leaves the
-    dense zoom with one straggler wave and no rebalance room; 4x pays
-    ~5-10ms driver-side submission per extra task with nothing left to
-    balance. At cluster scale raise N_TILE_BUCKETS together with zoom
-    when a bucket range outgrows a worker's heap.
+    ``npart`` is 2 reduce tasks per CPU, with no floor of its own: 16 at
+    1-8 CPUs (``shuffle_partitions`` floors at 8), 64 at 32. At 32 CPUs
+    2x was the measured optimum of a 1x/2x/4x sweep (sf0.1: z7
+    2.46/2.55/2.80s, z10 6.06/3.41/3.82s min-of-4). Dropping the former
+    ``max(64, ...)`` floor was measured at 1 CPU only: on 20k pages at
+    z10 (~13.6k tiles, 4-vCPU VM) the fused assemble+color UDF takes
+    0.05 s per run in total, and 16 tasks instead of 64 cut the tile
+    sort from 0.50 s to 0.12 s; 16 larger blocks also spare the
+    checkpoint writer's groupby from sorting 64 tiny ones. From 2 to 31
+    CPUs the plan now runs 16-62 tasks where the floor made it run 64;
+    that range is unmeasured, and the 2-vs-8 CPU scaling readings in
+    BASELINE.md describe the 64-task plan. At cluster scale raise
+    N_TILE_BUCKETS together with zoom when a bucket range outgrows a
+    worker's heap.
     """
     partial = points_ds.map_batches(_partial_pixel_counts(z), batch_format="pyarrow")
-    npart = min(N_TILE_BUCKETS, max(64, 2 * shuffle_partitions(cap=N_TILE_BUCKETS)))
+    npart = min(N_TILE_BUCKETS, 2 * shuffle_partitions(cap=N_TILE_BUCKETS))
     step = N_TILE_BUCKETS / npart
     boundaries = [round(i * step) for i in range(1, npart)]
     return partial.sort("bucket", boundaries=boundaries).map_batches(
-        _assemble_bucket, batch_format="pyarrow", batch_size=None
+        _assemble_bucket, fn_kwargs={"ops": ops}, batch_format="pyarrow", batch_size=None
     )
 
 
-def render_tiles(sf_dir, z=DEFAULT_ZOOM, replicate=1):
-    """Point corpus -> raster tiles at zoom z."""
+def render_tiles(sf_dir, z=DEFAULT_ZOOM, replicate=1, ops=None):
+    """Point corpus -> raster tiles at zoom z, colored by ``ops`` if given."""
     from .geo import cellified
 
     pts = cellified(sf_dir, keep_columns=["lat", "lon"], replicate=replicate)
-    return render_tiles_from(pts, z)
+    return render_tiles_from(pts, z, ops=ops)
 
 
-def color_tiles(
-    sf_dir, ops=DEFAULT_OPS, z=DEFAULT_ZOOM, concurrency=4, replicate=1, use_actors=False
-):
-    """The flagship tail: rendered tiles through the rio-color stage."""
-    from ..color import parse_operations
-
+def color_tiles(sf_dir, ops=DEFAULT_OPS, z=DEFAULT_ZOOM, replicate=1):
+    """The flagship tail: tiles rendered and color-corrected in one reduce."""
     parse_operations(ops)  # fail fast BEFORE launching work (cf. cli.py:95-98)
-    tiles = render_tiles(sf_dir, z, replicate=replicate)
-    return color_stage(tiles, ops, concurrency=concurrency, use_actors=use_actors)
+    return render_tiles(sf_dir, z, replicate=replicate, ops=ops)
 
 
 def render_tiles_sql(z=DEFAULT_ZOOM):

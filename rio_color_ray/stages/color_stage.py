@@ -41,6 +41,16 @@ def _split_lut_prefix(ops_funcs):
 # NOT be added here, or the per-tuple rewrite would corrupt it.
 _PER_PIXEL_OPS = frozenset({"gamma", "sigmoidal", "saturation"})
 
+
+def _first_non_per_pixel(ops_funcs):
+    """Name of the first op outside ``_PER_PIXEL_OPS``, or None."""
+    for fn in ops_funcs:
+        name = getattr(fn, "__name__", "")
+        if name not in _PER_PIXEL_OPS:
+            return name
+    return None
+
+
 # Dictionary-path gates: sample the first pixels to estimate tuple
 # cardinality before paying a full sort; commit only when the distinct
 # tuples are a small fraction of the image.
@@ -48,24 +58,42 @@ _DICT_SAMPLE = 4096
 _DICT_SAMPLE_MAX = 2048
 
 
-def _dictionary_apply(raw, lut, rest, np_dtype, out_dtype):
-    """Cross-band ops via dictionary encoding; None when not profitable.
+def color_tuples(codes, ops_funcs, out_dtype):
+    """Color program over distinct pixel band tuples, one column each.
+
+    ``codes`` is a ``(bands, U)`` unsigned-integer array; returns the
+    ``(bands, U)`` output codes: to_math_type -> every op -> scale_dtype,
+    the reference's per-window chain run over U one-pixel columns. Only
+    valid because every op reads nothing but its own pixel's tuple; an
+    op outside ``_PER_PIXEL_OPS`` raises a ValueError naming it.
+    """
+    name = _first_non_per_pixel(ops_funcs)
+    if name is not None:
+        raise ValueError(f"{name!r} is not a per-pixel op; it cannot run per tuple")
+    arr = to_math_type(codes[:, :, None])  # (bands, U, 1): cross-band ops validate ndim == 3
+    for fn in ops_funcs:
+        arr = fn(arr)
+    return scale_dtype(arr, out_dtype)[:, :, 0]
+
+
+def _dictionary_apply(raw, ops_funcs, out_dtype):
+    """Whole program via dictionary encoding; None when not profitable.
 
     Every color op is a pure per-PIXEL function (elementwise ops read one
     band-value, saturation reads the pixel's band tuple — never a
     neighbor), so the image's distinct band tuples fully determine the
-    output: unique the packed tuples, push only the uniques through the
-    op tail + ``scale_dtype``, and gather output codes back by inverse
-    index. Bit-identical to the direct path (same ufuncs over the same
-    float64 values — tests/test_color_stage_lut.py), and a large win on
-    low-cardinality imagery (the rasterized density tiles, palettized or
-    posterized rasters); continuous photography exceeds the cardinality
-    gate and returns None to take the full-image path.
+    output: unique the packed tuples, push only the uniques through
+    :func:`color_tuples`, and gather output codes back by inverse index.
+    Bit-identical to the direct path (same ufuncs over the same float64
+    values — tests/test_color_stage_lut.py), and a large win on
+    low-cardinality imagery (palettized or posterized rasters);
+    continuous photography exceeds the cardinality gate and returns None
+    to take the full-image path, as does any op outside ``_PER_PIXEL_OPS``.
     """
     band_count = raw.shape[0]
     if band_count > 4:  # 16-bit lanes: four bands fill the uint64 key
         return None
-    if any(getattr(fn, "__name__", "") not in _PER_PIXEL_OPS for fn in rest):
+    if _first_non_per_pixel(ops_funcs) is not None:
         return None
     flat = raw.reshape(band_count, -1)
     packed = flat[0].astype(np.uint64)
@@ -76,19 +104,45 @@ def _dictionary_apply(raw, lut, rest, np_dtype, out_dtype):
     uniq, inv = np.unique(packed, return_inverse=True)
     if len(uniq) > max(_DICT_SAMPLE, packed.size // 8):
         return None
-    # (bands, U, 1): the cross-band ops validate ndim == 3
-    arr = np.empty((band_count, len(uniq), 1), dtype=np.float64)
-    mask = np.uint64((1 << (8 * np_dtype.itemsize)) - 1)
-    for b in range(band_count):
-        codes = ((uniq >> np.uint64(16 * b)) & mask).astype(np_dtype)
-        np.take(lut[b], codes, out=arr[b, :, 0])
-    for fn in rest:
-        arr = fn(arr)
-    small = scale_dtype(arr, out_dtype)[:, :, 0]
+    shifts = np.uint64(16) * np.arange(band_count, dtype=np.uint64)
+    codes = ((uniq[None, :] >> shifts[:, None]) & np.uint64(0xFFFF)).astype(raw.dtype)
+    small = color_tuples(codes, ops_funcs, out_dtype)
     out = np.empty((band_count, packed.size), dtype=small.dtype)
     for b in range(band_count):
         np.take(small[b], inv, out=out[b])
     return out.reshape(raw.shape)
+
+
+def _lut_apply(raw, prefix, rest, out_dtype):
+    """``prefix`` as a per-band LUT over the 0..max code ramp, then ``rest``.
+
+    One ramp row per band: the closures band-mask on axis 0 exactly as
+    they do on image arrays, so per-band programs come out right. Over
+    the whole ramp an op's range check also sees codes the image lacks,
+    so it can reject a program direct math accepts (an inverse sigmoid
+    steps just outside [0, 1] at an absent code); the ramp's ValueError
+    then returns None and the caller runs direct math.
+    """
+    band_count = raw.shape[0]
+    n_codes = np.iinfo(raw.dtype).max + 1
+    lut = to_math_type(np.broadcast_to(np.arange(n_codes, dtype=raw.dtype), (band_count, n_codes)))
+    try:
+        for fn in prefix:
+            lut = fn(lut)
+    except ValueError:
+        return None
+    if not rest:
+        lut_codes = scale_dtype(lut, out_dtype)
+        out = np.empty(raw.shape, dtype=lut_codes.dtype)
+        for b in range(band_count):
+            np.take(lut_codes[b], raw[b], out=out[b])
+        return out
+    arr = np.empty(raw.shape, dtype=np.float64)
+    for b in range(band_count):
+        np.take(lut[b], raw[b], out=arr[b])
+    for fn in rest:
+        arr = fn(arr)
+    return scale_dtype(arr, out_dtype)
 
 
 def apply_ops_to_tiles(pixels_list, band_count, dtype, width, height, ops_funcs, out_dtype):
@@ -98,14 +152,16 @@ def apply_ops_to_tiles(pixels_list, band_count, dtype, width, height, ops_funcs,
     one stacked array for the whole group.
 
     For unsigned-integer tiles (uint8/uint16) the leading elementwise ops
-    run over the 0..max code ramp once and every pixel is then a LUT
-    gather — bit-identical to the direct path because numpy ufuncs are
+    run over the 0..max code ramp once (:func:`_lut_apply`) and every
+    pixel is then a LUT gather — bit-identical to the direct path because numpy ufuncs are
     value-deterministic elementwise, so computing f(v) once per distinct
     code v yields the same float64 as computing it per pixel (asserted
     byte-for-byte in tests/test_color_stage_lut.py). A program with no
     cross-band op folds ``scale_dtype`` into the table too and never
-    materializes the float64 image; with saturation present, the gather
-    produces the exact float64 array the cross-band tail then consumes.
+    materializes the float64 image. With saturation present the whole
+    program runs over the distinct band tuples (:func:`_dictionary_apply`);
+    past its cardinality gate, the gather produces the exact float64
+    array the cross-band tail then consumes.
     This is the engine-side twin of the oracle's 256-entry LUT
     (tiles.py:band_uniform_lut / color_tiles_content_sql).
     """
@@ -122,31 +178,12 @@ def apply_ops_to_tiles(pixels_list, band_count, dtype, width, height, ops_funcs,
         band_count, n * height, width
     )
     prefix, rest = _split_lut_prefix(ops_funcs)
+    out = None
     if np_dtype.kind == "u" and np_dtype.itemsize <= 2:
-        n_codes = np.iinfo(np_dtype).max + 1
-        # one ramp row per band: the closures band-mask on axis 0 exactly
-        # as they do on image arrays, so per-band programs come out right
-        ramp = np.broadcast_to(
-            np.arange(n_codes, dtype=np_dtype), (band_count, n_codes)
-        )
-        lut = to_math_type(ramp)
-        for fn in prefix:
-            lut = fn(lut)
-        if not rest:
-            lut_codes = scale_dtype(lut, out_dtype)
-            out = np.empty(raw.shape, dtype=lut_codes.dtype)
-            for b in range(band_count):
-                np.take(lut_codes[b], raw[b], out=out[b])
-        else:
-            out = _dictionary_apply(raw, lut, rest, np_dtype, out_dtype)
-            if out is None:
-                arr = np.empty(raw.shape, dtype=np.float64)
-                for b in range(band_count):
-                    np.take(lut[b], raw[b], out=arr[b])
-                for fn in rest:
-                    arr = fn(arr)
-                out = scale_dtype(arr, out_dtype)
-    else:
+        out = _dictionary_apply(raw, ops_funcs, out_dtype) if rest else None
+        if out is None:
+            out = _lut_apply(raw, prefix, rest, out_dtype)
+    if out is None:
         arr = to_math_type(raw)
         for fn in ops_funcs:
             arr = fn(arr)

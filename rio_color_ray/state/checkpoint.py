@@ -113,7 +113,6 @@ def resumable_flagship(
     replicate=1,
     ops=None,
     z=None,
-    concurrency=4,
     max_partitions=None,
 ):
     """Run (or resume) the flagship pipeline, checkpointing per cell range.
@@ -126,7 +125,7 @@ def resumable_flagship(
     from ..sources.polygons import make_admin_polygons
     from ..stages.pip_stage import PIPJoinStage
     from ..stages.statecache import make_stage_fn
-    from ..pipelines.tiles import DEFAULT_OPS, DEFAULT_ZOOM, color_stage, render_tiles_from
+    from ..pipelines.tiles import DEFAULT_OPS, DEFAULT_ZOOM, render_tiles_from
     from ..pipelines.geo import cellified
 
     ops = ops or DEFAULT_OPS
@@ -160,8 +159,7 @@ def resumable_flagship(
         make_stage_fn(PIPJoinStage, make_admin_polygons(), "left"),
         batch_format="pyarrow",
     )
-    tiles = render_tiles_from(joined, z)
-    corrected = color_stage(tiles, ops, concurrency=concurrency)
+    corrected = render_tiles_from(joined, z, ops=ops)
     lineage = checkpointed_write(corrected, out_dir, z, n_parts)
 
     # pending cell ranges with zero tiles still need a completion record,

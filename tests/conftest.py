@@ -32,6 +32,31 @@ def ray_session():
     ray.shutdown()
 
 
+def _direct_math(pixels_list, band_count, dtype, width, height, ops_funcs, out_dtype):
+    """The color stage's reference body over a list of tile buffers:
+    to_math_type -> every op -> scale_dtype on the stacked image."""
+    from rio_color_ray.color import scale_dtype, to_math_type
+
+    n = len(pixels_list)
+    stacked = np.frombuffer(b"".join(pixels_list), dtype=dtype).reshape(
+        n, band_count, height, width
+    )
+    arr = to_math_type(np.ascontiguousarray(stacked.transpose(1, 0, 2, 3))).reshape(
+        band_count, n * height, width
+    )
+    for fn in ops_funcs:
+        arr = fn(arr)
+    out = scale_dtype(arr, out_dtype)
+    out = out.reshape(band_count, n, height, width).transpose(1, 0, 2, 3)
+    return [np.ascontiguousarray(out[i]).tobytes() for i in range(n)]
+
+
+@pytest.fixture(scope="session")
+def direct_math():
+    """The direct-math twin every color-path test compares against."""
+    return _direct_math
+
+
 @pytest.fixture
 def arr():
     """The reference's (3,2,2) golden fixture (tests/test_operations.py:15-30)."""

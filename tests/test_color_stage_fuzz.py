@@ -4,9 +4,10 @@ The stage picks between three internal paths (code->code LUT, dictionary
 encoding over distinct band tuples, full-image math) based on the program
 shape and a cardinality gate (color_stage.py). Whichever path engages,
 the output bytes must equal the naive reference body (to_math_type ->
-every op -> scale_dtype). Hypothesis walks random programs x band counts
-x dtypes x palette cardinalities x output dtypes; derandomized so the
-suite stays deterministic.
+every op -> scale_dtype), and a program direct math rejects must be
+rejected too. Hypothesis walks random programs x band counts x dtypes x
+palette cardinalities x output dtypes; derandomized so the suite stays
+deterministic.
 """
 
 import numpy as np
@@ -15,13 +16,13 @@ from hypothesis import strategies as st
 
 from rio_color_ray.color import parse_operations
 from rio_color_ray.stages.color_stage import apply_ops_to_tiles
-from test_color_stage_lut import _direct
 
 
 def _op_strategy(bands):
-    # band spec valid for the tile's band count; "rgb" needs >= 3 bands
+    # band spec valid for the tile's band count; "rgb" needs >= 3 bands,
+    # and the DSL addresses bands 1-3 only (a 4th band is alpha)
     specs = ["rgb"] if bands >= 3 else []
-    specs += [str(b + 1) for b in range(bands)]
+    specs += [str(b + 1) for b in range(min(bands, 3))]
     spec = st.sampled_from(specs)
     gamma = st.builds(
         lambda s, g: f"gamma {s} {g:.2f}",
@@ -31,7 +32,8 @@ def _op_strategy(bands):
     sigmoidal = st.builds(
         lambda s, c, b: f"sigmoidal {s} {c:.1f} {b:.2f}",
         spec,
-        st.floats(2.0, 10.0),
+        # all three branches: inverse (< 0), identity (== 0), logistic (> 0)
+        st.one_of(st.just(0.0), st.floats(-10.0, -0.5), st.floats(0.5, 10.0)),
         st.floats(0.1, 0.9),
     )
     ops = [gamma, sigmoidal]
@@ -71,9 +73,16 @@ def _case(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_case())
-def test_stage_matches_direct_math_fuzz(case):
+def test_stage_matches_direct_math_fuzz(direct_math, case):
     tiles, bands, dtype, w, h, program, out_dtype = case
     ops = parse_operations(program)
-    got = apply_ops_to_tiles(tiles, bands, dtype, w, h, ops, out_dtype)
-    want = _direct(tiles, bands, dtype, w, h, ops, out_dtype)
-    assert got == want
+
+    def outcome(fn):
+        # an inverse sigmoid can step just outside [0, 1], which the next
+        # op's range check rejects: then both paths must reject it
+        try:
+            return fn(tiles, bands, dtype, w, h, ops, out_dtype)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(apply_ops_to_tiles) == outcome(direct_math)

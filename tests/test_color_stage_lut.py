@@ -11,23 +11,8 @@ dtypes, band counts 1-4, and dtype-changing output.
 import numpy as np
 import pytest
 
-from rio_color_ray.color import parse_operations, scale_dtype, to_math_type
+from rio_color_ray.color import parse_operations
 from rio_color_ray.stages.color_stage import _split_lut_prefix, apply_ops_to_tiles
-
-
-def _direct(pixels_list, band_count, dtype, width, height, ops_funcs, out_dtype):
-    n = len(pixels_list)
-    stacked = np.frombuffer(b"".join(pixels_list), dtype=dtype).reshape(
-        n, band_count, height, width
-    )
-    arr = to_math_type(np.ascontiguousarray(stacked.transpose(1, 0, 2, 3))).reshape(
-        band_count, n * height, width
-    )
-    for fn in ops_funcs:
-        arr = fn(arr)
-    out = scale_dtype(arr, out_dtype)
-    out = out.reshape(band_count, n, height, width).transpose(1, 0, 2, 3)
-    return [np.ascontiguousarray(out[i]).tobytes() for i in range(n)]
 
 
 def _tiles(rng, n, bands, dtype, w=16, h=16):
@@ -48,17 +33,17 @@ PROGRAMS = [
 
 @pytest.mark.parametrize("ops_string", PROGRAMS)
 @pytest.mark.parametrize("dtype", ["uint8", "uint16"])
-def test_lut_path_matches_direct_math(ops_string, dtype):
+def test_lut_path_matches_direct_math(ops_string, dtype, direct_math):
     ops = parse_operations(ops_string)
     rng = np.random.default_rng(7)
     tiles = _tiles(rng, 5, 3, dtype)
     got = apply_ops_to_tiles(tiles, 3, dtype, 16, 16, ops, dtype)
-    want = _direct(tiles, 3, dtype, 16, 16, ops, dtype)
+    want = direct_math(tiles, 3, dtype, 16, 16, ops, dtype)
     assert got == want
 
 
 @pytest.mark.parametrize("bands", [1, 4])
-def test_lut_path_band_counts(bands):
+def test_lut_path_band_counts(bands, direct_math):
     # 1-band programs must name band 1; rgb masks on a 4-band tile leave
     # alpha scaled-but-untouched — same on both paths
     prog = "gamma 1 1.3, sigmoidal 1 5 0.3" if bands == 1 else "gamma rgb 1.3, sigmoidal rgb 5 0.3"
@@ -66,16 +51,16 @@ def test_lut_path_band_counts(bands):
     rng = np.random.default_rng(11)
     tiles = _tiles(rng, 3, bands, "uint8")
     got = apply_ops_to_tiles(tiles, bands, "uint8", 16, 16, ops, "uint8")
-    want = _direct(tiles, bands, "uint8", 16, 16, ops, "uint8")
+    want = direct_math(tiles, bands, "uint8", 16, 16, ops, "uint8")
     assert got == want
 
 
-def test_lut_path_output_dtype_conversion():
+def test_lut_path_output_dtype_conversion(direct_math):
     ops = parse_operations("gamma rgb 1.2")
     rng = np.random.default_rng(3)
     tiles = _tiles(rng, 3, 3, "uint8")
     got = apply_ops_to_tiles(tiles, 3, "uint8", 16, 16, ops, "uint16")
-    want = _direct(tiles, 3, "uint8", 16, 16, ops, "uint16")
+    want = direct_math(tiles, 3, "uint8", 16, 16, ops, "uint16")
     assert got == want
     assert len(got[0]) == 2 * 3 * 16 * 16
 
@@ -87,7 +72,7 @@ def test_split_lut_prefix():
     assert [f.__name__ for f in rest] == ["saturation", "sigmoidal"]
 
 
-def test_dictionary_path_low_cardinality_exact():
+def test_dictionary_path_low_cardinality_exact(direct_math):
     # few distinct band tuples (the rasterized-density-tile shape):
     # dictionary encoding must reproduce the direct bytes exactly
     rng = np.random.default_rng(5)
@@ -100,11 +85,11 @@ def test_dictionary_path_low_cardinality_exact():
     ]
     ops = parse_operations("gamma rgb 1.2, sigmoidal rgb 6 0.25, saturation 1.1")
     got = apply_ops_to_tiles(tiles, 3, "uint8", 32, 32, ops, "uint8")
-    want = _direct(tiles, 3, "uint8", 32, 32, ops, "uint8")
+    want = direct_math(tiles, 3, "uint8", 32, 32, ops, "uint8")
     assert got == want
 
 
-def test_dictionary_gate_falls_back_on_high_cardinality():
+def test_dictionary_gate_falls_back_on_high_cardinality(direct_math):
     # a big random image exceeds both gates -> full-image path, same bytes
     rng = np.random.default_rng(9)
     tiles = [
@@ -113,11 +98,11 @@ def test_dictionary_gate_falls_back_on_high_cardinality():
     ]
     ops = parse_operations("saturation 1.3")
     got = apply_ops_to_tiles(tiles, 3, "uint8", 64, 64, ops, "uint8")
-    want = _direct(tiles, 3, "uint8", 64, 64, ops, "uint8")
+    want = direct_math(tiles, 3, "uint8", 64, 64, ops, "uint8")
     assert got == want
 
 
-def test_dictionary_path_four_band_uint16_exact():
+def test_dictionary_path_four_band_uint16_exact(direct_math):
     rng = np.random.default_rng(13)
     palette = rng.integers(0, 65536, size=(9, 4), dtype=np.uint16)
     tiles = [
@@ -128,14 +113,18 @@ def test_dictionary_path_four_band_uint16_exact():
     ]
     ops = parse_operations("sigmoidal rgb 4 0.4, saturation 0.8")
     got = apply_ops_to_tiles(tiles, 4, "uint16", 16, 16, ops, "uint16")
-    want = _direct(tiles, 4, "uint16", 16, 16, ops, "uint16")
+    want = direct_math(tiles, 4, "uint16", 16, 16, ops, "uint16")
     assert got == want
 
 
-def test_dictionary_path_declines_unknown_op():
+def test_dictionary_path_declines_unknown_op(monkeypatch):
     # an op not on the per-pixel whitelist (e.g. a future spatial kernel)
-    # must force the full-image path even on low-cardinality input
-    from rio_color_ray.stages.color_stage import _dictionary_apply
+    # must force the full-image path even on low-cardinality input, and
+    # must never run per count inside the fused tile reduce
+    import pyarrow as pa
+
+    from rio_color_ray.pipelines import tiles
+    from rio_color_ray.stages.color_stage import _dictionary_apply, color_tuples
 
     def box_blur(arr):  # name not in _PER_PIXEL_OPS
         return arr
@@ -144,16 +133,36 @@ def test_dictionary_path_declines_unknown_op():
     raw = np.ascontiguousarray(
         palette[np.zeros(8 * 8, dtype=np.int64)].reshape(8, 8, 3).transpose(2, 0, 1)
     )
-    lut = np.tile(np.linspace(0.0, 1.0, 256), (3, 1))
-    assert (
-        _dictionary_apply(raw, lut, [box_blur], np.dtype("uint8"), "uint8") is None
-    )
-    # sanity: the same call with a whitelisted tail takes the path
+    assert _dictionary_apply(raw, [box_blur], "uint8") is None
+    # sanity: the same call with a whitelisted program takes the path
     sat = parse_operations("saturation 1.1")
-    assert (
-        _dictionary_apply(raw, lut, list(sat), np.dtype("uint8"), "uint8")
-        is not None
+    assert _dictionary_apply(raw, list(sat), "uint8") is not None
+
+    with pytest.raises(ValueError, match="box_blur"):
+        color_tuples(palette.T.copy(), [*sat, box_blur], "uint8")
+    monkeypatch.setattr(tiles, "parse_operations", lambda ops: [*sat, box_blur])
+    block = pa.table(
+        {
+            "tile_key": pa.array([5], pa.int64()),
+            "bucket": pa.array([0], pa.int64()),
+            "pix": pa.array([3], pa.int64()),
+            "n": pa.array([2], pa.int64()),
+        }
     )
+    with pytest.raises(ValueError, match="box_blur"):
+        tiles._assemble_bucket(block, ops="saturation 1.1, box_blur")
+
+
+def test_lut_range_check_sees_only_present_codes(direct_math):
+    # the inverse sigmoid maps code 0 to -3.9e-16, outside the next op's
+    # [0, 1] check; direct math never sees code 0 on this tile, so the
+    # ramp's rejection must fall back to direct math, not raise
+    ops = parse_operations("sigmoidal 1 -9.0 0.50, gamma 1 1.00")
+    tiles = [np.full(16, 95, dtype=np.uint8).tobytes()]
+    got = apply_ops_to_tiles(tiles, 1, "uint8", 4, 4, ops, "uint8")
+    assert got == direct_math(tiles, 1, "uint8", 4, 4, ops, "uint8")
+    with pytest.raises(ValueError, match="between 0 and 1"):
+        apply_ops_to_tiles([bytes(16)], 1, "uint8", 4, 4, ops, "uint8")
 
 
 def test_every_code_value_roundtrips_identity():

@@ -348,10 +348,11 @@ def test_assemble_bucket_empty_range():
     """A boundary-partitioned exchange can hand the assemble fn an empty
     block (an unpopulated bucket range at sparse zooms); it must return
     the full tile schema with zero rows, not crash or emit a schemaless
-    table that would poison the downstream union."""
+    table that would poison the downstream union — with an ops program,
+    the colored schema."""
     import pyarrow as pa
 
-    from rio_color_ray.pipelines.tiles import _assemble_bucket
+    from rio_color_ray.pipelines.tiles import DEFAULT_OPS, _assemble_bucket
 
     empty = pa.table(
         {
@@ -367,6 +368,42 @@ def test_assemble_bucket_empty_range():
         "tile_id", "z", "x", "y", "band_count", "dtype",
         "width", "height", "pixels",
     ]
+    colored = _assemble_bucket(empty, ops=DEFAULT_OPS)
+    assert colored.num_rows == 0
+    assert colored.column_names == out.column_names + ["ops"]
+    assert colored.schema.field("pixels").type == pa.binary()
+    assert colored.schema.field("ops").type == pa.string()
+
+
+def test_assemble_bucket_with_ops_equals_color_stage():
+    """The fused reduce (render + color per distinct count) is
+    byte-identical to ColorStage over the uncolored tiles, including a
+    (tile_key, pix) split across two partial rows and a tile with no
+    empty pixel."""
+    import pyarrow as pa
+
+    from rio_color_ray.pipelines.tiles import DEFAULT_OPS, _assemble_bucket, _tile_key
+    from rio_color_ray.stages.color_stage import ColorStage
+
+    rng = np.random.default_rng(3)
+    keys = _tile_key(10, np.array([5, 9, 11, 700]), np.array([17, 17, 2, 3]))
+    tk = np.concatenate([keys[[0, 0, 1, 2]], np.full(1024, keys[3])])
+    pix = np.concatenate([[40, 40, 40, 1023], np.arange(1024)])
+    n = np.concatenate([[200, 100, 1, 7], rng.integers(1, 600, 1024)])
+    block = pa.table(
+        {
+            "tile_key": pa.array(tk, pa.int64()),
+            "bucket": pa.array(np.zeros(len(tk), np.int64)),
+            "pix": pa.array(pix, pa.int64()),
+            "n": pa.array(n, pa.int64()),
+        }
+    )
+    for ops in (DEFAULT_OPS, "sigmoidal rgb -6 0.4, gamma b 0.8"):
+        fused = _assemble_bucket(block, ops=ops)
+        assert fused.equals(ColorStage(ops)(_assemble_bucket(block))), ops
+    raw = _assemble_bucket(block)
+    px = np.frombuffer(raw.column("pixels")[0].as_py(), np.uint8).reshape(3, 1024)
+    assert px[2, 40] == 300 % 256 and px[1, 40] == 255  # the two partials summed
 
 
 def test_read_table_strips_schema_metadata(ray_session):
