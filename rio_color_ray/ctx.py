@@ -1,4 +1,4 @@
-"""Ray Data execution-context tuning for this engine.
+"""Ray Data execution-context tuning and the engine's keyed exchange.
 
 Shuffle strategy — measured on this sandbox (32-CPU local node, sf0.1
 corpus, warm workers; see BASELINE.md "shuffle strategy" table):
@@ -16,11 +16,14 @@ corpus, warm workers; see BASELINE.md "shuffle strategy" table):
 With stateful stages running task-pool (stages/statecache.py) and the
 tile assembly vectorized over Arrow, sort-shuffle wins every exchange in
 this engine at every scale we can measure here, so we pin it explicitly.
-On a long-lived multi-node deployment where aggregator pools amortize,
-flip ``shuffle_strategy`` to HASH_SHUFFLE and raise
-``max_hash_shuffle_aggregators`` to ~ total_cores/4; every groupby in
-this codebase already passes a hash-partition count via
-``num_partitions=shuffle_partitions()`` (accepted by both strategies).
+
+Under the sort shuffle ``groupby(key).map_groups`` ignores its
+``num_partitions`` argument (it lowers to a plain ``sort(key)`` whose
+ranges come from sampled quantiles) and calls Python once per group.
+Every keyed exchange whose key cardinality grows with the data therefore
+goes through :func:`bucket_exchange` instead; the remaining
+``map_groups`` calls group on low-cardinality keys (per query, per day,
+per event type).
 """
 
 from ray.data.context import DataContext, ShuffleStrategy
@@ -30,13 +33,9 @@ def tune_data_context():
     """Idempotent: pin the measured-fastest exchange configuration."""
     ctx = DataContext.get_current()
     ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
-    # guard-rails for anyone flipping to HASH_SHUFFLE (see module docs):
-    # fractional aggregator CPUs avoid small-node scheduling deadlock,
-    # and a bounded aggregator count caps per-execution process spawn.
-    ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.1
-    ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override = 0.1
-    ctx.join_operator_actor_num_cpus_per_partition_override = 0.1
-    ctx.default_hash_shuffle_parallelism = 8
+    # Dataset.join runs Ray's hash-shuffle join (aggregator actors) under
+    # any strategy — q3_top_orders(builtin_join=True). With the pool
+    # uncapped that query stalled on a 4-CPU node.
     ctx.max_hash_shuffle_aggregators = 8
     return ctx
 
@@ -56,3 +55,43 @@ def shuffle_partitions(cap=64, floor=8):
     except Exception:
         pass
     return max(floor, min(cap, 32))
+
+
+def bucket_exchange(ds, bucket_col, n_buckets, reduce_block, batch_format):
+    """Co-locate every bucket's rows and reduce each exchange block once.
+
+    ``bucket_col`` holds an int in ``[0, n_buckets)`` derived by the
+    caller from its key (so same-key rows share a bucket). ONE
+    ``sort(bucket_col, boundaries=...)`` with explicit equal-width bucket
+    ranges moves the rows, then ``reduce_block`` runs once per output
+    block — a whole range of buckets, all rows of any bucket in it — via
+    ``map_batches(batch_size=None)``. It must therefore reduce per key
+    vectorized, never assume one bucket per call. Ray skips the call for
+    an empty range. The Ray operator is named after ``reduce_block``
+    (a ``functools.partial`` shows its function's name).
+
+    Why not ``groupby(bucket_col).map_groups`` (round-5 profile, sf0.1 /
+    32 CPUs, z10 tiles): under the pinned sort shuffle it ignores
+    ``num_partitions`` and derives ranges from sampled quantiles, which
+    over 1024 discrete bucket values held 3-42 buckets per range — a
+    13-34x rows-per-task spread whose 3.5 s straggler was the flagship's
+    critical path — and it calls Python once per group. Fixed boundaries
+    make every range ``n_buckets / n_ranges`` buckets; a mixed bucket
+    hash (splitmix64, or the modulo of a dense key) makes the ranges
+    even in rows.
+
+    Reduce tasks: ``min(n_buckets, shuffle_partitions(cap=n_buckets))``
+    — one per CPU, at least 8, never more than ``n_buckets`` (no repeated
+    boundary at 2-4 buckets); for the tiles 8 at 1-8 CPUs (formerly 16)
+    and 32 at 32 CPUs (formerly 64). Measured no worse at 1 CPU (perfbench
+    tiles_z10/tiles_resume) and at 4 CPUs (bench.py, sf0.1: flagship z7
+    1.44 -> 1.46 s, z10 1.72 -> 1.60 s; BASELINE.md "One reduce task per
+    CPU"). Plans at 8+ CPUs are unmeasured; the round-5 sweep that chose
+    2 per CPU at 32 CPUs predates the fused tile reduce.
+    """
+    n_ranges = min(n_buckets, shuffle_partitions(cap=n_buckets))
+    step = n_buckets / n_ranges
+    boundaries = [round(i * step) for i in range(1, n_ranges)]
+    return ds.sort(bucket_col, boundaries=boundaries).map_batches(
+        reduce_block, batch_format=batch_format, batch_size=None
+    )

@@ -10,6 +10,7 @@ import pyarrow as pa
 
 import ray.data
 
+from ..ctx import bucket_exchange
 from ..sources.pages import REP_STRIDE
 from ..stages.ann import AnnBruteStage, ann_topk_reduce, list_col_to_matrix
 from ..stages.dedup import (
@@ -349,8 +350,8 @@ def _verify_pairs_jaccard(cand_ds, docs_ds, threshold, n_buckets=32):
         return pa.concat_tables([one, two])
 
     def attach(g: pd.DataFrame) -> pd.DataFrame:
-        """Per id-bucket: dedup pair sides, attach the local side's
-        grams, key each row by a pair hash for exchange 2."""
+        """Per block of id-buckets: dedup pair sides, attach the local
+        side's grams, key each row by a pair hash for exchange 2."""
         side = g["side"].to_numpy()
         docs = g[side == 0]
         prs = g[side != 0].drop_duplicates(["id_a", "id_b", "side"])
@@ -393,8 +394,8 @@ def _verify_pairs_jaccard(cand_ds, docs_ds, threshold, n_buckets=32):
         )
 
     def verify(bucket: pd.DataFrame) -> pd.DataFrame:
-        """Per pair-bucket: align the two gram-carrying sides of each
-        pair and run ONE vectorized distinct-intersection pass."""
+        """Per block of pair-buckets: align the two gram-carrying sides
+        of each pair and run ONE vectorized distinct-intersection pass."""
         empty = pd.DataFrame(
             {"url_a": pd.Series([], dtype=str), "url_b": pd.Series([], dtype=str)}
         )
@@ -440,8 +441,8 @@ def _verify_pairs_jaccard(cand_ds, docs_ds, threshold, n_buckets=32):
     u = docs_ds.map_batches(doc_gram_rows, batch_format="pyarrow").union(
         cand_ds.map_batches(pair_side_rows, batch_format="pyarrow")
     )
-    attached = u.groupby("__b").map_groups(attach, batch_format="pandas")
-    return attached.groupby("__pb").map_groups(verify, batch_format="pandas")
+    attached = bucket_exchange(u, "__b", n_buckets, attach, "pandas")
+    return bucket_exchange(attached, "__pb", n_buckets, verify, "pandas")
 
 
 def near_dup_pairs_minhash(sf_dir, replicate=2, threshold=0.8, concurrency=4):
@@ -530,7 +531,7 @@ def near_dup_pairs_simhash(sf_dir, replicate=2, max_hamming=3):
         simhash_batch(id_col="url", text_col="text"), batch_format="pyarrow"
     )
     # rename via map_batches: Dataset.rename_columns assumes Arrow blocks
-    # and these are pandas (map_groups output)
+    # and these are pandas (the exchange reduce output)
     return simhash_candidate_pairs(bands, max_hamming).map_batches(
         lambda df: df.rename(columns={"id_a": "url_a", "id_b": "url_b"}),
         batch_format="pandas",
@@ -773,7 +774,7 @@ def embedding_near_dup(sf_dir, threshold=0.95, concurrency=2, replicate=2, n_tab
         buckets.map_batches(as_bands, batch_format="pyarrow"), threshold
     )
     # rename via map_batches: Dataset.rename_columns assumes Arrow blocks
-    # and these are pandas (map_groups output)
+    # and these are pandas (the exchange reduce output)
     return pairs.map_batches(
         lambda df: df.rename(columns={"id_a": "vec_id_a", "id_b": "vec_id_b"}),
         batch_format="pandas",

@@ -11,26 +11,23 @@ Shuffle discipline (round-5 design; measurements in BASELINE.md):
 * stage 1 (map_batches): per-batch PARTIAL pixel histograms
   (tile_key, pix, n) — reduces the corpus to at most
   active-pixels-per-tile rows per batch before any exchange.
-* stage 2 (boundary-partitioned sort): partials carry ``bucket =
-  splitmix64(tile_key) % N_TILE_BUCKETS`` (the mix decorrelates bucket
-  id from tile adjacency, so hot cities spread uniformly), and ONE
-  ``sort("bucket", boundaries=[...])`` with explicit equal-width
-  ranges co-locates every tile's partials. Each output block — a
-  range of dozens of buckets — is assembled and colored in ONE
-  vectorized call over its distinct pixel counts, no per-bucket
-  Python. NOT groupby().map_groups:
-  under the pinned sort-shuffle strategy its num_partitions is ignored
-  and quantile sampling over 1024 discrete values quantizes ranges
-  unevenly (render_tiles_from docstring).
+* stage 2 (the keyed exchange, ``ctx.bucket_exchange``): partials carry
+  ``bucket = splitmix64(tile_key) % N_TILE_BUCKETS`` (the mix
+  decorrelates bucket id from tile adjacency, so hot cities spread
+  uniformly) and every tile's partials meet in one exchange block,
+  which is assembled and colored in ONE vectorized call over its
+  distinct pixel counts.
 
 Tile identity is the (z, x, y) triple — never row order.
 """
+
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 
 from ..color import parse_operations
-from ..ctx import shuffle_partitions
+from ..ctx import bucket_exchange
 from ..spatial import mercator_tile, tile_pixel
 from ..stages.color_stage import ColorStage, apply_ops_to_tiles, color_tuples
 from ..stages.sampling import splitmix64
@@ -194,45 +191,15 @@ def render_tiles_from(points_ds, z=DEFAULT_ZOOM, ops=None):
     """Any Dataset with lat/lon columns -> raster tiles at zoom z,
     color-corrected by the DSL program ``ops`` when one is given.
 
-    The exchange is ``sort("bucket", boundaries=...)`` with EXPLICIT
-    equal-width bucket ranges + one vectorized assemble call per output
-    block — not ``groupby().map_groups``. Two measured reasons (round-5
-    profile, sf0.1 / 32 CPUs, z10):
-
-    * Under the pinned sort-shuffle strategy ``groupby(...,
-      num_partitions=N)`` IGNORES N (map_groups lowers to a plain
-      ``sort(key)``), and quantile sampling over 1024 discrete bucket
-      values quantized into reduce ranges holding 3-42 buckets each —
-      a 13-34x tiles-per-task spread whose 3.5s straggler WAS the
-      flagship_z10 critical path. Fixed boundaries make every range
-      exactly ``N_TILE_BUCKETS / npart`` buckets, and splitmix64-mixed
-      bucket ids (``_partial_pixel_counts``) make every bucket a
-      uniform tile sample, so tasks are even by construction.
-    * map_groups calls the UDF once per bucket (Python-per-group);
-      the boundary-partitioned map_batches(batch_size=None) assembles a
-      whole range — dozens of buckets — in ONE np.unique pass.
-
-    ``npart`` is 2 reduce tasks per CPU, with no floor of its own: 16 at
-    1-8 CPUs (``shuffle_partitions`` floors at 8), 64 at 32. At 32 CPUs
-    2x was the measured optimum of a 1x/2x/4x sweep (sf0.1: z7
-    2.46/2.55/2.80s, z10 6.06/3.41/3.82s min-of-4). Dropping the former
-    ``max(64, ...)`` floor was measured at 1 CPU only: on 20k pages at
-    z10 (~13.6k tiles, 4-vCPU VM) the fused assemble+color UDF takes
-    0.05 s per run in total, and 16 tasks instead of 64 cut the tile
-    sort from 0.50 s to 0.12 s; 16 larger blocks also spare the
-    checkpoint writer's groupby from sorting 64 tiny ones. From 2 to 31
-    CPUs the plan now runs 16-62 tasks where the floor made it run 64;
-    that range is unmeasured, and the 2-vs-8 CPU scaling readings in
-    BASELINE.md describe the 64-task plan. At cluster scale raise
-    N_TILE_BUCKETS together with zoom when a bucket range outgrows a
-    worker's heap.
+    Per-batch partial pixel histograms, then one keyed exchange on the
+    mixed tile bucket (``ctx.bucket_exchange``, which documents the
+    exchange and its reduce-task count) with :func:`_assemble_bucket` as
+    the reduce. At cluster scale raise N_TILE_BUCKETS together with zoom
+    when a bucket range outgrows a worker's heap.
     """
-    partial = points_ds.map_batches(_partial_pixel_counts(z), batch_format="pyarrow")
-    npart = min(N_TILE_BUCKETS, 2 * shuffle_partitions(cap=N_TILE_BUCKETS))
-    step = N_TILE_BUCKETS / npart
-    boundaries = [round(i * step) for i in range(1, npart)]
-    return partial.sort("bucket", boundaries=boundaries).map_batches(
-        _assemble_bucket, fn_kwargs={"ops": ops}, batch_format="pyarrow", batch_size=None
+    parts = points_ds.map_batches(_partial_pixel_counts(z), batch_format="pyarrow")
+    return bucket_exchange(
+        parts, "bucket", N_TILE_BUCKETS, partial(_assemble_bucket, ops=ops), "pyarrow"
     )
 
 

@@ -8,34 +8,39 @@ and catastrophic for per-order / per-customer / per-document keys whose
 group count grows with the data.
 
 ``hash_bucket_agg`` keeps the exchange but swaps the reduce: rows are
-bucketed by ``key % n_buckets``, ONE sort-shuffle moves them to their
-bucket (n_buckets groups — the per-group Python cost is paid 64 times,
-not 147k times), and a caller-supplied VECTORIZED pandas aggregation
-runs inside each bucket (same-key rows are guaranteed co-located). The
-same pattern the engine already uses for its bucketed hash join and the
-min-label CC phases.
+bucketed by ``key % n_buckets`` and moved by the engine's keyed exchange
+(:func:`rio_color_ray.ctx.bucket_exchange`), and a caller-supplied
+VECTORIZED pandas aggregation runs once per exchange block — a range of
+buckets holding every row of each of its keys. No Python runs per group
+or per bucket. The same exchange carries the bucketed hash join, the
+LSH pair stages, the min-label CC passes, the checkpoint writers and the
+tile reduce.
 
 Scale notes: buckets are uniform under the modulo of a dense int key —
 for adversarial key skew, salt upstream like pipelines/geo.py does.
 Callers should pre-aggregate per batch BEFORE calling (partial
-combine), so the exchange moves partials, not raw rows. Callers that
-MUST ship raw rows (the window family: sessionize, as-of, range join —
-their per-row outputs can't pre-reduce) expose ``n_buckets`` and should
-size it so one bucket (~1/n_buckets of the table) fits a worker's heap:
-n_buckets is the reduce parallelism AND the per-task memory divisor.
+combine), so the exchange moves partials, not raw rows. ``n_buckets`` is
+only the hash modulus: the reduce parallelism is
+``shuffle_partitions()`` (one task per CPU, at least 8, at most
+``n_buckets``), so one reduce task holds ~1/that of the rows. Callers
+that MUST ship raw rows (the window family: sessionize, as-of, range
+join — their per-row outputs can't pre-reduce) must size the cluster so
+that share fits a worker's heap.
 """
 
 import numpy as np
 import pandas as pd
 
+from ..ctx import bucket_exchange
+
 
 def hash_bucket_agg(ds, key, agg_fn, n_buckets=64):
     """Group ``ds`` by int64 column ``key`` at high cardinality.
 
-    ``agg_fn: pd.DataFrame -> pd.DataFrame`` receives one bucket's rows
-    (all rows of any given key, possibly many keys) and must perform its
-    own ``groupby(key)`` reduction vectorized. Returns the concatenated
-    per-bucket results as a Dataset.
+    ``agg_fn: pd.DataFrame -> pd.DataFrame`` receives one exchange
+    block's rows (all rows of any given key, many keys) and must perform
+    its own ``groupby(key)`` reduction vectorized. Returns the concatenated
+    per-block results as a Dataset.
     """
 
     def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -52,8 +57,5 @@ def hash_bucket_agg(ds, key, agg_fn, n_buckets=64):
     def per_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
         return agg_fn(bucket.drop(columns="__b"))
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    bucketed = ds.map_batches(add_bucket, batch_format="pandas")
+    return bucket_exchange(bucketed, "__b", n_buckets, per_bucket, "pandas")

@@ -19,10 +19,11 @@ Scale notes (100 TB):
 * No pair materialization — a hot key with 10^6 members contributes
   10^6 rows, not 10^12 pairs (the LSH pair-blowup problem does not
   exist here).
-* Each half-iteration is ONE exchange of the (node, key, label)
-  triple table, grouped by a hash BUCKET of the key (``n_buckets``
-  groups total) with a vectorized pandas ``transform('min')`` inside —
-  no per-group Python call, no skew sensitivity beyond the bucket.
+* Each half-iteration is ONE keyed exchange (``ctx.bucket_exchange``)
+  of the (node, key, label) triple table on a hash BUCKET of the key,
+  with a vectorized pandas ``transform('min')`` over each exchange
+  block (a range of buckets) — no per-group Python call, no skew
+  sensitivity beyond the bucket.
 * Iteration count is O(log diameter), not one hop per round: the
   key-grouped pass PATH-COMPRESSES the graph (key := the group's
   converged label, plus a witness self-row — see ``_spread_min``
@@ -42,6 +43,8 @@ Scale notes (100 TB):
 import numpy as np
 import pandas as pd
 import ray.data
+
+from ..ctx import bucket_exchange
 
 
 def min_label_components(
@@ -70,24 +73,27 @@ def min_label_components(
     rounds, used by the convergence tests).
     """
 
-    def _bucket_of(col):
+    def _exchange(ds, col, reduce_block):
+        """Keyed exchange on a hash bucket of ``col``."""
+
         def add(df: pd.DataFrame) -> pd.DataFrame:
             df = df.copy()
             df["__b"] = df[col].to_numpy() % n_buckets
             return df
 
-        return add
+        bucketed = ds.map_batches(add, batch_format="pandas")
+        return bucket_exchange(bucketed, "__b", n_buckets, reduce_block, "pandas")
 
     def _spread_min(group_col, other_col, rewrite=False):
-        """Within each hash bucket, propagate min labels to LOCAL
-        convergence: alternate per-group min over ``group_col`` and
-        ``other_col`` until the bucket's sub-graph is stable. Labels only
-        ever decrease and are bounded below by the component min, so
-        propagating over the partial sub-graph present in the bucket is
-        always safe — it just collapses any chain resident in one bucket
-        in a single GLOBAL iteration instead of one hop per iteration.
-        ``__changed`` counts rows whose label decreased vs bucket entry
-        (the global convergence signal).
+        """Within each exchange block (a range of hash buckets), propagate
+        min labels to LOCAL convergence: alternate per-group min over
+        ``group_col`` and ``other_col`` until the block's sub-graph is
+        stable. Labels only ever decrease and are bounded below by the
+        component min, so propagating over the partial sub-graph present
+        in the block is always safe — it just collapses any chain
+        resident in one block in a single GLOBAL iteration instead of one
+        hop per iteration. ``__changed`` counts rows whose label decreased
+        vs block entry (the global convergence signal).
 
         ``rewrite=True`` (key-grouped pass only) is the PATH-COMPRESSION
         step that collapses components in O(log diameter) global rounds
@@ -146,14 +152,8 @@ def min_label_components(
         batch_format="pandas",
     )
     for it in range(max_iters):
-        ds = ds.map_batches(_bucket_of(key_col), batch_format="pandas")
-        ds = ds.groupby("__b").map_groups(
-            _spread_min(key_col, node_col, rewrite=True), batch_format="pandas"
-        )
-        ds = ds.map_batches(_bucket_of(node_col), batch_format="pandas")
-        ds = ds.groupby("__b").map_groups(
-            _spread_min(node_col, key_col), batch_format="pandas"
-        )
+        ds = _exchange(ds, key_col, _spread_min(key_col, node_col, rewrite=True))
+        ds = _exchange(ds, node_col, _spread_min(node_col, key_col))
         ds = ds.drop_columns(["__b"]).materialize()
         if ds.sum("__changed") == 0:
             import logging
@@ -186,8 +186,4 @@ def min_label_components(
         out = bucket.groupby(node_col, as_index=False)["label"].min()
         return out.rename(columns={"label": "cluster_id"})
 
-    return (
-        ds.map_batches(_bucket_of(node_col), batch_format="pandas")
-        .groupby("__b")
-        .map_groups(finish, batch_format="pandas")
-    )
+    return _exchange(ds, node_col, finish)

@@ -16,6 +16,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..ctx import bucket_exchange
+
 # --- exact dedup ------------------------------------------------------------
 
 
@@ -35,7 +37,7 @@ def exact_dedup(ds, key_col="text", id_col="doc_id"):
 
     The content-hash key is corpus-cardinality, so the final reduce is a
     hash-bucket aggregate (stages/agg.py) — per-batch partial mins, one
-    exchange of (hash, id) partials, vectorized pandas min per bucket.
+    exchange of (hash, id) partials, vectorized pandas min per block.
     """
     from .agg import hash_bucket_agg
 
@@ -196,10 +198,11 @@ def _bucketed_segment_pairs(
     """Shared scaffolding for banded candidate-pair stages.
 
     The LSH group count grows with the corpus (bands x distinct hashes),
-    so grouping runs on HASH BUCKETS of (band, band_hash) — Ray's
-    per-group reduce cost is paid ``n_buckets`` times, not once per LSH
-    bucket (~0.6 ms/group measured, see stages/agg.py). Inside a bucket,
-    segments are found with one lexsort + boundary mask and handed to
+    so grouping runs on HASH BUCKETS of (band, band_hash), moved by the
+    keyed exchange (``ctx.bucket_exchange``) — one reduce call per
+    exchange block, not one per LSH bucket (~0.6 ms/group measured, see
+    stages/agg.py). Inside a block, segments are found with one lexsort
+    + boundary mask and handed to
     ``emit(ids, extras) -> (id_a, id_b, degraded)`` per segment (numpy
     slices, ~us each). The cross-band duplicate collapse is a bucketed
     pair-hash drop_duplicates — never a pair-cardinality groupby.
@@ -253,11 +256,8 @@ def _bucketed_segment_pairs(
             {"id_a": np.concatenate(outs_a), "id_b": np.concatenate(outs_b)}
         )
 
-    cand = (
-        band_ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__b")
-        .map_groups(pairs_bucket, batch_format="pandas")
-    )
+    bucketed = band_ds.map_batches(add_bucket, batch_format="pandas")
+    cand = bucket_exchange(bucketed, "__b", n_buckets, pairs_bucket, "pandas")
     if not dedup:
         # caller collapses cross-band duplicates itself (e.g. inside the
         # verify exchange) — skip the dedicated pair-dedup exchange
@@ -287,7 +287,7 @@ def dedup_pairs(cand, n_buckets=64):
 
     Pair cardinality grows with the corpus, so the collapse must not be
     one Ray group per pair — bucket on a hash of the pair, vectorized
-    drop_duplicates inside each bucket.
+    drop_duplicates inside each exchange block.
     """
 
     def add_pair_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -298,13 +298,9 @@ def dedup_pairs(cand, n_buckets=64):
         df["__b"] = (h % np.uint64(n_buckets)).astype(np.int64)
         return df
 
-    return (
-        cand.map_batches(add_pair_bucket, batch_format="pandas")
-        .groupby("__b")
-        .map_groups(
-            lambda g: g.drop(columns="__b").drop_duplicates(),
-            batch_format="pandas",
-        )
+    bucketed = cand.map_batches(add_pair_bucket, batch_format="pandas")
+    return bucket_exchange(
+        bucketed, "__b", n_buckets, lambda g: g.drop(columns="__b").drop_duplicates(), "pandas"
     )
 
 

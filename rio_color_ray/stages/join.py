@@ -6,9 +6,10 @@ Two large-large strategies, both shuffle-aware:
   available; ``num_partitions`` chosen by the caller.
 * ``bucketed_hash_join`` — the portable explicit pattern (ray_guide
   "Joins and lookups"): both sides get a ``__bucket = key % B`` column
-  and a side tag, are unioned under a common nullable schema, and each
-  bucket group does ONE vectorized pandas merge. B is the explicit
-  partitioning knob; salt hot keys by raising B.
+  and a side tag, are unioned under a common nullable schema, moved by
+  the engine's keyed exchange (``ctx.bucket_exchange``), and each
+  exchange block (a range of buckets) does ONE vectorized pandas merge.
+  B is the hash modulus; the reduce parallelism is one task per CPU.
 
 Broadcast joins ship the small side once per actor (constructor arg /
 ``ray.put``) and merge per batch — no shuffle.
@@ -18,6 +19,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..ctx import bucket_exchange
 
 
 class BroadcastJoinStage:
@@ -157,4 +160,4 @@ def bucketed_hash_join(
         rg = group.filter(pc.equal(side, 1)).select([key] + rnames).to_pandas()
         return lg.merge(rg, on=key, how=how)
 
-    return both.groupby("__bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return bucket_exchange(both, "__bucket", n_buckets, merge_bucket, "pyarrow")

@@ -8,12 +8,14 @@ filters the corpus at the source) and from a rendered tile's x column
 deployment knob: at cluster scale set K ≈ a few × node count so a lost
 node forfeits only its in-flight cell ranges.
 
-The writer is a ``groupby(part).map_groups`` stage: each group writes
-``out_dir/part=<p>/data.parquet`` via tmp + ``os.replace`` (idempotent
-under Ray task retries — a retried write simply replaces the same file),
-THEN the lineage record, and returns the lineage row. Pending partitions
-that yielded zero rows get an explicit empty lineage record afterwards so
-resume does not re-run them forever.
+The writer is a keyed exchange on ``part`` (``ctx.bucket_exchange``):
+each exchange block holds every row of the partitions in its range, and
+for each partition present it writes ``out_dir/part=<p>/data.parquet``
+via tmp + ``os.replace`` (idempotent under Ray task retries — a retried
+write simply replaces the same file), THEN the lineage record, and
+returns one lineage row per partition. Pending partitions that yielded
+zero rows get an explicit empty lineage record afterwards so resume does
+not re-run them forever.
 """
 
 import os
@@ -28,6 +30,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
+from ..ctx import bucket_exchange
 from ..spatial import mercator_tile
 from .lineage import TMP_DIR, completed_partitions, now_ts, write_lineage_record
 
@@ -48,36 +51,39 @@ def _partition_of_tile_x(x, z, n_parts):
 
 
 def _partition_writer(out_dir, stage, sort_col, cell_range_fn):
-    """map_groups fn: write one partition's rows (tmp + atomic rename)
-    THEN its lineage record; return the lineage row. The single
-    idempotent-write protocol shared by every checkpointed output
-    (``sort_col`` orders rows inside the file; ``cell_range_fn(p)`` maps
-    the partition id to the lineage record's key range)."""
+    """Exchange reduce: for each partition in the block, write its rows
+    (tmp + atomic rename) THEN its lineage record; return the lineage
+    rows. The single idempotent-write protocol shared by every
+    checkpointed output (``sort_col`` orders rows inside the file;
+    ``cell_range_fn(p)`` maps the partition id to the lineage record's
+    key range)."""
 
-    def write_group(group: pd.DataFrame) -> pd.DataFrame:
-        t0 = time.time()
-        p = int(group["part"].iloc[0])
-        rows_in = len(group)
-        body = group.drop(columns=["part"]).sort_values(sort_col).reset_index(drop=True)
-        part_dir = os.path.join(out_dir, f"part={p}")
-        os.makedirs(part_dir, exist_ok=True)
-        os.makedirs(os.path.join(out_dir, TMP_DIR), exist_ok=True)
-        tmp = os.path.join(out_dir, TMP_DIR, f"dat-{p}-{uuid.uuid4().hex}.parquet")
-        pq.write_table(pa.Table.from_pandas(body, preserve_index=False), tmp)
-        os.replace(tmp, os.path.join(part_dir, "data.parquet"))
-        lo, hi = cell_range_fn(p)
-        rec = {
-            "partition_id": str(p),
-            "cell_lo": int(lo),
-            "cell_hi": int(hi),
-            "rows_in": int(rows_in),
-            "rows_out": int(len(body)),
-            "stage": stage,
-            "wall_s": round(time.time() - t0, 4),
-            "checkpoint_ts": now_ts(),
-        }
-        write_lineage_record(out_dir, rec)
-        return pd.DataFrame([rec])
+    def write_group(block: pd.DataFrame) -> pd.DataFrame:
+        recs = []
+        for p, group in block.groupby("part", sort=True):
+            t0 = time.time()
+            p = int(p)
+            body = group.drop(columns=["part"]).sort_values(sort_col).reset_index(drop=True)
+            part_dir = os.path.join(out_dir, f"part={p}")
+            os.makedirs(part_dir, exist_ok=True)
+            os.makedirs(os.path.join(out_dir, TMP_DIR), exist_ok=True)
+            tmp = os.path.join(out_dir, TMP_DIR, f"dat-{p}-{uuid.uuid4().hex}.parquet")
+            pq.write_table(pa.Table.from_pandas(body, preserve_index=False), tmp)
+            os.replace(tmp, os.path.join(part_dir, "data.parquet"))
+            lo, hi = cell_range_fn(p)
+            rec = {
+                "partition_id": str(p),
+                "cell_lo": int(lo),
+                "cell_hi": int(hi),
+                "rows_in": int(len(group)),
+                "rows_out": int(len(body)),
+                "stage": stage,
+                "wall_s": round(time.time() - t0, 4),
+                "checkpoint_ts": now_ts(),
+            }
+            write_lineage_record(out_dir, rec)
+            recs.append(rec)
+        return pd.DataFrame(recs)
 
     return write_group
 
@@ -85,25 +91,18 @@ def _partition_writer(out_dir, stage, sort_col, cell_range_fn):
 def checkpointed_write(tiles_ds, out_dir, z, n_parts, stage="flagship"):
     """Tiles Dataset -> partitioned parquet + lineage; returns lineage rows.
 
-    The groupby is the only exchange; each group's write is atomic and
-    independently restartable.
+    The keyed exchange on ``part`` is the only exchange; each
+    partition's write is atomic and independently restartable.
     """
 
     def add_part(batch: pa.Table) -> pa.Table:
         part = _partition_of_tile_x(batch.column("x").to_numpy(), z, n_parts)
         return batch.append_column("part", pa.array(part, pa.int64()))
 
-    lineage = (
-        tiles_ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part", num_partitions=n_parts)
-        .map_groups(
-            _partition_writer(
-                out_dir, stage, "tile_id", lambda p: _x_range(p, z, n_parts)
-            ),
-            batch_format="pandas",
-        )
-    )
-    return lineage.to_pandas()  # lineage is tiny (one row per partition)
+    parted = tiles_ds.map_batches(add_part, batch_format="pyarrow")
+    writer = _partition_writer(out_dir, stage, "tile_id", lambda p: _x_range(p, z, n_parts))
+    # lineage is tiny (one row per partition)
+    return bucket_exchange(parted, "part", n_parts, writer, "pandas").to_pandas()
 
 
 def resumable_flagship(
@@ -240,14 +239,8 @@ def resumable_curate(sf_dir, out_dir, n_parts=16, max_partitions=None, **curate_
     ds = curate_corpus(sf_dir, parts=pending, n_parts=n_parts, **curate_kw)
     # cell_lo/cell_hi carry the content-hash bucket id (the lineage
     # schema's range fields; a hash bucket is a degenerate range)
-    lineage = (
-        ds.groupby("part", num_partitions=min(n_parts, len(pending)))
-        .map_groups(
-            _partition_writer(out_dir, "curate", "doc_id", lambda p: (p, p)),
-            batch_format="pandas",
-        )
-        .to_pandas()  # tiny: one row per partition
-    )
+    writer = _partition_writer(out_dir, "curate", "doc_id", lambda p: (p, p))
+    lineage = bucket_exchange(ds, "part", n_parts, writer, "pandas").to_pandas()  # tiny
     wrote = set(lineage["partition_id"].astype(str)) if len(lineage) else set()
     for p in pending:
         if str(p) not in wrote:
