@@ -57,7 +57,7 @@ def shuffle_partitions(cap=64, floor=8):
     return max(floor, min(cap, 32))
 
 
-def bucket_exchange(ds, bucket_col, n_buckets, reduce_block, batch_format):
+def bucket_exchange(ds, bucket_col, n_buckets, reduce_block, batch_format, schema=None):
     """Co-locate every bucket's rows and reduce each exchange block once.
 
     ``bucket_col`` holds an int in ``[0, n_buckets)`` derived by the
@@ -88,10 +88,27 @@ def bucket_exchange(ds, bucket_col, n_buckets, reduce_block, batch_format):
     1.44 -> 1.46 s, z10 1.72 -> 1.60 s; BASELINE.md "One reduce task per
     CPU"). Plans at 8+ CPUs are unmeasured; the round-5 sweep that chose
     2 per CPU at 32 CPUs predates the fused tile reduce.
+
+    ``schema``, when given, is the reduce's output ``pyarrow.Schema``; it
+    is cached on the returned Dataset so ``schema()`` and
+    ``to_arrow_refs()`` answer without executing anything. Ray 2.49 never
+    caches the schema of a streamed run (``legacy_compat.py:80-90`` stores
+    it in ``_snapshot_metadata_schema``, which ``ExecutionPlan.schema()``,
+    ``_internal/plan.py:366-384``, never reads), so ``to_arrow_refs()``
+    (``dataset.py:5840``) and any ``Dataset.schema()`` (``dataset.py:
+    3414-3423``) re-run the plan under ``limit(1)``. A limit cannot stop
+    before the sort's barrier: the re-run repeats the read, the map chain
+    and the sort, then cancels a just-submitted reduce task. Pass it only
+    when the reduce's columns do not depend on the data. This is the
+    engine's only use of Ray's private plan; if an upgrade removes
+    ``cache_schema`` the call fails here, at plan construction.
     """
     n_ranges = min(n_buckets, shuffle_partitions(cap=n_buckets))
     step = n_buckets / n_ranges
     boundaries = [round(i * step) for i in range(1, n_ranges)]
-    return ds.sort(bucket_col, boundaries=boundaries).map_batches(
+    out = ds.sort(bucket_col, boundaries=boundaries).map_batches(
         reduce_block, batch_format=batch_format, batch_size=None
     )
+    if schema is not None:
+        out._plan.cache_schema(schema)
+    return out

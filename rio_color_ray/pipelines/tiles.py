@@ -16,7 +16,10 @@ Shuffle discipline (round-5 design; measurements in BASELINE.md):
   decorrelates bucket id from tile adjacency, so hot cities spread
   uniformly) and every tile's partials meet in one exchange block,
   which is assembled and colored in ONE vectorized call over its
-  distinct pixel counts.
+  distinct pixel counts. The exchange declares that reduce's output
+  schema (taken from :func:`_assemble_bucket` over an empty partials
+  table), so consuming the tiles with ``to_arrow_refs()`` or asking for
+  their ``schema()`` never re-runs the plan.
 
 Tile identity is the (z, x, y) triple — never row order.
 """
@@ -62,6 +65,10 @@ TILE_SIZE = 32
 DEFAULT_ZOOM = 7
 DEFAULT_OPS = "gamma rgb 1.2, sigmoidal rgb 6 0.25, saturation 1.1"
 N_TILE_BUCKETS = 1024
+# the partial-histogram rows stage 1 emits and the exchange moves
+_PARTIALS_SCHEMA = pa.schema(
+    [(name, pa.int64()) for name in ("tile_key", "bucket", "pix", "n")]
+)
 
 
 def _tile_key(z, xt, yt):
@@ -92,13 +99,9 @@ def _partial_pixel_counts(z):
         # adjacency, so every contiguous bucket range is a uniform
         # sample of the tile population.
         bucket = (splitmix64(tile_key) % np.uint64(N_TILE_BUCKETS)).astype(np.int64)
-        return pa.table(
-            {
-                "tile_key": pa.array(tile_key, pa.int64()),
-                "bucket": pa.array(bucket, pa.int64()),
-                "pix": pa.array(uniq % (TILE_SIZE * TILE_SIZE), pa.int64()),
-                "n": pa.array(counts.astype(np.int64), pa.int64()),
-            }
+        return pa.Table.from_arrays(
+            [tile_key, bucket, uniq % (TILE_SIZE * TILE_SIZE), counts.astype(np.int64)],
+            schema=_PARTIALS_SCHEMA,
         )
 
     return fn
@@ -196,11 +199,16 @@ def render_tiles_from(points_ds, z=DEFAULT_ZOOM, ops=None):
     exchange and its reduce-task count) with :func:`_assemble_bucket` as
     the reduce. At cluster scale raise N_TILE_BUCKETS together with zoom
     when a bucket range outgrows a worker's heap.
+
+    The returned Dataset carries its output schema, taken from the
+    reduce's own output over an empty partials table (one cheap local
+    call; it cannot drift from the blocks), so ``to_arrow_refs()`` and
+    ``schema()`` never re-run the plan (see ``bucket_exchange``).
     """
     parts = points_ds.map_batches(_partial_pixel_counts(z), batch_format="pyarrow")
-    return bucket_exchange(
-        parts, "bucket", N_TILE_BUCKETS, partial(_assemble_bucket, ops=ops), "pyarrow"
-    )
+    reduce_block = partial(_assemble_bucket, ops=ops)
+    schema = reduce_block(_PARTIALS_SCHEMA.empty_table()).schema
+    return bucket_exchange(parts, "bucket", N_TILE_BUCKETS, reduce_block, "pyarrow", schema)
 
 
 def render_tiles(sf_dir, z=DEFAULT_ZOOM, replicate=1, ops=None):

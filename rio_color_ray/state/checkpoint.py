@@ -16,6 +16,13 @@ write simply replaces the same file), THEN the lineage record, and
 returns one lineage row per partition. Pending partitions that yielded
 zero rows get an explicit empty lineage record afterwards so resume does
 not re-run them forever.
+
+The writer is Arrow-native: it filters, sorts and writes the exchange's
+Arrow block as is, with no pandas round trip, so no pandas schema
+metadata reaches the stored files or the blocks read back from them.
+:func:`read_output` reads those files without hive partitioning (the
+``part=<p>`` directories add no column), so its Dataset is a plain read
+whose schema Ray takes from the Parquet footers.
 """
 
 import os
@@ -23,7 +30,6 @@ import time
 import uuid
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -58,32 +64,32 @@ def _partition_writer(out_dir, stage, sort_col, cell_range_fn):
     ``cell_range_fn(p)`` maps the partition id to the lineage record's
     key range)."""
 
-    def write_group(block: pd.DataFrame) -> pd.DataFrame:
+    def write_group(block: pa.Table) -> pa.Table:
         recs = []
-        for p, group in block.groupby("part", sort=True):
+        part = block.column("part")
+        for p in sorted(pc.unique(part).to_pylist()):
             t0 = time.time()
-            p = int(p)
-            body = group.drop(columns=["part"]).sort_values(sort_col).reset_index(drop=True)
+            body = block.filter(pc.equal(part, p)).drop_columns(["part"]).sort_by(sort_col)
             part_dir = os.path.join(out_dir, f"part={p}")
             os.makedirs(part_dir, exist_ok=True)
             os.makedirs(os.path.join(out_dir, TMP_DIR), exist_ok=True)
             tmp = os.path.join(out_dir, TMP_DIR, f"dat-{p}-{uuid.uuid4().hex}.parquet")
-            pq.write_table(pa.Table.from_pandas(body, preserve_index=False), tmp)
+            pq.write_table(body, tmp)
             os.replace(tmp, os.path.join(part_dir, "data.parquet"))
             lo, hi = cell_range_fn(p)
             rec = {
                 "partition_id": str(p),
                 "cell_lo": int(lo),
                 "cell_hi": int(hi),
-                "rows_in": int(len(group)),
-                "rows_out": int(len(body)),
+                "rows_in": body.num_rows,
+                "rows_out": body.num_rows,
                 "stage": stage,
                 "wall_s": round(time.time() - t0, 4),
                 "checkpoint_ts": now_ts(),
             }
             write_lineage_record(out_dir, rec)
             recs.append(rec)
-        return pd.DataFrame(recs)
+        return pa.Table.from_pylist(recs)
 
     return write_group
 
@@ -102,7 +108,7 @@ def checkpointed_write(tiles_ds, out_dir, z, n_parts, stage="flagship"):
     parted = tiles_ds.map_batches(add_part, batch_format="pyarrow")
     writer = _partition_writer(out_dir, stage, "tile_id", lambda p: _x_range(p, z, n_parts))
     # lineage is tiny (one row per partition)
-    return bucket_exchange(parted, "part", n_parts, writer, "pandas").to_pandas()
+    return bucket_exchange(parted, "part", n_parts, writer, "pyarrow").to_pandas()
 
 
 def resumable_flagship(
@@ -199,12 +205,8 @@ def read_output(out_dir):
     ]
     if not paths:
         raise FileNotFoundError(f"no completed partitions under {out_dir}")
-    ds = ray.data.read_parquet(paths)
-    # the hive-style `part=<p>` dirs re-infer a `part` column on read;
-    # drop it so the output schema equals the in-pipeline tiles schema
-    if "part" in ds.schema().names:
-        ds = ds.drop_columns(["part"])
-    return ds
+    # no hive partitioning: the `part=<p>` dirs would add a `part` column
+    return ray.data.read_parquet(paths, partitioning=None)
 
 
 # --- resumable corpus curation ---------------------------------------------
@@ -240,7 +242,7 @@ def resumable_curate(sf_dir, out_dir, n_parts=16, max_partitions=None, **curate_
     # cell_lo/cell_hi carry the content-hash bucket id (the lineage
     # schema's range fields; a hash bucket is a degenerate range)
     writer = _partition_writer(out_dir, "curate", "doc_id", lambda p: (p, p))
-    lineage = bucket_exchange(ds, "part", n_parts, writer, "pandas").to_pandas()  # tiny
+    lineage = bucket_exchange(ds, "part", n_parts, writer, "pyarrow").to_pandas()  # tiny
     wrote = set(lineage["partition_id"].astype(str)) if len(lineage) else set()
     for p in pending:
         if str(p) not in wrote:

@@ -6,6 +6,7 @@ from functools import partial
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -91,14 +92,14 @@ def test_partition_writer_writes_every_part_in_its_block(tmp_path):
 
     out_dir = str(tmp_path)
     write_group = _partition_writer(out_dir, "test", "tile_id", lambda p: (10 * p, 10 * p + 9))
-    block = pd.DataFrame(
+    block = pa.table(
         {
             "tile_id": ["b", "a", "c", "d", "e"],
-            "val": np.arange(5, dtype=np.int64),
-            "part": np.array([1, 1, 3, 3, 3], np.int64),
+            "val": pa.array(np.arange(5), pa.int64()),
+            "part": pa.array([1, 1, 3, 3, 3], pa.int64()),
         }
     )
-    lineage = write_group(block)
+    lineage = write_group(block).to_pandas()
     assert lineage["partition_id"].tolist() == ["1", "3"]
     assert lineage["rows_out"].tolist() == [2, 3]
     assert lineage["cell_lo"].tolist() == [10, 30]
@@ -106,4 +107,5 @@ def test_partition_writer_writes_every_part_in_its_block(tmp_path):
     for p, ids in ((1, ["a", "b"]), (3, ["c", "d", "e"])):
         t = pq.read_table(os.path.join(out_dir, f"part={p}", "data.parquet"))
         assert t.column_names == ["tile_id", "val"]
+        assert t.schema.metadata is None  # no pandas metadata stored
         assert t.column("tile_id").to_pylist() == ids

@@ -421,3 +421,46 @@ def test_read_table_strips_schema_metadata(ray_session):
     batch = next(iter(ds.iter_batches(batch_format="pyarrow", batch_size=4)))
     assert batch.schema.metadata is None
     hash(batch.schema)  # hashable now — the property the fix exists for
+
+
+def _tile_dataset(kind, z):
+    import pyarrow as pa
+    import ray.data
+
+    from rio_color_ray.pipelines import flagship, tiles
+
+    if kind == "flagship":
+        return flagship.flagship(SF, z=z)
+    if kind == "render_tiles":
+        return tiles.render_tiles(SF, z)
+    if kind == "color_tiles":
+        return tiles.color_tiles(SF, z=z)
+    empty = pa.table({"lat": pa.array([], pa.float64()), "lon": pa.array([], pa.float64())})
+    return tiles.render_tiles_from(ray.data.from_arrow(empty), z, ops=tiles.DEFAULT_OPS)
+
+
+@pytest.mark.parametrize("z", [7, 10])
+@pytest.mark.parametrize("kind", ["flagship", "render_tiles", "color_tiles", "empty_points"])
+def test_tile_output_schema_is_declared(ray_session, monkeypatch, kind, z):
+    """The tile exchange declares its output schema, so the Dataset knows
+    it before running, every block matches it (metadata included), and
+    ``to_arrow_refs()`` executes the plan once — without the declaration
+    Ray re-runs it under ``limit(1)`` to fetch the schema."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    ds = _tile_dataset(kind, z)
+    declared = ds.schema(fetch_if_missing=False)
+    assert declared is not None
+    runs = []
+    execute = ExecutionPlan.execute_to_iterator
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionPlan, "execute_to_iterator", counted)
+    blocks = [b for b in ray_session.get(ds.to_arrow_refs()) if b.num_rows]
+    assert len(runs) == 1
+    assert (len(blocks) > 0) == (kind != "empty_points")
+    for block in blocks:
+        assert block.schema.equals(declared.base_schema, check_metadata=True)
