@@ -15,7 +15,7 @@ color      -- numerically exact reimplementation of rio-color's operators
               (reference: rio_color/operations.py, colorspace.pyx, utils.py)
 spatial    -- cell indexes (hex hierarchy + quadsphere), R-tree, PIP, kNN
 sources    -- deterministic synthetic pages/tiles/polygons generators
-stages     -- Ray Data map_batches stage callables (stateless fns + actor classes)
+stages     -- Ray Data map_batches stage callables (stateless fns + stateful classes)
 pipelines  -- end-to-end Dataset pipelines (flagship, relational, dedup, ann)
 state      -- lineage records, checkpointed writes, resume
 """

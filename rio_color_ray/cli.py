@@ -46,8 +46,8 @@ jobs_opt = click.option(
     "-j",
     type=int,
     default=1,
-    help="Parallel actor count for the color stage; -1 for all cores, "
-    "1 (default) runs the fused task-pool path.",
+    help="Most color tasks run at once; -1 for all cores, "
+    "1 (default) colors one batch at a time.",
 )
 
 # the reference's GDAL creation-options passthrough (--co compress=jpeg,
@@ -130,9 +130,7 @@ def color(jobs, creation_options, out_dtype, src_path, dst_path, operations):
 
     ray = _ensure_ray()
     tiles = ray.data.read_parquet(src_path)
-    out = color_stage(
-        tiles, ops_string, concurrency=jobs, use_actors=jobs > 1, out_dtype=out_dtype
-    )
+    out = color_stage(tiles, ops_string, out_dtype=out_dtype, concurrency=jobs)
     out.write_parquet(dst_path, **co)
     click.echo(f"wrote {dst_path}")
 
@@ -173,9 +171,7 @@ def atmos(atmo, contrast, bias, out_dtype, as_color, src_path, dst_path, jobs, c
 
     ray = _ensure_ray()
     tiles = ray.data.read_parquet(src_path)
-    out = color_stage(
-        tiles, opstring, concurrency=jobs, use_actors=jobs > 1, out_dtype=out_dtype
-    )
+    out = color_stage(tiles, opstring, out_dtype=out_dtype, concurrency=jobs)
     out.write_parquet(dst_path, **co)
     click.echo(f"wrote {dst_path}")
 

@@ -10,7 +10,7 @@ operations.py:64-65), gamma's reciprocal exponent ``arr ** (1/g)``
 bands passed through (operations.py:154-181).
 
 Unlike the reference, which re-parses the ops string for every window
-(workers.py:27), callers here parse once per actor in ``__init__`` — see
+(workers.py:27), callers here parse once per worker process in ``__init__`` — see
 rio_color_ray.stages.color_stage.
 """
 

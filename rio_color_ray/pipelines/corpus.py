@@ -57,7 +57,7 @@ def quality_scores(sf_dir):
     return documents(sf_dir).map_batches(quality_batch, batch_format="pyarrow")
 
 
-def lang_id(sf_dir, concurrency=4):
+def lang_id(sf_dir):
     return documents(sf_dir).map_batches(make_stage_fn(LangIdStage), batch_format="pyarrow")
 
 
@@ -445,7 +445,7 @@ def _verify_pairs_jaccard(cand_ds, docs_ds, threshold, n_buckets=32):
     return bucket_exchange(attached, "__pb", n_buckets, verify, "pandas")
 
 
-def near_dup_pairs_minhash(sf_dir, replicate=2, threshold=0.8, concurrency=4):
+def near_dup_pairs_minhash(sf_dir, replicate=2, threshold=0.8):
     """MinHash-LSH near-duplicate url pairs over the replicated corpus.
 
     Pipeline: signatures+banding (task pool, coefficients cached per
@@ -612,8 +612,7 @@ SELECT query_id, vec_id, rank FROM (
 """
 
 
-def ann_topk_ivf(sf_dir, k=10, n_queries=8, n_cells=16, n_probe=6, sample_n=512,
-                 concurrency=4):
+def ann_topk_ivf(sf_dir, k=10, n_queries=8, n_cells=16, n_probe=6, sample_n=512):
     """IVF-bucketed ANN top-k — the scale path beside the brute oracle.
 
     Coarse centroids train on a driver-side sample SPREAD across row
@@ -718,7 +717,7 @@ def embeddings_replicated(sf_dir, replicate=1):
     return ds.map_batches(expand, batch_format="pyarrow")
 
 
-def embedding_buckets(sf_dir, concurrency=2):
+def embedding_buckets(sf_dir):
     """LSH bucket assignment for every embedding (the ANN scale path's
     partitioning key; same-(table, bucket) ids are near-dup candidates)."""
     ds = ray.data.read_parquet(
@@ -727,7 +726,7 @@ def embedding_buckets(sf_dir, concurrency=2):
     return ds.map_batches(make_stage_fn(EmbeddingLSHStage), batch_format="pyarrow")
 
 
-def embedding_near_dup(sf_dir, threshold=0.95, concurrency=2, replicate=2, n_tables=4):
+def embedding_near_dup(sf_dir, threshold=0.95, replicate=2, n_tables=4):
     """Embedding near-dup pairs: multi-table LSH -> within-bucket cosine.
 
     Fully distributed with the SAME scale scaffolding as the text LSH
@@ -913,22 +912,22 @@ def _media(sf_dir):
     return documents(sf_dir).map_batches(to_media, batch_format="pyarrow")
 
 
-def media_features(sf_dir, concurrency=2):
+def media_features(sf_dir):
     """Opaque-binary media pipeline: decode (deterministic fake codec) ->
-    per-image features. The actor-pool stage shape (small batch_size for
-    large binary rows, per-actor init) is the real 100 TB plumbing
-    (stages/multimodal.py). Oracle-exact: the codec's hex-digest SHA
+    per-image features. The stateful stage shape (small batch_size for
+    large binary rows, init once per worker process) is the real 100 TB
+    plumbing (stages/multimodal.py). Oracle-exact: the codec's hex-digest SHA
     keystream is reproduced in DuckDB by :func:`media_features_sql`."""
     from ..stages.multimodal import DecodeImageStage
 
     return _media(sf_dir).map_batches(
         make_stage_fn(DecodeImageStage),
         batch_format="pyarrow",
-        batch_size=32,  # large binary rows: keep batch x concurrency in heap
+        batch_size=32,  # large binary rows: keep batch x tasks in heap
     ).select_columns(["media_id", "height", "width", "mean_r", "mean_g", "mean_b"])
 
 
-def media_resize(sf_dir, out_size=(8, 8), concurrency=2):
+def media_resize(sf_dir, out_size=(8, 8)):
     """decode -> nearest-neighbor resize, fused (stages/multimodal.py).
 
     The resize math is real (pure numpy gather over the decoded buffer).
@@ -1030,7 +1029,7 @@ VIDEO_FRAME_BYTES = 64
 VIDEO_STRIDE = 4
 
 
-def audio_frames(sf_dir, concurrency=2):
+def audio_frames(sf_dir):
     """Fixed-rate audio frame energies over the opaque media column.
 
     The int8-PCM fake decode is exactly SQL-expressible (hex-parse of the
@@ -1044,7 +1043,7 @@ def audio_frames(sf_dir, concurrency=2):
     )
 
 
-def video_frames(sf_dir, concurrency=2):
+def video_frames(sf_dir):
     """Every VIDEO_STRIDE-th frame of the fake-container video column;
     the query projects the exact integer metrics (frame bytes stay in
     the cluster — the driver comparator can't hash binary cells)."""

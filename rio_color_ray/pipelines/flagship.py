@@ -6,11 +6,10 @@ that rasterizes and color-corrects each tile (pipelines/tiles.py).
 
 One streaming Dataset: no stage materializes the corpus; the only
 all-to-all exchange is the sort over pre-summed (tile_key, pix)
-partials. The PIP join runs task-pool with per-process cached state by
-default (fused with the map chain, warm workers) — pass
-``use_actors=True`` for a dedicated actor pool (see stages/statecache.py
-for the measured trade-off). Used by ``__ray_entry__.entry()`` (sf0.001)
-and ``bench.py`` (sf0.1 with replication).
+partials. The PIP join's STRtree is built once per worker process and
+the join runs fused into the map chain (stages/statecache.py). Used by
+``__ray_entry__.entry()`` (sf0.001) and ``bench.py`` (sf0.1 with
+replication).
 """
 
 from ..sources.polygons import make_admin_polygons
@@ -20,25 +19,13 @@ from .geo import cellified
 from .tiles import DEFAULT_OPS, DEFAULT_ZOOM, render_tiles_from
 
 
-def flagship(
-    sf_dir, replicate=1, ops=DEFAULT_OPS, z=DEFAULT_ZOOM, concurrency=4, use_actors=False
-):
+def flagship(sf_dir, replicate=1, ops=DEFAULT_OPS, z=DEFAULT_ZOOM):
     """Corpus -> joined -> rasterized -> color-corrected tiles Dataset."""
     from ..color import parse_operations
 
     parse_operations(ops)  # validate the program before any work launches
     pts = cellified(sf_dir, keep_columns=["url", "lat", "lon"], replicate=replicate)
-    if use_actors:
-        joined = pts.map_batches(
-            PIPJoinStage,
-            fn_constructor_args=(make_admin_polygons(), "left"),
-            batch_format="pyarrow",
-            concurrency=(1, concurrency),
-            max_restarts=0,  # ctor args live in the object store (ray#53727)
-        )
-    else:
-        joined = pts.map_batches(
-            make_stage_fn(PIPJoinStage, make_admin_polygons(), "left"),
-            batch_format="pyarrow",
-        )
+    joined = pts.map_batches(
+        make_stage_fn(PIPJoinStage, make_admin_polygons(), "left"), batch_format="pyarrow"
+    )
     return render_tiles_from(joined, z, ops=ops)

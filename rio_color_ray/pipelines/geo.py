@@ -8,7 +8,8 @@ Scale notes (the 100 TB design, exercised at sf scale):
   before the ``groupby`` — the all-to-all shuffle moves partial sums, not
   pages. The salted variant additionally splits hot keys across
   ``(key, salt)`` before the final reduce (north_rule requirement).
-* Region joins broadcast the small side into actor pools; no shuffle.
+* Region joins broadcast the small side: its index is built once per
+  worker process (stages/statecache.py); no shuffle.
 """
 
 import numpy as np
@@ -22,19 +23,6 @@ from ..stages.geocode import geocode_batch
 from ..stages.pip_stage import PIPJoinStage, RectJoinStage
 from ..stages.statecache import make_stage_fn
 
-
-def _stateful(ds, cls, args, use_actors, concurrency):
-    """One stateful stage, task-pool (default, fused + warm workers) or
-    actor-pool (``use_actors=True``; see stages/statecache.py)."""
-    if use_actors:
-        return ds.map_batches(
-            cls,
-            fn_constructor_args=args,
-            batch_format="pyarrow",
-            concurrency=(1, concurrency),
-            max_restarts=0,  # ctor args live in the object store (ray#53727)
-        )
-    return ds.map_batches(make_stage_fn(cls, *args), batch_format="pyarrow")
 
 N_SALT = 16  # salt fan-out for hot-cell aggregation
 
@@ -241,19 +229,23 @@ def cell_agg_h8(sf_dir):
     )
 
 
-def rect_join(sf_dir, mode="inner", concurrency=4, use_actors=False):
+def rect_join(sf_dir, mode="inner"):
     """Broadcast rectangle-region join (oracle-checkable in SQL)."""
     ds = cellified(sf_dir, keep_columns=["url", "lat", "lon"])
-    out = _stateful(ds, RectJoinStage, (make_admin_rects(), mode), use_actors, concurrency)
+    out = ds.map_batches(
+        make_stage_fn(RectJoinStage, make_admin_rects(), mode), batch_format="pyarrow"
+    )
     if mode in ("inner", "left"):
         return out.select_columns(["url", "admin_id"])
     return out.select_columns(["url"])
 
 
-def pip_join(sf_dir, mode="inner", concurrency=4, use_actors=False):
+def pip_join(sf_dir, mode="inner"):
     """Broadcast polygon PIP join (STRtree + exact ray-cast)."""
     ds = cellified(sf_dir, keep_columns=["url", "lat", "lon"])
-    out = _stateful(ds, PIPJoinStage, (make_admin_polygons(), mode), use_actors, concurrency)
+    out = ds.map_batches(
+        make_stage_fn(PIPJoinStage, make_admin_polygons(), mode), batch_format="pyarrow"
+    )
     if mode in ("inner", "left"):
         return out.select_columns(["url", "admin_id"])
     return out.select_columns(["url"])

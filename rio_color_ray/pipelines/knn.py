@@ -12,6 +12,7 @@ import pyarrow as pa
 from ..sources.pages import page_coords_microdeg
 from ..spatial import hex_cell, hex_disk
 from ..stages.knn import KNNBruteStage, knn_guarantee_radius, topk_per_query
+from ..stages.statecache import make_stage_fn
 from .geo import cellified
 
 N_KNN_BUCKETS = 32
@@ -39,22 +40,16 @@ def _query_side(sf_dir, n_queries):
     return doc_id, urls, lat_u, lon_u
 
 
-def knn(sf_dir, k=5, n_queries=100, concurrency=4):
+def knn(sf_dir, k=5, n_queries=100):
     """Exact kNN via broadcast queries + per-batch partial top-k.
 
     Returns (query_id, url, rank); query_id is the query page's doc_id.
+    The queries are a few KB, so they ride in the stage function's closure.
     """
     doc_id, urls, lat_u, lon_u = _query_side(sf_dir, n_queries)
     pts = cellified(sf_dir, keep_columns=["url", "lat", "lon"])
-    # max_restarts=0: the constructor args live in the object store, and
-    # Ray logs a restartability error for every such actor otherwise
-    # (ray#53727); a lost single-node actor fails the run either way
     partial = pts.map_batches(
-        KNNBruteStage,
-        fn_constructor_args=(urls, lat_u, lon_u, k),
-        batch_format="pyarrow",
-        concurrency=(1, concurrency),
-        max_restarts=0,
+        make_stage_fn(KNNBruteStage, urls, lat_u, lon_u, k), batch_format="pyarrow"
     )
     ranked = partial.groupby("query_id").map_groups(
         lambda g: topk_per_query(g, k), batch_format="pandas"
@@ -213,13 +208,9 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
 
     if len(remaining):
         # stragglers: exact brute pass restricted to the remaining queries
-        sub_urls = urls[remaining]
         sub = pts.map_batches(
-            KNNBruteStage,
-            fn_constructor_args=(sub_urls, lat_u[remaining], lon_u[remaining], k),
+            make_stage_fn(KNNBruteStage, urls[remaining], lat_u[remaining], lon_u[remaining], k),
             batch_format="pyarrow",
-            concurrency=(1, 2),
-            max_restarts=0,
         )
         ranked = (
             sub.groupby("query_id")

@@ -4,8 +4,7 @@ cell-level point density -> web-mercator raster tiles (the engine's analog
 of the reference GeoTIFF: 32x32 uint8 band-major buffers in a binary
 column), color-corrected by a DSL program inside the same reduce. The
 standalone stage (:func:`color_stage`) colors arbitrary tiles tables for
-the CLI (task-pool with per-process parsed state by default; actor pool
-on request).
+the CLI, with the ops program parsed once per worker process.
 
 Shuffle discipline (round-5 design; measurements in BASELINE.md):
 * stage 1 (map_batches): per-batch PARTIAL pixel histograms
@@ -37,28 +36,23 @@ from ..stages.sampling import splitmix64
 from ..stages.statecache import make_stage_fn
 
 
-def color_stage(tiles_ds, ops, concurrency=4, use_actors=False, out_dtype=None):
+def color_stage(tiles_ds, ops, out_dtype=None, concurrency=None):
     """Apply the rio-color DSL program to a tiles Dataset.
 
     For tiles tables the engine did not render itself (the CLI's
     ``color``/``atmos``); rendered tiles are colored inside their reduce
-    (:func:`render_tiles_from`). Task-pool by default (ops parsed once
-    per worker process); ``use_actors=True`` for a dedicated actor pool.
+    (:func:`render_tiles_from`). The ops program is parsed once per
+    worker process. ``concurrency`` caps how many color tasks run at once
+    (the CLI's ``-j``); None lets Ray size it.
     batch_size=128 keeps the stacked per-batch pixel array cache-resident
     — measured ~10x faster per pixel than one giant stacked array, and
     the fastest point of the 64/128/256/512 sweep (BASELINE.md).
     """
-    if use_actors:
-        return tiles_ds.map_batches(
-            ColorStage,
-            fn_constructor_args=(ops, out_dtype),
-            batch_format="pyarrow",
-            concurrency=(1, concurrency),
-            batch_size=128,
-            max_restarts=0,  # ctor args live in the object store (ray#53727)
-        )
     return tiles_ds.map_batches(
-        make_stage_fn(ColorStage, ops, out_dtype), batch_format="pyarrow", batch_size=128
+        make_stage_fn(ColorStage, ops, out_dtype),
+        batch_format="pyarrow",
+        batch_size=128,
+        concurrency=concurrency,
     )
 
 TILE_SIZE = 32

@@ -9,8 +9,8 @@ Two flavors:
 * ``make_admin_polygons`` — convex + concave (star-perturbed) polygons
   covering the pages hotspots; verified against brute force in pytest.
 
-Both are tiny (≪ 10 MB): the broadcast small side of the join, shipped to
-actors once via ``ray.put``. Boundary semantics: points exactly on a
+Both are tiny (≪ 10 MB): the broadcast small side of the join, built into an
+index once per worker process. Boundary semantics: points exactly on a
 polygon edge follow the even-odd rule's half-open convention; rect edges
 are closed (BETWEEN) in both Ray and SQL. Rect bounds are integer
 microdegrees so Ray/SQL agree exactly.

@@ -2,9 +2,10 @@
 
 The broadcast small-side index for PIP joins (north_star: "point-in-polygon
 joins against admin/tile polygons with an STRtree-backed broadcast index
-held in actor pools"). Built once per actor in ``PIPJoinStage.__init__``
-from a ``ray.put`` handle; queried per batch with fully vectorized
-level-by-level frontier expansion, then exact ray-casting containment.
+held in actor pools"). Built once per worker process in
+``PIPJoinStage.__init__`` (stages/statecache.py); queried per batch with
+fully vectorized level-by-level frontier expansion, then exact
+ray-casting containment.
 
 No shapely in this environment — all from scratch on numpy arrays.
 """

@@ -1,8 +1,8 @@
 """Ray Data stage callables.
 
-Stateless per-batch functions (plain functions -> Ray tasks) and stateful
-stage classes (callable classes -> actor pools via
-``map_batches(Cls, concurrency=N)``). All hot paths are vectorized
+Stateless per-batch functions and stateful stage classes, both run as
+Ray tasks; a stage class is wrapped by ``statecache.make_stage_fn`` so
+its state is built once per worker process. All hot paths are vectorized
 (pyarrow.compute / numpy); no per-row Python in any stage body.
 """
 

@@ -1,7 +1,7 @@
 """Approximate-nearest-neighbor search over an embedding column.
 
 Baseline: brute-force cosine top-k — the query matrix is BROADCAST once
-per actor; every batch does one (batch x dim) @ (dim x queries) float64
+per worker process; every batch does one (batch x dim) @ (dim x queries) float64
 matmul and emits only per-query local top-k rows. Scale path:
 LSH-bucketed search (stages.dedup.EmbeddingLSHStage buckets + probing).
 
@@ -67,7 +67,7 @@ def _exclude_self(scores, ids, qid_sorted, qid_cols):
 
 
 class AnnBruteStage:
-    """map_batches actor: per-batch cosine top-k against broadcast queries.
+    """Stateful stage: per-batch cosine top-k against broadcast queries.
 
     ``query_labels`` (optional, parallel to ``query_ids``) turns the
     stage into METADATA-FILTERED search: a table row only scores for

@@ -1,9 +1,9 @@
-"""ColorStage: the rio-color graft — stateful actor-pool tile stage.
+"""ColorStage: the rio-color graft — stateful tile stage.
 
-``tiles.map_batches(ColorStage(ops, out_dtype), batch_format="pyarrow",
-concurrency=N, batch_size=B)``. The ops program is parsed ONCE per actor
-in ``__init__`` (the reference re-parses per window, workers.py:27 — pure
-overhead we drop); per batch the tile pixel buffers are stacked into one
+``tiles.map_batches(make_stage_fn(ColorStage, ops, out_dtype),
+batch_format="pyarrow", batch_size=B)``. The ops program is parsed ONCE
+per worker process in ``__init__`` (the reference re-parses per window,
+workers.py:27 — pure overhead we drop); per batch the tile pixel buffers are stacked into one
 ``(bands, n_tiles*h, w)`` float64 array and the whole program runs
 vectorized across every tile at once. All color operators are strictly
 elementwise per band (operations.py), so stacking tiles along rows is
@@ -16,6 +16,7 @@ read -> to_math_type -> ops... -> scale_dtype(out_dtype).
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..color import parse_operations, scale_dtype, to_math_type
 
@@ -193,8 +194,44 @@ def apply_ops_to_tiles(pixels_list, band_count, dtype, width, height, ops_funcs,
     return [out[i].tobytes() for i in range(n)]
 
 
+_ITEMSIZE = {"uint8": 1, "uint16": 2}
+
+
+def check_tiles(batch: pa.Table):
+    """Raise ValueError naming the first malformed tile of ``batch``.
+
+    A tile is well formed when its ``pixels`` is not null, its ``dtype``
+    is uint8 or uint16, and its buffer holds exactly
+    ``band_count * width * height * itemsize`` bytes. One vectorized pass
+    over the whole batch; the per-tile message is built only on failure.
+    """
+    pixels, dtype = batch.column("pixels"), batch.column("dtype")
+    b, w, h = (batch.column(c).cast(pa.int64()) for c in ("band_count", "width", "height"))
+    itemsize = pc.if_else(pc.equal(dtype, "uint16"), 2, 1)
+    expected = pc.multiply(pc.multiply(b, w), pc.multiply(h, itemsize))
+    ok = pc.and_(
+        pc.is_in(dtype, value_set=pa.array(list(_ITEMSIZE))),
+        pc.equal(pc.binary_length(pixels).cast(pa.int64()), expected),
+    )
+    bad = np.flatnonzero(~pc.fill_null(ok, False).to_numpy(zero_copy_only=False))
+    if len(bad) == 0:
+        return
+    i = int(bad[0])
+    row = batch.slice(i, 1).to_pylist()[0]
+    name = f"tile {row['tile_id']!r}" if "tile_id" in row else f"tile at row {i}"
+    if row["pixels"] is None:
+        raise ValueError(f"{name}: pixels is null")
+    if row["dtype"] not in _ITEMSIZE:
+        raise ValueError(f"{name}: unsupported dtype {row['dtype']!r}, expected uint8 or uint16")
+    raise ValueError(
+        f"{name}: pixels has {len(row['pixels'])} bytes, expected {expected[i].as_py()} "
+        f"({row['band_count']} bands x {row['width']} x {row['height']} x "
+        f"{_ITEMSIZE[row['dtype']]} bytes)"
+    )
+
+
 class ColorStage:
-    """Callable actor class for ``map_batches``; one parse per actor."""
+    """Callable stage class for ``make_stage_fn``; one parse per worker process."""
 
     def __init__(self, ops_string, out_dtype=None):
         self.ops_string = ops_string
@@ -202,6 +239,7 @@ class ColorStage:
         self.out_dtype = out_dtype  # None -> keep each tile's own dtype
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        check_tiles(batch)
         band_count = batch.column("band_count").to_numpy()
         dtype = batch.column("dtype").to_pylist()
         width = batch.column("width").to_numpy()

@@ -11,8 +11,8 @@ Two large-large strategies, both shuffle-aware:
   exchange block (a range of buckets) does ONE vectorized pandas merge.
   B is the hash modulus; the reduce parallelism is one task per CPU.
 
-Broadcast joins ship the small side once per actor (constructor arg /
-``ray.put``) and merge per batch — no shuffle.
+Broadcast joins ship the small side as a ``ray.put`` ref, resolve it once
+per worker process (``make_stage_fn``) and merge per batch — no shuffle.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ from ..ctx import bucket_exchange
 
 
 class BroadcastJoinStage:
-    """map_batches actor: pandas merge against a broadcast small table."""
+    """Stateful stage: pandas merge against a broadcast small table."""
 
     def __init__(self, small_df, on, how="inner", columns=None):
         try:

@@ -41,7 +41,8 @@ def microdeg(lat, lon):
 
 
 class KNNBruteStage:
-    """map_batches actor: per-batch exact top-k against broadcast queries."""
+    """Per-batch exact top-k against broadcast queries; the query arrays
+    and url lookup are built once per worker process (``make_stage_fn``)."""
 
     def __init__(self, query_urls, qlat_u, qlon_u, k):
         self.qurl = np.asarray(query_urls)

@@ -2,16 +2,16 @@
 
 Image/audio/video payloads are opaque ``binary`` columns with typed
 metadata columns beside them (the same layout as the tiles table). The
-actor-pool stage shape — schema in/out, batch sizing for large binary
-rows, per-actor model/codec initialisation — is real and tested; the
-codec itself is either a clearly-marked NotImplementedError (real
+stateful stage shape — schema in/out, batch sizing for large binary
+rows, model/codec initialisation once per worker process — is real and
+tested; the codec itself is either a clearly-marked NotImplementedError (real
 decode: no imaging/audio libraries exist in this environment) or a
 DETERMINISTIC FAKE decode used to exercise the pipeline end-to-end.
 
 Batch-size guidance (ray_guide "Memory-aware"): with payloads of
-``P`` bytes, pick ``batch_size`` so ``batch_size * P * concurrency``
-fits the worker heap — callers pass small batch sizes (e.g. 16-64) for
-megabyte-scale media.
+``P`` bytes, pick ``batch_size`` so ``batch_size * P`` times the
+concurrent tasks per node fits the worker heap — callers pass small
+batch sizes (e.g. 16-64) for megabyte-scale media.
 """
 
 import hashlib
@@ -48,7 +48,7 @@ class DecodeImageStage:
 
     ``fake=True`` (default here): deterministic pseudo-decode — pixels
     derived from a SHA-256 keystream of the payload, so tests exercise
-    the full actor/schema/batch path with stable outputs. The chain
+    the full stage/schema/batch path with stable outputs. The chain
     iterates over lowercase HEX DIGESTS (block_{i+1} = sha256 of the
     ASCII hex of block_i), not raw digests, so the keystream has an
     exact DuckDB twin (sha256() there is VARCHAR-only) — see

@@ -1,9 +1,9 @@
-"""Point-in-polygon join stages — stateful actor pools, broadcast small side.
+"""Point-in-polygon join stages — stateful, broadcast small side.
 
-The polygon/rect table is the SMALL side (≪ memory): it is shipped once
-per actor (``fn_constructor_args``, or a ``ray.put`` ObjectRef resolved in
-``__init__``) and indexed with an STRtree built once per actor — never
-per batch, never shuffled. Join modes:
+The polygon/rect table is the SMALL side (≪ memory): it rides in the
+stage function's closure (``make_stage_fn``) and is indexed with an
+STRtree built once per worker process — never per batch, never
+shuffled. Join modes:
 
 * inner  — one output row per (point, matching region) pair
 * semi   — points with >= 1 match, original columns only

@@ -112,7 +112,7 @@ STOPWORDS = {
 
 
 class LangIdStage:
-    """Actor: per-language stopword patterns compiled once per actor."""
+    """Per-language stopword patterns, compiled once per worker process."""
 
     def __init__(self):
         self.langs = sorted(STOPWORDS)

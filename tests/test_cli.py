@@ -42,19 +42,23 @@ OPS = ["gamma rgb 1.1", "sigmoidal rgb 8 0.2", "saturation 1.2"]
 
 
 def test_color_parallel_equals_serial(ray_session, tiles_paths, tmp_path):
-    """-j1 (task pool) and -j2 (actor pool) outputs are pixel-identical
-    (reference test_cli.py:19-81's j1-vs-j2 np.array_equal)."""
+    """-j1 (one color task at a time), -j2 (at most two) and -j -1 (at
+    most one per core) outputs are pixel-identical (reference
+    test_cli.py:19-81's j1-vs-j2 np.array_equal)."""
     runner = CliRunner()
-    out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
-    r1 = runner.invoke(engine, ["color", "-j", "1", tiles_paths["rgb8"], out1] + OPS)
-    assert r1.exit_code == 0, r1.output
-    r2 = runner.invoke(engine, ["color", "-j", "2", tiles_paths["rgb8"], out2] + OPS)
-    assert r2.exit_code == 0, r2.output
-    a, b = _read_tiles(out1), _read_tiles(out2)
-    assert a.keys() == b.keys() and len(a) == 60
-    for k in a:
-        assert a[k]["pixels"] == b[k]["pixels"]
-        assert a[k]["dtype"] == "uint8"
+    outs = {}
+    for jobs in ("1", "2", "-1"):
+        outs[jobs] = str(tmp_path / f"o{jobs}")
+        r = runner.invoke(engine, ["color", "-j", jobs, tiles_paths["rgb8"], outs[jobs]] + OPS)
+        assert r.exit_code == 0, r.output
+    a = _read_tiles(outs["1"])
+    assert len(a) == 60
+    for jobs in ("2", "-1"):
+        b = _read_tiles(outs[jobs])
+        assert a.keys() == b.keys()
+        for k in a:
+            assert a[k]["pixels"] == b[k]["pixels"], (jobs, k)
+            assert b[k]["dtype"] == "uint8"
 
 
 def test_color_bad_op_exits_2_no_output(ray_session, tiles_paths, tmp_path):

@@ -53,12 +53,16 @@ def test_knn_brute_and_cells_match_oracle(ray_session):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
-    cells = (
-        K.knn_cells(SF, k=5, n_queries=20)
-        .sort_values(["query_id", "rank"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(cells[["query_id", "url", "rank"]], exp, check_dtype=False)
+    # max_rounds=0 sends every query to the brute straggler pass
+    for max_rounds in (4, 0):
+        cells = (
+            K.knn_cells(SF, k=5, n_queries=20, max_rounds=max_rounds)
+            .sort_values(["query_id", "rank"])
+            .reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(
+            cells[["query_id", "url", "rank"]], exp, check_dtype=False
+        )
 
 
 # --- text analysis ----------------------------------------------------------

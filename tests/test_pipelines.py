@@ -138,26 +138,6 @@ def test_render_tiles_deterministic(ray_session):
     assert total >= 300  # 500 pages minus pixel-collisions inside hotspots
 
 
-def test_actor_pool_and_task_pool_paths_identical(ray_session):
-    """use_actors=True (dedicated actor pools) must produce exactly the
-    same tiles as the default fused task-pool path."""
-    from rio_color_ray.pipelines.flagship import flagship
-
-    a = (
-        flagship(SF, use_actors=True, concurrency=2)
-        .to_pandas()
-        .sort_values("tile_id")
-        .reset_index(drop=True)
-    )
-    b = (
-        flagship(SF, use_actors=False)
-        .to_pandas()
-        .sort_values("tile_id")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a, b)
-
-
 def test_color_tiles_content_vs_sql_oracle(ray_session):
     """The LUT-based DuckDB twin reproduces the colored pixel bytes."""
     import duckdb
@@ -404,6 +384,41 @@ def test_assemble_bucket_with_ops_equals_color_stage():
     raw = _assemble_bucket(block)
     px = np.frombuffer(raw.column("pixels")[0].as_py(), np.uint8).reshape(3, 1024)
     assert px[2, 40] == 300 % 256 and px[1, 40] == 255  # the two partials summed
+
+
+def _malformed(t, case):
+    """Tiles table ``t`` with its third tile broken one way."""
+    import pyarrow as pa
+
+    if case == "float32":
+        dt = t.column("dtype").to_pylist()
+        dt[2] = "float32"
+        return t.set_column(t.schema.get_field_index("dtype"), "dtype", pa.array(dt))
+    px = t.column("pixels").to_pylist()
+    px[2] = None if case == "null" else px[2][:-1]
+    return t.set_column(t.schema.get_field_index("pixels"), "pixels", pa.array(px, pa.binary()))
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("short", "pixels has 3071 bytes, expected 3072 (3 bands x 32 x 32 x 1 bytes)"),
+        ("null", "pixels is null"),
+        ("float32", "unsupported dtype 'float32', expected uint8 or uint16"),
+    ],
+)
+def test_color_stage_names_the_malformed_tile(case, message):
+    """A malformed tile fails the batch with a ValueError that names it
+    and says what is wrong, not with a reshape or join error."""
+    from rio_color_ray.sources.tiles import make_tiles_table
+    from rio_color_ray.stages.color_stage import ColorStage
+
+    t = make_tiles_table("rgb8", n_tiles=5)
+    stage = ColorStage("gamma rgb 1.1, saturation 1.2")
+    assert stage(t).num_rows == 5
+    with pytest.raises(ValueError) as err:
+        stage(_malformed(t, case))
+    assert str(err.value) == f"tile {t.column('tile_id')[2].as_py()!r}: {message}"
 
 
 def test_read_table_strips_schema_metadata(ray_session):

@@ -1,0 +1,56 @@
+"""One way to run a stateful stage.
+
+Every stateful stage in the engine runs through
+``stages.statecache.make_stage_fn``: a plain function whose state is built
+once per worker process and that fuses into the surrounding map chain.
+An actor pool was measured slower at every size tried (see the
+statecache module docstring), so no ``map_batches`` call in the package
+may start one again: no class as the function, no
+``fn_constructor_args`` and no ``(min, max)`` tuple ``concurrency``.
+"""
+
+import ast
+import pathlib
+
+import rio_color_ray
+
+PKG = pathlib.Path(rio_color_ray.__file__).parent
+
+
+def _modules():
+    return {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PKG.rglob("*.py"))}
+
+
+def _name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_no_map_batches_call_starts_an_actor_pool():
+    modules = _modules()
+    classes = {
+        node.name
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    calls, bad = 0, []
+    for path, tree in modules.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and _name(node.func) == "map_batches"):
+                continue
+            calls += 1
+            where = f"{path.relative_to(PKG.parent)}:{node.lineno}"
+            kw = {k.arg: k.value for k in node.keywords}
+            fn = node.args[0] if node.args else kw.get("fn")
+            if _name(fn) in classes:
+                bad.append(f"{where}: class {_name(fn)} as the function")
+            if "fn_constructor_args" in kw:
+                bad.append(f"{where}: fn_constructor_args")
+            if isinstance(kw.get("concurrency"), ast.Tuple):
+                bad.append(f"{where}: tuple concurrency")
+    assert calls > 50  # the walk really sees the engine's map_batches calls
+    assert not bad, "\n".join(bad)
