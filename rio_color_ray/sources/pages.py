@@ -143,13 +143,26 @@ def link_dsts(src: np.ndarray, n: int) -> list[np.ndarray]:
     ]
 
 
+def _decimal6(u: np.ndarray) -> list:
+    """Join parts spelling integer microdegrees ``u`` as ``%.6f`` of
+    ``u / 1e6``: sign, whole degrees, ``"."``, six zero-padded digits."""
+    a = np.abs(u)
+    return [
+        pc.if_else(pa.array(u < 0), "-", ""),
+        pc.cast(pa.array(a // 1_000_000), pa.string()),
+        pa.scalar("."),
+        pc.utf8_lpad(pc.cast(pa.array(a % 1_000_000), pa.string()), width=6, padding="0"),
+    ]
+
+
 def synth_pages_batch(batch: pa.Table, replica: int = 0, links_n: int = 0) -> pa.Table:
     """documents batch -> pages batch (Arrow in / Arrow out, vectorized).
 
     The per-batch body of the pages source stage:
     ``ray.data.read_parquet(documents).map_batches(synth_pages_batch,
-    batch_format="pyarrow")``. html is assembled from formatted microdegree
-    coordinates; text bytes are embedded untouched.
+    batch_format="pyarrow")``. The html head is built from the integer
+    microdegrees with Arrow compute (:func:`_decimal6`), so no float is
+    formatted; text bytes are embedded untouched.
 
     ``replica > 0`` derives an additional deterministic corpus copy with
     distinct urls/coords (same text per url) — used by bench.py to scale
@@ -167,8 +180,6 @@ def synth_pages_batch(batch: pa.Table, replica: int = 0, links_n: int = 0) -> pa
     lang = batch.column("lang")
 
     lat_u, lon_u = page_coords_microdeg(doc_id)
-    lat_s = np.char.mod("%.6f", lat_u / 1e6)
-    lon_s = np.char.mod("%.6f", lon_u / 1e6)
 
     url = pc.binary_join_element_wise(
         pa.scalar("https://"),
@@ -180,13 +191,13 @@ def synth_pages_batch(batch: pa.Table, replica: int = 0, links_n: int = 0) -> pa
     warc_ts = pa.array(
         _WARC_EPOCH_US + doc_id * 1_000_000, type=pa.timestamp("us")
     )
-    head = pa.array(
-        np.char.add(
-            np.char.add('<!doctype html><html><head><meta name="geo.position" content="', lat_s),
-            np.char.add(";", np.char.add(lon_s, '">')),
-        )
-    )
-    parts = [head]
+    parts = [
+        pa.scalar('<!doctype html><html><head><meta name="geo.position" content="'),
+        *_decimal6(lat_u),
+        pa.scalar(";"),
+        *_decimal6(lon_u),
+        pa.scalar('">'),
+    ]
     if links_n:
         for k, dst in enumerate(link_dsts(doc_id, links_n)):
             parts.append(pa.scalar(f'<link rel="l{k}" href="/doc/'))

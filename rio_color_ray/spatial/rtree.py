@@ -3,9 +3,11 @@
 The broadcast small-side index for PIP joins (north_star: "point-in-polygon
 joins against admin/tile polygons with an STRtree-backed broadcast index
 held in actor pools"). Built once per worker process in
-``PIPJoinStage.__init__`` (stages/statecache.py); queried per batch with
-fully vectorized level-by-level frontier expansion, then exact
-ray-casting containment.
+``PIPJoinStage.__init__`` (stages/statecache.py); queried per batch by a
+padded child-box walk: each level stores every node's child boxes, padded
+with NaN boxes to a fixed width, so one level is one broadcast comparison
+of the surviving (point, node) pairs, with no per-pair expansion. Exact
+ray-casting containment follows.
 
 No shapely in this environment — all from scratch on numpy arrays.
 """
@@ -26,8 +28,6 @@ class STRtree:
     def __init__(self, boxes, leaf_size=16):
         boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
         n = len(boxes)
-        self.boxes = boxes
-        self.leaf_size = leaf_size
         if n == 0:
             self.levels = []
             self.item_order = np.empty(0, dtype=np.int64)
@@ -46,32 +46,39 @@ class STRtree:
             pieces.append(sl[np.argsort(cy[sl], kind="stable")])
         self.item_order = np.concatenate(pieces)
 
-        # leaf level: groups of leaf_size consecutive packed items
-        cur_boxes = boxes[self.item_order]
+        # one level per pass, leaves first: each node's child boxes padded
+        # to the level's width with NaN boxes (a NaN box contains no point),
+        # stored coordinate-major (4, nodes, width) so each bound gathers
+        # whole rows, and the matching child indices (next-level nodes, or
+        # box rows at the leaves). The last level is one node whose only
+        # child is the root box.
+        cur_boxes, cur_ids = boxes[self.item_order], self.item_order
         levels = []
         while True:
             m = len(cur_boxes)
-            n_nodes = math.ceil(m / leaf_size)
-            starts = np.arange(n_nodes, dtype=np.int64) * leaf_size
-            ends = np.minimum(starts + leaf_size, m)
-            node_boxes = np.empty((n_nodes, 4))
-            for k in range(n_nodes):  # small: runs once per build, not per query
-                seg = cur_boxes[starts[k] : ends[k]]
-                node_boxes[k, 0] = seg[:, 0].min()
-                node_boxes[k, 1] = seg[:, 1].min()
-                node_boxes[k, 2] = seg[:, 2].max()
-                node_boxes[k, 3] = seg[:, 3].max()
-            levels.append((node_boxes, starts, ends))
-            cur_boxes = node_boxes
-            if n_nodes == 1:
+            width = min(leaf_size, m)
+            n_nodes = math.ceil(m / width)
+            pad = np.full((n_nodes * width, 4), np.nan)
+            pad[:m] = cur_boxes
+            pad = np.ascontiguousarray(pad.reshape(n_nodes, width, 4).transpose(2, 0, 1))
+            ids = np.zeros(n_nodes * width, dtype=np.int64)
+            ids[:m] = cur_ids
+            levels.append((pad, ids.reshape(n_nodes, width)))
+            if m == 1:
                 break
-        self.levels = levels[::-1]  # root first
+            cur_boxes = np.concatenate([np.nanmin(pad[:2], axis=2), np.nanmax(pad[2:], axis=2)]).T
+            cur_ids = np.arange(n_nodes, dtype=np.int64)
+        self.levels = levels[::-1]  # the root box first
 
     def query_points(self, px, py):
-        """Candidate pairs for point containment.
+        """Candidate pairs for point containment (closed bounds).
 
         Returns (point_rows, box_indices): for each pair, box bbox contains
-        the point. Vectorized frontier walk from the root level down.
+        the point. Pairs come in point order, and for one point in the
+        tree's packed order (``item_order``). From the root box down, each
+        level is one broadcast comparison of the surviving (point, node)
+        pairs against the nodes' padded child boxes; its nonzero entries
+        are the next level's pairs. NaN points match nothing.
         """
         px = np.asarray(px, dtype=np.float64)
         py = np.asarray(py, dtype=np.float64)
@@ -79,38 +86,18 @@ class STRtree:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
         pts = np.arange(len(px), dtype=np.int64)
-        nodes = np.zeros(len(px), dtype=np.int64)  # everyone starts at root 0
-        for li, (node_boxes, starts, ends) in enumerate(self.levels):
-            nb = node_boxes[nodes]
-            keep = (
-                (px[pts] >= nb[:, 0])
-                & (px[pts] <= nb[:, 2])
-                & (py[pts] >= nb[:, 1])
-                & (py[pts] <= nb[:, 3])
-            )
-            pts = pts[keep]
-            nodes = nodes[keep]
-            if len(pts) == 0:
-                return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-            # expand to children in the next level (or to items at the leaves)
-            counts = ends[nodes] - starts[nodes]
-            pts = np.repeat(pts, counts)
-            base = np.repeat(starts[nodes], counts)
-            step = np.arange(len(base), dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            nodes = base + step
-
-        # `nodes` now indexes packed item order; map back + final bbox filter
-        items = self.item_order[nodes]
-        b = self.boxes[items]
-        keep = (
-            (px[pts] >= b[:, 0])
-            & (px[pts] <= b[:, 2])
-            & (py[pts] >= b[:, 1])
-            & (py[pts] <= b[:, 3])
-        )
-        return pts[keep], items[keep]
+        nodes = np.zeros(len(px), dtype=np.int64)
+        for (minx, miny, maxx, maxy), ids in self.levels:
+            x = px[pts, None]
+            y = py[pts, None]
+            inside = x >= minx[nodes]
+            inside &= x <= maxx[nodes]
+            inside &= y >= miny[nodes]
+            inside &= y <= maxy[nodes]
+            rows, cols = np.nonzero(inside)
+            pts = pts[rows]
+            nodes = ids[nodes[rows], cols]
+        return pts, nodes
 
 
 def points_in_polygon(poly_x, poly_y, px, py):
@@ -130,12 +117,12 @@ def points_in_polygon(poly_x, poly_y, px, py):
 
     inside = np.zeros(len(px), dtype=bool)
     j = len(poly_x) - 1
-    for i in range(len(poly_x)):
-        x1, y1 = poly_x[j], poly_y[j]
-        x2, y2 = poly_x[i], poly_y[i]
-        crosses = (y2 > py) != (y1 > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(len(poly_x)):
+            x1, y1 = poly_x[j], poly_y[j]
+            x2, y2 = poly_x[i], poly_y[i]
+            crosses = (y2 > py) != (y1 > py)
             xint = (x1 - x2) * (py - y2) / (y1 - y2) + x2
-        inside ^= crosses & (px < xint)
-        j = i
+            inside ^= crosses & (px < xint)
+            j = i
     return inside

@@ -29,6 +29,7 @@ Two strategies:
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..spatial import hex_cell, hex_disk, hex_edge_deg
 
@@ -45,14 +46,14 @@ class KNNBruteStage:
     and url lookup are built once per worker process (``make_stage_fn``)."""
 
     def __init__(self, query_urls, qlat_u, qlon_u, k):
-        self.qurl = np.asarray(query_urls)
+        # query urls are distinct page urls, so index_in's first match is
+        # the only match
+        self.qurl = pa.array(np.asarray(query_urls), pa.string())
         self.qlat = np.asarray(qlat_u, dtype=np.int64)
         self.qlon = np.asarray(qlon_u, dtype=np.int64)
         self.k = k
-        self.url_to_qid = {u: i for i, u in enumerate(self.qurl)}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pandas().to_numpy()
         plat = np.rint(batch.column("lat").to_numpy() * 1e6).astype(np.int64)
         plon = np.rint(batch.column("lon").to_numpy() * 1e6).astype(np.int64)
 
@@ -61,10 +62,9 @@ class KNNBruteStage:
             plon[:, None] - self.qlon[None, :]
         ) ** 2
         # self-exclusion: a query never matches its own page
-        for row, u in enumerate(urls):
-            qid = self.url_to_qid.get(u)
-            if qid is not None:
-                d2[row, qid] = np.iinfo(np.int64).max
+        qid = pc.fill_null(pc.index_in(batch.column("url"), value_set=self.qurl), -1).to_numpy()
+        rows = np.flatnonzero(qid >= 0)
+        d2[rows, qid[rows]] = np.iinfo(np.int64).max
 
         k = min(self.k, d2.shape[0])
         # per-query local top-k (unordered) — final reduce re-ranks
@@ -77,7 +77,7 @@ class KNNBruteStage:
         return pa.table(
             {
                 "query_id": pa.array(flat_qid.astype(np.int64), pa.int64()),
-                "url": pa.array(urls[flat_idx]),
+                "url": batch.column("url").take(pa.array(flat_idx)),
                 "d2": pa.array(d2[flat_idx, flat_qid], pa.int64()),
             }
         )

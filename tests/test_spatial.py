@@ -158,28 +158,44 @@ def test_s2_cell_id_ranges_are_contiguous():
 # --- R-tree + PIP -----------------------------------------------------------
 
 
-def _brute_candidates(boxes, px, py):
-    out = []
-    for pi in range(len(px)):
-        for bi in range(len(boxes)):
-            b = boxes[bi]
-            if b[0] <= px[pi] <= b[2] and b[1] <= py[pi] <= b[3]:
-                out.append((pi, bi))
-    return set(out)
+def _brute_candidates(tree, boxes, px, py):
+    """Every (point, box) pair with the box containing the point (closed
+    bounds), in query_points' order: points ascending, and for one point
+    its boxes in the tree's packed order."""
+    b = boxes[tree.item_order]
+    inside = (
+        (px[:, None] >= b[:, 0]) & (px[:, None] <= b[:, 2])
+        & (py[:, None] >= b[:, 1]) & (py[:, None] <= b[:, 3])
+    )
+    pi, k = np.nonzero(inside)
+    return list(zip(pi.tolist(), tree.item_order[k].tolist()))
 
 
 def test_strtree_matches_bruteforce():
-    boxes = []
-    for _ in range(300):
-        x, y = RNG.uniform(-50, 50, 2)
-        w, h = RNG.uniform(0.5, 5, 2)
-        boxes.append((x, y, x + w, y + h))
-    boxes = np.asarray(boxes)
-    tree = STRtree(boxes, leaf_size=8)
-    px, py = RNG.uniform(-55, 55, 500), RNG.uniform(-55, 55, 500)
-    pts, items = tree.query_points(px, py)
-    got = set(zip(pts.tolist(), items.tolist()))
-    assert got == _brute_candidates(boxes, px, py)
+    # (boxes, leaf_size, node levels): single-level trees up to leaf_size
+    # boxes, a two-level tree at leaf_size + 1, and a 7-level tree; the
+    # tree stores one more level, holding the root box
+    for n_boxes, leaf_size, depth in [(300, 8, 3), (5, 8, 1), (8, 8, 1), (9, 8, 2), (5000, 4, 7)]:
+        x, y = RNG.uniform(-50, 50, (2, n_boxes))
+        w, h = RNG.uniform(0.5, 5, (2, n_boxes))
+        boxes = np.stack([x, y, x + w, y + h], axis=1)
+        tree = STRtree(boxes, leaf_size=leaf_size)
+        assert len(tree.levels) == depth + 1
+        # random points, points on every corner of some boxes (bounds are
+        # closed), NaN coordinates (a null lat/lon from geocode) and the
+        # origin, which a zero-padded child box would contain
+        edge = boxes[:40]
+        px = np.concatenate([RNG.uniform(-55, 55, 500), edge[:, 0], edge[:, 2], edge[:, 0],
+                             edge[:, 2], [np.nan, 0.0, np.nan, 0.0]])
+        py = np.concatenate([RNG.uniform(-55, 55, 500), edge[:, 1], edge[:, 3], edge[:, 3],
+                             edge[:, 1], [0.0, np.nan, np.nan, 0.0]])
+        pts, items = tree.query_points(px, py)
+        assert list(zip(pts.tolist(), items.tolist())) == _brute_candidates(tree, boxes, px, py)
+        # each corner point finds at least its own box; NaN points find none
+        corners = np.arange(500, 500 + 4 * len(edge))
+        own = np.tile(np.arange(len(edge)), 4)
+        assert set(zip(corners.tolist(), own.tolist())) <= set(zip(pts.tolist(), items.tolist()))
+        assert not np.isin(pts, np.flatnonzero(np.isnan(px) | np.isnan(py))).any()
 
 
 def test_strtree_empty_and_tiny():
