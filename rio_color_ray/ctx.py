@@ -17,13 +17,8 @@ With stateful stages running task-pool (stages/statecache.py) and the
 tile assembly vectorized over Arrow, sort-shuffle wins every exchange in
 this engine at every scale we can measure here, so we pin it explicitly.
 
-Under the sort shuffle ``groupby(key).map_groups`` ignores its
-``num_partitions`` argument (it lowers to a plain ``sort(key)`` whose
-ranges come from sampled quantiles) and calls Python once per group.
-Every keyed exchange whose key cardinality grows with the data therefore
-goes through :func:`bucket_exchange` instead; the remaining
-``map_groups`` calls group on low-cardinality keys (per query, per day,
-per event type).
+Every keyed reduce the engine defines goes through :func:`bucket_exchange`;
+only Ray's builtin ``groupby(key).aggregate`` runs beside it.
 """
 
 from ray.data.context import DataContext, ShuffleStrategy

@@ -12,6 +12,7 @@ import ray.data
 
 from ..ctx import bucket_exchange
 from ..sources.pages import REP_STRIDE
+from ..stages.agg import hash_bucket_agg
 from ..stages.ann import AnnBruteStage, ann_topk_reduce, list_col_to_matrix
 from ..stages.dedup import (
     EmbeddingLSHStage,
@@ -219,8 +220,6 @@ def dedup_incremental(sf_dir):
     per row through the exchange is far cheaper than carrying the text.
     Exact at test scale against a text NOT IN text oracle.
     """
-    from ..stages.agg import hash_bucket_agg
-
     base = documents(sf_dir)
 
     # pandas' siphash over object arrays takes a 16-byte key; two
@@ -572,9 +571,7 @@ def ann_topk(sf_dir, k=10, n_queries=8):
     partial = ds.map_batches(
         make_stage_fn(AnnBruteStage, qid, qmat, k), batch_format="pyarrow"
     )
-    return partial.groupby("query_id").map_groups(
-        lambda g: ann_topk_reduce(g, k), batch_format="pandas"
-    )
+    return hash_bucket_agg(partial, "query_id", lambda b: ann_topk_reduce(b, k))
 
 
 def ann_topk_filtered(sf_dir, k=10, n_queries=8):
@@ -591,9 +588,7 @@ def ann_topk_filtered(sf_dir, k=10, n_queries=8):
         make_stage_fn(AnnBruteStage, qid, qmat, k, query_labels=qlab),
         batch_format="pyarrow",
     )
-    return partial.groupby("query_id").map_groups(
-        lambda g: ann_topk_reduce(g, k), batch_format="pandas"
-    )
+    return hash_bucket_agg(partial, "query_id", lambda b: ann_topk_reduce(b, k))
 
 
 def ann_topk_filtered_sql(k=10, n_queries=8) -> str:
@@ -637,9 +632,7 @@ def ann_topk_ivf(sf_dir, k=10, n_queries=8, n_cells=16, n_probe=6, sample_n=512)
         make_stage_fn(AnnIVFStage, qid, qmat, cent, n_probe, k),
         batch_format="pyarrow",
     )
-    return partial.groupby("query_id").map_groups(
-        lambda g: ann_topk_reduce(g, k), batch_format="pandas"
-    )
+    return hash_bucket_agg(partial, "query_id", lambda b: ann_topk_reduce(b, k))
 
 
 def ann_topk_ivf_fullprobe(sf_dir, k=10, n_queries=8, n_cells=16):

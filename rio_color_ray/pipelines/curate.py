@@ -19,6 +19,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from ..stages.agg import hash_bucket_agg
 from ..stages.sampling import (
     split_assign_batch,
     split_sql,
@@ -149,8 +150,6 @@ def curate_corpus(sf_dir, min_quality_ppm=CURATE_MIN_QUALITY_PPM, parts=None, n_
     def partial_min(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.loc[batch.groupby("h64")["doc_id"].idxmin()]
 
-    from ..stages.agg import hash_bucket_agg
-
     def bucket_min(df: pd.DataFrame) -> pd.DataFrame:
         # content-hash cardinality is corpus-sized: vectorized min per
         # hash inside the bucket (stages/agg.py), never one Ray group
@@ -231,7 +230,6 @@ def vocab_top_tokens(sf_dir, k=VOCAB_K):
         )
 
     ds = documents(sf_dir, columns=["text"])
-    from ..stages.agg import hash_bucket_agg
     from ..stages.topk import topk_rows
 
     # token cardinality is vocabulary-sized (millions on a real corpus):
@@ -267,7 +265,7 @@ def sample_k_per_stratum(sf_dir, k=SAMPLE_K):
     random-hash is the distributed replacement for reservoir sampling,
     which is sequential by construction). Per-batch partial top-k first,
     so the per-lang exchange moves at most k rows per (batch, lang),
-    then a tiny per-stratum final reduce.
+    then the same top-k over each exchange block.
     """
     from ..stages.sampling import splitmix64
 
@@ -285,15 +283,12 @@ def sample_k_per_stratum(sf_dir, k=SAMPLE_K):
         b = batch.sort_values(["lang", "h", "doc_id"], kind="mergesort")
         return b.groupby("lang", as_index=False).head(k)
 
-    def final(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["h", "doc_id"], kind="mergesort").head(k)
-        return g[["lang", "doc_id"]]
-
-    return (
-        ds.map_batches(with_hash, batch_format="pyarrow")
-        .map_batches(partial, batch_format="pandas")
-        .groupby("lang")
-        .map_groups(final, batch_format="pandas")
+    return hash_bucket_agg(
+        ds.map_batches(with_hash, batch_format="pyarrow").map_batches(
+            partial, batch_format="pandas"
+        ),
+        "lang",
+        lambda b: partial(b)[["lang", "doc_id"]],
     )
 
 
@@ -622,10 +617,10 @@ def pack_sequences(sf_dir, budget=PACK_BUDGET, n_parts=PACK_PARTS):
     run[present + 1] = cum
     base = np.maximum.accumulate(run)[:-1]  # exclusive base per part
 
-    def offsets(bucket: pd.DataFrame) -> pd.DataFrame:
-        g = bucket.sort_values("doc_id", kind="mergesort")
+    def offsets(block: pd.DataFrame) -> pd.DataFrame:
+        g = block.sort_values(["part", "doc_id"], kind="mergesort")
         n = g["n_tokens"].to_numpy()
-        off = base[int(g["part"].iloc[0])] + np.cumsum(n) - n
+        off = base[g["part"].to_numpy()] + g.groupby("part")["n_tokens"].cumsum().to_numpy() - n
         return pd.DataFrame(
             {
                 "doc_id": g["doc_id"].to_numpy(),
@@ -635,7 +630,7 @@ def pack_sequences(sf_dir, budget=PACK_BUDGET, n_parts=PACK_PARTS):
             }
         )
 
-    return counted.groupby("part").map_groups(offsets, batch_format="pandas")
+    return hash_bucket_agg(counted, "part", offsets)
 
 
 def pack_sequences_sql(budget=PACK_BUDGET):
@@ -743,8 +738,6 @@ def cap_per_source(sf_dir, k=CAP_PER_SOURCE_K):
     n_blocks (id, source) pairs — never document text, never the
     uncapped row set. Returns Dataset[doc_id, source].
     """
-    from ..stages.agg import hash_bucket_agg
-
     ds = documents(sf_dir, columns=["doc_id", "source"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -790,7 +783,6 @@ def length_filter_median(sf_dir, q=LENGTH_FILTER_Q):
     the corpus through a stateless filter against the broadcast cutoff.
     Returns Dataset[doc_id, n_tokens].
     """
-    from ..stages.agg import hash_bucket_agg
     from ..stages.text import token_count_batch
 
     def tc(sf):
@@ -877,22 +869,18 @@ def shuffle_shards(sf_dir, n_shards=SHUFFLE_N_SHARDS):
             }
         )
 
-    def in_shard(group: pd.DataFrame) -> pd.DataFrame:
+    def in_shard(block: pd.DataFrame) -> pd.DataFrame:
         # splitmix64 is a bijection and doc_ids are unique -> no ties
-        g = group.sort_values("h", kind="mergesort")
+        g = block.sort_values(["shard", "h"], kind="mergesort")
         return pd.DataFrame(
             {
                 "shard": g["shard"].to_numpy(),
-                "shard_pos": np.arange(len(g), dtype=np.int64),
+                "shard_pos": g.groupby("shard").cumcount().to_numpy(np.int64),
                 "doc_id": g["doc_id"].to_numpy(),
             }
         )
 
-    return (
-        ds.map_batches(with_key, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(in_shard, batch_format="pandas")
-    )
+    return hash_bucket_agg(ds.map_batches(with_key, batch_format="pyarrow"), "shard", in_shard)
 
 
 def shuffle_shards_sql(n_shards=SHUFFLE_N_SHARDS) -> str:

@@ -11,7 +11,8 @@ import pyarrow as pa
 
 from ..sources.pages import page_coords_microdeg
 from ..spatial import hex_cell, hex_disk
-from ..stages.knn import KNNBruteStage, knn_guarantee_radius, topk_per_query
+from ..stages.agg import hash_bucket_agg
+from ..stages.knn import KNNBruteStage, knn_guarantee_radius, topk_d2, topk_per_query
 from ..stages.statecache import make_stage_fn
 from .geo import cellified
 
@@ -51,9 +52,7 @@ def knn(sf_dir, k=5, n_queries=100):
     partial = pts.map_batches(
         make_stage_fn(KNNBruteStage, urls, lat_u, lon_u, k), batch_format="pyarrow"
     )
-    ranked = partial.groupby("query_id").map_groups(
-        lambda g: topk_per_query(g, k), batch_format="pandas"
-    )
+    ranked = hash_bucket_agg(partial, "query_id", lambda b: topk_per_query(b, k))
 
     # map positional query index back to doc_id
     def relabel(batch: pa.Table) -> pa.Table:
@@ -97,10 +96,10 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
     Points and query candidate cells are co-partitioned on the hex cell
     (bucketed to bound group count); each bucket merges point rows with
     candidate rows on the cell id (vectorized pandas merge) and emits
-    local (query, url, d2) pairs; a per-query reduce ranks them. Queries
-    whose k-th distance violates the ring guarantee escalate with doubled
-    radius; the provably-exact invariant is asserted in tests against the
-    brute path.
+    local (query, url, d2) pairs; a reduce per exchange block ranks the
+    pairs of every query in it. Queries whose k-th distance violates the
+    ring guarantee escalate with doubled radius; the provably-exact
+    invariant is asserted in tests against the brute path.
     """
     doc_id, urls, lat_u, lon_u = _query_side(sf_dir, n_queries)
 
@@ -164,10 +163,8 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
             out = pd.DataFrame(
                 {"query_id": qp.astype(np.int64), "url": m["url"], "d2": d2}
             )
-            out = out[out["url"].to_numpy() != urls[qp]]  # self-exclusion
-            # local top-k per query
-            out = out.sort_values(["query_id", "d2", "url"], kind="mergesort")
-            out = out.groupby("query_id", as_index=False).head(k)
+            # self-exclusion, then the local top-k per query
+            out = topk_d2(out[out["url"].to_numpy() != urls[qp]], k)
             if out.empty:
                 return empty
             # emit Arrow so Ray never size-estimates an object column
@@ -179,19 +176,15 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
                 }
             )
 
-        # reduce per query INSIDE the dataset (groupby on query_id), so
+        # reduce per query INSIDE the dataset (keyed on query_id), so
         # the driver only ever collects <= k rows per query — independent
         # of the input's block count (the per-batch partials never land
         # on the driver)
-        def topk_d2(g: pd.DataFrame, k=k) -> pd.DataFrame:
-            return g.sort_values(["d2", "url"], kind="mergesort").head(k)
-
-        pdf = (
-            cell_pts.map_batches(local_pairs, batch_format="pandas")
-            .groupby("query_id")
-            .map_groups(topk_d2, batch_format="pandas")
-            .to_pandas()
-        )
+        pdf = hash_bucket_agg(
+            cell_pts.map_batches(local_pairs, batch_format="pandas"),
+            "query_id",
+            lambda b: topk_d2(b, k),
+        ).to_pandas()
         if len(pdf) == 0 or "query_id" not in pdf.columns:
             r *= 2
             continue
@@ -201,9 +194,9 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
         # guarantee check: k found AND k-th distance within the proven radius
         stats = pdf.groupby("query_id").agg(n=("d2", "size"), dk=("d2", "max"))
         need = knn_guarantee_radius(res, stats["dk"].to_numpy())
-        ok_q = set(stats.index[(stats["n"].to_numpy() >= k) & (need <= r)].tolist())
-        results.append(pdf[pdf["query_id"].isin(ok_q)][["query_id", "url", "rank"]])
-        remaining = np.asarray([q for q in remaining if q not in ok_q], dtype=np.int64)
+        ok = stats.index.to_numpy()[(stats["n"].to_numpy() >= k) & (need <= r)]
+        results.append(pdf[np.isin(pdf["query_id"].to_numpy(), ok)][["query_id", "url", "rank"]])
+        remaining = remaining[~np.isin(remaining, ok)]
         r *= 2
 
     if len(remaining):
@@ -212,11 +205,7 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
             make_stage_fn(KNNBruteStage, urls[remaining], lat_u[remaining], lon_u[remaining], k),
             batch_format="pyarrow",
         )
-        ranked = (
-            sub.groupby("query_id")
-            .map_groups(lambda g: topk_per_query(g, k), batch_format="pandas")
-            .to_pandas()
-        )
+        ranked = hash_bucket_agg(sub, "query_id", lambda b: topk_per_query(b, k)).to_pandas()
         ranked["query_id"] = remaining[ranked["query_id"].to_numpy()]
         results.append(ranked)
 

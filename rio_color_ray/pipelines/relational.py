@@ -21,6 +21,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Sum
 
+from ..stages.agg import hash_bucket_agg
 from ..stages.join import BroadcastJoinStage, broadcast_semi_filter, bucketed_hash_join
 
 Q1_CUTOFF = "1998-09-02"
@@ -176,8 +177,6 @@ def q3_top_orders(sf_dir, k=10, num_partitions=16, builtin_join=False):
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.groupby("o_orderkey", as_index=False)["revenue_micros"].sum()
 
-    from ..stages.agg import hash_bucket_agg
-
     per_order = hash_bucket_agg(
         joined.map_batches(partial, batch_format="pandas"),
         "o_orderkey",
@@ -320,7 +319,6 @@ def top_users_by_value(sf_dir, k=10):
         )
         return df.groupby("user_id", as_index=False).sum()
 
-    from ..stages.agg import hash_bucket_agg
     from ..stages.topk import topk_rows
 
     out = hash_bucket_agg(
@@ -350,8 +348,6 @@ def distinct_users_per_type(sf_dir):
     giant groups at 100 TB). Level 2 counts the combo rows per type:
     batch partial counts into a 5-row groupby.
     """
-    from ..stages.agg import hash_bucket_agg
-
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -517,8 +513,6 @@ def sessionize(sf_dir, n_buckets=64):
     groupby((user, sid)).agg — no per-user Python. Output: one row per
     session with start/end/n_events/value_cents.
     """
-    from ..stages.agg import hash_bucket_agg
-
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
 
     def sessions(bucket: pd.DataFrame) -> pd.DataFrame:
@@ -649,8 +643,6 @@ def asof_join_clicks(sf_dir, n_buckets=64):
     per-user Python, no driver collection. At 10^12 rows the user
     exchange is the same one sessionize pays.
     """
-    from ..stages.agg import hash_bucket_agg
-
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
     ds = ds.map_batches(
         lambda b: b.filter(
@@ -705,9 +697,9 @@ FROM filled WHERE event_type = 'purchase' AND click_ts IS NOT NULL
 
 
 # ---------------------------------------------------------------------------
-# Top-k per group (window-rank analog) — partial top-k per batch, then a
-# tiny per-group final reduce; the shuffle moves at most k rows per
-# (batch, group), never the full table.
+# Top-k per group (window-rank analog) — partial top-k per batch, then the
+# same top-k over each exchange block; the shuffle moves at most k rows
+# per (batch, group), never the full table.
 # ---------------------------------------------------------------------------
 
 def topk_orders_per_priority(sf_dir, k=3):
@@ -716,11 +708,7 @@ def topk_orders_per_priority(sf_dir, k=3):
         sf_dir, "orders", columns=["o_orderpriority", "o_orderkey", "o_totalprice"]
     )
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.copy()
-        b["price_cents"] = np.rint(b.pop("o_totalprice").to_numpy() * 100).astype(
-            np.int64
-        )
+    def head(b: pd.DataFrame) -> pd.DataFrame:
         b = b.sort_values(
             ["o_orderpriority", "price_cents", "o_orderkey"],
             ascending=[True, False, True],
@@ -728,18 +716,20 @@ def topk_orders_per_priority(sf_dir, k=3):
         )
         return b.groupby("o_orderpriority", as_index=False).head(k)
 
-    def final(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(
-            ["price_cents", "o_orderkey"], ascending=[False, True], kind="mergesort"
-        ).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
+    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+        b = batch.copy()
+        b["price_cents"] = np.rint(b.pop("o_totalprice").to_numpy() * 100).astype(
+            np.int64
+        )
+        return head(b)
+
+    def final(block: pd.DataFrame) -> pd.DataFrame:
+        g = head(block)
+        g = g.assign(rank=g.groupby("o_orderpriority").cumcount().to_numpy(np.int64) + 1)
         return g[["o_orderpriority", "rank", "o_orderkey", "price_cents"]]
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("o_orderpriority")
-        .map_groups(final, batch_format="pandas")
+    return hash_bucket_agg(
+        ds.map_batches(partial, batch_format="pandas"), "o_orderpriority", final
     )
 
 
@@ -778,8 +768,6 @@ def q18_large_orders(sf_dir, min_qty=Q18_MIN_QTY, n_buckets=16):
         b = batch.copy()
         b["sum_qty"] = np.rint(b.pop("l_quantity").to_numpy()).astype(np.int64)
         return b.groupby("l_orderkey", as_index=False)["sum_qty"].sum()
-
-    from ..stages.agg import hash_bucket_agg
 
     def sum_and_filter(df: pd.DataFrame) -> pd.DataFrame:
         # per-order keys are high-cardinality -> hash-bucket reduce
@@ -907,7 +895,6 @@ def q10_returned_revenue(sf_dir, k=20, n_buckets=16):
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.groupby("o_custkey", as_index=False)["revenue_micros"].sum()
 
-    from ..stages.agg import hash_bucket_agg
     from ..stages.topk import topk_rows
 
     per_cust = topk_rows(
@@ -974,8 +961,9 @@ def value_quantiles_per_type(sf_dir):
 
     Scale shape: per-batch (type, cents) partial counts, a groupby on the
     composite key (distinct cents per type is bounded by the price grid,
-    ~50k values, NOT by row count), then one tiny per-type reduce that
-    sorts the distinct values and indexes the cumulative counts. No full
+    ~50k values, NOT by row count), then an exchange on the type whose
+    reduce sorts each type's distinct values in its block and indexes
+    their cumulative counts. No full
     sort of the data, no per-row shuffle — the exchange moves counts.
     """
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
@@ -990,29 +978,24 @@ def value_quantiles_per_type(sf_dir):
         out = b.groupby(["event_type", "cents"], as_index=False).size()
         return out.rename(columns={"size": "n"})
 
-    from ..stages.agg import hash_bucket_agg
-
     counts = hash_bucket_agg(
         ds.map_batches(partial, batch_format="pandas"),
         "cents",
         lambda df: df.groupby(["event_type", "cents"], as_index=False)["n"].sum(),
     )
 
-    def quantiles(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values("cents", kind="mergesort")
-        cents = g["cents"].to_numpy()
-        cum = g["n"].to_numpy().cumsum()
-        total = cum[-1]
-        rows = {"event_type": [g["event_type"].iloc[0]]}
+    def quantiles(block: pd.DataFrame) -> pd.DataFrame:
+        g = block.sort_values(["event_type", "cents"], kind="mergesort")
+        per = g.groupby("event_type")["n"]
+        cum, total = per.cumsum(), per.transform("sum")
+        cols = {}
         for q in QUANTILES:
             # quantile_disc: smallest value with cum >= ceil(q * total)
-            target = int(np.ceil(q * total))
-            rows[f"p{int(q * 100)}_cents"] = [
-                int(cents[np.searchsorted(cum, target)])
-            ]
-        return pd.DataFrame(rows)
+            hit = g[(cum >= np.ceil(q * total)).to_numpy()]
+            cols[f"p{int(q * 100)}_cents"] = hit.groupby("event_type")["cents"].first()
+        return pd.DataFrame(cols).rename_axis("event_type").reset_index()
 
-    return counts.groupby("event_type").map_groups(quantiles, batch_format="pandas")
+    return hash_bucket_agg(counts, "event_type", quantiles)
 
 
 QUANTILES_SQL = """
@@ -1047,8 +1030,6 @@ def range_join_clicks(sf_dir, window_us=RANGE_JOIN_WINDOW_US, n_buckets=64):
     expansion ever materializes, unlike the naive theta-join which is
     O(clicks x purchases) per user.
     """
-    from ..stages.agg import hash_bucket_agg
-
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
     ds = ds.map_batches(
         lambda b: b.filter(
@@ -1141,8 +1122,6 @@ def customer_order_counts(sf_dir, n_buckets=16):
         )
         return b.groupby("c_custkey", as_index=False).sum()
 
-    from ..stages.agg import hash_bucket_agg
-
     per_cust = hash_bucket_agg(
         orders.map_batches(partial, batch_format="pandas"),
         "c_custkey",
@@ -1195,8 +1174,6 @@ def event_gaps(sf_dir, n_buckets=64):
     vectorized whole-bucket diff with boundary masking; no per-row or
     per-user Python.
     """
-    from ..stages.agg import hash_bucket_agg
-
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
 
     def gaps(bucket: pd.DataFrame) -> pd.DataFrame:
@@ -1243,8 +1220,6 @@ def users_click_and_purchase(sf_dir):
     right there, vectorized) — no side ever materializes as a driver
     set, and the exchange moves at most one row per (batch, user, type).
     """
-    from ..stages.agg import hash_bucket_agg
-
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
     ds = ds.map_batches(
         lambda b: b.filter(
@@ -1283,10 +1258,10 @@ PIVOT_TYPES = ("click", "purchase", "signup", "view", "error")
 def events_pivot(sf_dir):
     """One row per day with a count column per event type.
 
-    Two-level aggregate on the (day, type) composite key — the wide
-    reshape happens per GROUP after the exchange, so the pivot adds no
-    shuffle beyond the keyed count. Fixed column set (schema is static),
-    unknown types counted into none.
+    Per-batch (day, type) partial counts, then ONE exchange on the day:
+    each block sums its partials per (day, type) and reshapes them wide.
+    The exchange moves at most one row per (batch, day, type). Fixed
+    column set (schema is static), unknown types counted into none.
     """
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -1300,20 +1275,13 @@ def events_pivot(sf_dir):
         out = b.groupby(["day", "event_type"], as_index=False).size()
         return out.rename(columns={"size": "n"})
 
-    counts = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["day", "event_type"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    def widen(block: pd.DataFrame) -> pd.DataFrame:
+        # unknown types fall out of the reindex: counted into no column
+        wide = block.groupby(["day", "event_type"])["n"].sum().unstack(fill_value=0)
+        wide = wide.reindex(columns=list(PIVOT_TYPES), fill_value=0).add_prefix("n_")
+        return wide.rename_axis(columns=None).reset_index()
 
-    def widen(group: pd.DataFrame) -> pd.DataFrame:
-        of = dict(zip(group["event_type"], group["n"]))
-        row = {"day": [group["day"].iloc[0]]}
-        for t in PIVOT_TYPES:
-            row[f"n_{t}"] = [int(of.get(t, 0))]
-        return pd.DataFrame(row)
-
-    out = counts.groupby("day").map_groups(widen, batch_format="pandas")
+    out = hash_bucket_agg(ds.map_batches(partial, batch_format="pandas"), "day", widen)
     return out.map_batches(_cast_ts_us("day"), batch_format="pyarrow")
 
 
@@ -1353,8 +1321,6 @@ def late_events(sf_dir, n_buckets=64):
     (pandas Cython groupby.cummax over user segments) — no per-user
     Python.
     """
-    from ..stages.agg import hash_bucket_agg
-
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
 
     def late(bucket: pd.DataFrame) -> pd.DataFrame:
@@ -1422,8 +1388,6 @@ def q4_late_shipments(sf_dir, n_buckets=16):
     orders, then a 5-row priority count. No semi-join pair blowup at
     any scale.
     """
-    from ..stages.agg import hash_bucket_agg
-
     orders = _read(
         sf_dir, "orders", columns=["o_orderkey", "o_orderdate", "o_orderpriority"]
     )
@@ -1503,8 +1467,6 @@ def user_running_value(sf_dir, n_buckets=64):
     keep the running sum order-independent and bit-exact vs the SQL
     window twin.
     """
-    from ..stages.agg import hash_bucket_agg
-
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
 
     def running(bucket: pd.DataFrame) -> pd.DataFrame:
@@ -1582,24 +1544,22 @@ def approx_distinct_users_kmv(sf_dir, k=KMV_K):
         out = out.sort_values(["event_type", "h"], kind="mergesort")
         return out.groupby("event_type", as_index=False).head(k)
 
-    def final(group: pd.DataFrame) -> pd.DataFrame:
-        hs = np.unique(group["h"].to_numpy())  # sorted distinct, u64 order
-        if len(hs) < k:
-            est = len(hs)
-        else:
-            h_k = int(hs[k - 1]) + (1 << 63)  # back to unsigned value
-            est = (k - 1) * (1 << 64) // h_k
+    def final(block: pd.DataFrame) -> pd.DataFrame:
+        # each type's distinct hashes, consecutive and in u64 order
+        d = block.drop_duplicates().sort_values(["event_type", "h"], kind="mergesort")
+        n = d.groupby("event_type", sort=False).size()
+        hs = d["h"].to_numpy()
+        est = [
+            # k-th smallest hash back to its unsigned value
+            c if c < k else (k - 1) * (1 << 64) // (int(hs[i + k - 1]) + (1 << 63))
+            for i, c in zip((np.cumsum(n) - n).tolist(), n.tolist())
+        ]
         return pd.DataFrame(
-            {
-                "event_type": [group["event_type"].iloc[0]],
-                "n_users_approx": np.array([est], dtype=np.int64),
-            }
+            {"event_type": n.index.to_numpy(), "n_users_approx": np.array(est, dtype=np.int64)}
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("event_type")
-        .map_groups(final, batch_format="pandas")
+    return hash_bucket_agg(
+        ds.map_batches(partial, batch_format="pandas"), "event_type", final
     )
 
 
@@ -1717,8 +1677,6 @@ def users_click_no_purchase(sf_dir, cutoff=EXCEPT_VALUE_CUTOFF):
     (user, side) rows per batch, a user's rows are complete within
     their bucket, and the set difference runs there vectorized.
     """
-    from ..stages.agg import hash_bucket_agg
-
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "value"])
 
     def sides(batch: pd.DataFrame) -> pd.DataFrame:

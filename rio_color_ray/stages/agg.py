@@ -1,16 +1,20 @@
-"""High-cardinality groupby aggregation via hash buckets.
+"""Keyed reduce via hash buckets: the engine's one groupby for its own UDFs.
 
-Ray Data's sort-based ``groupby(key).aggregate(...)`` pays Python-level
-per-group cost in its reduce phase — measured here at ~0.6 ms/group, i.e.
-92 s for a 147k-group max over 600k rows (BASELINE.md round-2 notes).
-That is fine for low-cardinality keys (priorities, months, languages)
-and catastrophic for per-order / per-customer / per-document keys whose
-group count grows with the data.
+Every keyed reduce the engine defines runs here, whatever the key's
+cardinality — per order or per document as much as per query, per
+language or per day. Ray Data's ``groupby(key).map_groups`` calls Python
+once per group and, under the pinned sort shuffle, ignores
+``num_partitions``; its sort-based ``groupby(key).aggregate(...)`` pays
+~0.6 ms per group in the reduce (92 s for a 147k-group max over 600k
+rows, BASELINE.md round-2 notes). Only Ray's builtin aggregates
+(``Sum``, ``Count``, ...) over low-cardinality keys stay on
+``aggregate``.
 
 ``hash_bucket_agg`` keeps the exchange but swaps the reduce: rows are
-bucketed by ``key % n_buckets`` and moved by the engine's keyed exchange
+bucketed by ``key % n_buckets`` (int keys) or a fixed pandas hash (any
+other key: strings, datetimes) and moved by the engine's keyed exchange
 (:func:`rio_color_ray.ctx.bucket_exchange`), and a caller-supplied
-VECTORIZED pandas aggregation runs once per exchange block — a range of
+VECTORIZED pandas reduce runs once per exchange block — a range of
 buckets holding every row of each of its keys. No Python runs per group
 or per bucket. The same exchange carries the bucketed hash join, the
 LSH pair stages, the min-label CC passes, the checkpoint writers and the
@@ -35,7 +39,7 @@ from ..ctx import bucket_exchange
 
 
 def hash_bucket_agg(ds, key, agg_fn, n_buckets=64):
-    """Group ``ds`` by int64 column ``key`` at high cardinality.
+    """Group ``ds`` by column ``key`` (int, string or datetime).
 
     ``agg_fn: pd.DataFrame -> pd.DataFrame`` receives one exchange
     block's rows (all rows of any given key, many keys) and must perform
@@ -48,7 +52,7 @@ def hash_bucket_agg(ds, key, agg_fn, n_buckets=64):
         k = df[key]
         if pd.api.types.is_integer_dtype(k):
             b = k.to_numpy().astype(np.int64) % n_buckets
-        else:  # string keys: deterministic 64-bit hash, fixed pandas key
+        else:  # other keys: deterministic 64-bit hash, fixed pandas key
             h = pd.util.hash_pandas_object(k, index=False).to_numpy()
             b = (h % np.uint64(n_buckets)).astype(np.int64)
         df["__b"] = b

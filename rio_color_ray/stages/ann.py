@@ -131,9 +131,10 @@ class AnnBruteStage:
         )
 
 
-def ann_topk_reduce(group: pd.DataFrame, k: int) -> pd.DataFrame:
-    """Final per-query reduce: rank by (rounded score desc, vec_id asc)."""
-    if len(group) == 0 or "query_id" not in group.columns:
+def ann_topk_reduce(block: pd.DataFrame, k: int) -> pd.DataFrame:
+    """Final reduce over one exchange block holding many queries: rank
+    each query's candidates by (rounded score desc, vec_id asc)."""
+    if len(block) == 0 or "query_id" not in block.columns:
         return pd.DataFrame(
             {
                 "query_id": pd.Series([], dtype=np.int64),
@@ -141,14 +142,15 @@ def ann_topk_reduce(group: pd.DataFrame, k: int) -> pd.DataFrame:
                 "rank": pd.Series([], dtype=np.int64),
             }
         )
-    g = group.sort_values(
-        ["score_r6", "vec_id"], ascending=[False, True], kind="mergesort"
-    ).head(k)
+    g = block.sort_values(
+        ["query_id", "score_r6", "vec_id"], ascending=[True, False, True], kind="mergesort"
+    )
+    g = g.groupby("query_id", sort=False).head(k)
     return pd.DataFrame(
         {
             "query_id": g["query_id"].to_numpy(),
             "vec_id": g["vec_id"].to_numpy(),
-            "rank": np.arange(1, len(g) + 1, dtype=np.int64),
+            "rank": g.groupby("query_id").cumcount().to_numpy(np.int64) + 1,
         }
     )
 

@@ -149,8 +149,25 @@ def _lut_apply(raw, prefix, rest, out_dtype):
 def apply_ops_to_tiles(pixels_list, band_count, dtype, width, height, ops_funcs, out_dtype):
     """Apply a parsed ops program to a homogeneous list of tile buffers.
 
-    Returns a list of output buffers (bytes) in input order. Vectorized:
-    one stacked array for the whole group.
+    Returns a list of output buffers (bytes) in input order; the thin
+    list entry to :func:`_color_stacked`.
+    """
+    if not pixels_list:
+        return []
+    out = _color_stacked(
+        np.frombuffer(b"".join(pixels_list), dtype=np.uint8),
+        len(pixels_list), band_count, dtype, width, height, ops_funcs, out_dtype,
+    )
+    return [tile.tobytes() for tile in out]
+
+
+def _color_stacked(data, n, band_count, dtype, width, height, ops_funcs, out_dtype):
+    """Apply a parsed ops program to same-shape tiles packed back to back.
+
+    ``data`` is a uint8 array of ``n`` whole ``(band_count, height, width)``
+    tiles of ``dtype``; returns a C-contiguous ``(n, band_count, height,
+    width)`` array of ``out_dtype``. Vectorized: one stacked array for
+    the whole group.
 
     For unsigned-integer tiles (uint8/uint16) the leading elementwise ops
     run over the 0..max code ramp once (:func:`_lut_apply`) and every
@@ -166,13 +183,8 @@ def apply_ops_to_tiles(pixels_list, band_count, dtype, width, height, ops_funcs,
     This is the engine-side twin of the oracle's 256-entry LUT
     (tiles.py:band_uniform_lut / color_tiles_content_sql).
     """
-    n = len(pixels_list)
-    if n == 0:
-        return []
     np_dtype = np.dtype(dtype)
-    stacked = np.frombuffer(b"".join(pixels_list), dtype=np_dtype).reshape(
-        n, band_count, height, width
-    )
+    stacked = data.view(np_dtype).reshape(n, band_count, height, width)
     # (n, b, h, w) -> (b, n*h, w): ops are per-band elementwise, so tiles
     # stacked along the row axis behave exactly like one tall window
     raw = np.ascontiguousarray(stacked.transpose(1, 0, 2, 3)).reshape(
@@ -190,8 +202,7 @@ def apply_ops_to_tiles(pixels_list, band_count, dtype, width, height, ops_funcs,
             arr = fn(arr)
         out = scale_dtype(arr, out_dtype)
     out = out.reshape(band_count, n, height, width).transpose(1, 0, 2, 3)
-    out = np.ascontiguousarray(out)
-    return [out[i].tobytes() for i in range(n)]
+    return np.ascontiguousarray(out)
 
 
 _ITEMSIZE = {"uint8": 1, "uint16": 2}
@@ -240,31 +251,51 @@ class ColorStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         check_tiles(batch)
-        band_count = batch.column("band_count").to_numpy()
-        dtype = batch.column("dtype").to_pylist()
-        width = batch.column("width").to_numpy()
-        height = batch.column("height").to_numpy()
-        pixels = batch.column("pixels").to_pylist()
-
-        # group rows by homogeneous (bands, dtype, w, h) signature
-        out_pixels = [None] * len(pixels)
-        out_dt = [None] * len(pixels)
-        sig_rows = {}
-        for i, sig in enumerate(zip(band_count, dtype, width, height)):
-            sig_rows.setdefault(sig, []).append(i)
-        for (b, dt, w, h), rows in sig_rows.items():
+        n = batch.num_rows
+        pixels = batch.column("pixels").combine_chunks()
+        is16 = pc.equal(batch.column("dtype"), "uint16").to_numpy(zero_copy_only=False)
+        sig = np.stack(
+            [batch.column(c).to_numpy().astype(np.int64) for c in ("band_count", "width", "height")]
+            + [is16.astype(np.int64)]
+        )
+        # rows grouped by homogeneous (bands, w, h, dtype) signature; each
+        # group's pixels go to the kernel straight from the Arrow buffer
+        sigs, inv = np.unique(sig, axis=1, return_inverse=True)
+        inv = inv.reshape(-1)
+        order = np.argsort(inv, kind="stable")
+        counts = np.bincount(inv, minlength=sigs.shape[1])
+        outs, out_dts = [], []
+        for (b, w, h, u16), stop, count in zip(sigs.T, np.cumsum(counts), counts):
+            rows = order[stop - count:stop]
+            if rows[-1] - rows[0] + 1 == count:  # consecutive rows: no copy
+                group = pixels.slice(rows[0], count)
+            else:
+                group = pixels.take(rows)
+            dt = "uint16" if u16 else "uint8"
             odt = self.out_dtype or dt
-            bufs = apply_ops_to_tiles(
-                [pixels[i] for i in rows], int(b), dt, int(w), int(h), self.ops, odt
-            )
-            for i, buf in zip(rows, bufs):
-                out_pixels[i] = buf
-                out_dt[i] = odt
+            out = _color_stacked(_binary_data(group), count, b, dt, w, h, self.ops, odt)
+            outs.append(out.reshape(count, -1).view(np.uint8))
+            out_dts.append(odt)
 
-        result = batch.set_column(
-            batch.schema.get_field_index("pixels"), "pixels", pa.array(out_pixels, pa.binary())
+        # one output buffer in signature order, then back to row order
+        sizes = np.repeat([o.shape[1] for o in outs], counts)
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int32)
+        data = np.concatenate([o.ravel() for o in outs] or [np.empty(0, np.uint8)])
+        out_px = pa.Array.from_buffers(
+            pa.binary(), n, [None, pa.py_buffer(offsets), pa.py_buffer(data)]
         )
-        result = result.set_column(
-            result.schema.get_field_index("dtype"), "dtype", pa.array(out_dt, pa.string())
-        )
-        return result.append_column("ops", pa.array([self.ops_string] * len(pixels)))
+        if not np.array_equal(order, np.arange(n)):
+            out_px = out_px.take(pa.array(np.argsort(order)))
+        out_dt = pa.array(out_dts, pa.string()).take(pa.array(inv))
+
+        result = batch.set_column(batch.schema.get_field_index("pixels"), "pixels", out_px)
+        result = result.set_column(result.schema.get_field_index("dtype"), "dtype", out_dt)
+        return result.append_column("ops", pa.repeat(pa.scalar(self.ops_string, pa.string()), n))
+
+
+def _binary_data(arr: pa.Array) -> np.ndarray:
+    """The value bytes of a binary array, back to back, as a uint8 view."""
+    off_t = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
+    offs = np.frombuffer(arr.buffers()[1], off_t, len(arr) + 1, arr.offset * np.dtype(off_t).itemsize)
+    values = arr.buffers()[2]
+    return np.frombuffer(values, np.uint8)[offs[0]:offs[-1]] if values else np.empty(0, np.uint8)

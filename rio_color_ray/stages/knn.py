@@ -10,10 +10,11 @@ Two strategies:
 
 * ``KNNBruteStage`` — the exact path: queries are BROADCAST (small side);
   each batch computes its local (points x queries) distance matrix and
-  emits only its per-query top-k rows. A final per-query reduce merges
-  partials. Work is proportional to |points| x |queries| but fully
-  data-parallel with no shuffle of the big side — correct at any scale
-  where |queries| is bounded (and the oracle for the cell path).
+  emits only its per-query top-k rows. A final reduce per exchange
+  block merges the partials of every query in it. Work is proportional
+  to |points| x |queries| but fully data-parallel with no shuffle of
+  the big side — correct at any scale where |queries| is bounded (and
+  the oracle for the cell path).
 
 * cell-ring expansion (``knn_cells_plan``) — the scale path for large
   query sets: points and query-candidate cells are co-partitioned by hex
@@ -83,9 +84,16 @@ class KNNBruteStage:
         )
 
 
-def topk_per_query(group: pd.DataFrame, k: int) -> pd.DataFrame:
-    """Final reduce: merge partial candidates, rank by (d2, url)."""
-    if len(group) == 0 or "query_id" not in group.columns:
+def topk_d2(block: pd.DataFrame, k: int) -> pd.DataFrame:
+    """Each query's k nearest rows of ``block`` by (d2, url), sorted."""
+    block = block.sort_values(["query_id", "d2", "url"], kind="mergesort")
+    return block.groupby("query_id", sort=False).head(k)
+
+
+def topk_per_query(block: pd.DataFrame, k: int) -> pd.DataFrame:
+    """Final reduce over one exchange block holding many queries: merge
+    their partial candidates and rank each query's by (d2, url)."""
+    if len(block) == 0 or "query_id" not in block.columns:
         return pd.DataFrame(
             {
                 "query_id": pd.Series([], dtype=np.int64),
@@ -93,8 +101,8 @@ def topk_per_query(group: pd.DataFrame, k: int) -> pd.DataFrame:
                 "rank": pd.Series([], dtype=np.int64),
             }
         )
-    g = group.sort_values(["d2", "url"], kind="mergesort").head(k)
-    g = g.assign(rank=np.arange(1, len(g) + 1))
+    g = topk_d2(block, k)
+    g = g.assign(rank=g.groupby("query_id").cumcount().to_numpy(np.int64) + 1)
     return g[["query_id", "url", "rank"]]
 
 

@@ -421,6 +421,36 @@ def test_color_stage_names_the_malformed_tile(case, message):
     assert str(err.value) == f"tile {t.column('tile_id')[2].as_py()!r}: {message}"
 
 
+@pytest.mark.parametrize("out_dtype", [None, "uint8", "uint16"])
+@pytest.mark.parametrize("ops", ["gamma rgb 1.1, saturation 1.2", "sigmoidal rgb 6 0.25"])
+def test_color_stage_mixed_batch_matches_each_tile_alone(out_dtype, ops):
+    """A batch interleaving uint8 and uint16 tiles of two sizes and band
+    counts gives, row for row, the bytes and dtype of coloring each tile
+    alone; the batch arrives in several chunks and as a slice."""
+    import pyarrow as pa
+
+    from rio_color_ray.sources.tiles import make_tiles_table
+    from rio_color_ray.stages.color_stage import ColorStage
+
+    parts = [
+        make_tiles_table(variant, n_tiles=6, size=size, seed=seed)
+        for seed, (variant, size) in enumerate(
+            [("rgb8", 32), ("rgb16", 32), ("rgb8", 16), ("rgba8", 16), ("rgb16", 16)]
+        )
+    ]
+    rng = np.random.default_rng(3)
+    mixed = pa.concat_tables(parts).take(rng.permutation(30))
+    batch = pa.concat_tables([mixed.slice(0, 11), mixed.slice(11)]).slice(1, 27)
+    assert batch.column("pixels").num_chunks == 2
+    stage = ColorStage(ops, out_dtype)
+    got = stage(batch)
+    assert got.num_rows == 27 and got.schema.field("pixels").type == pa.binary()
+    for i in range(batch.num_rows):
+        alone = stage(batch.slice(i, 1))
+        assert got.slice(i, 1).to_pylist() == alone.to_pylist(), i
+    assert stage(batch.slice(0, 0)).schema == got.schema
+
+
 def test_read_table_strips_schema_metadata(ray_session):
     """io.read_table blocks must carry NO pandas schema metadata — the
     raw parquet schema is unhashable (pyarrow raises on the embedded

@@ -1,4 +1,4 @@
-"""One way to run a stateful stage.
+"""One way to run a stateful stage, and one keyed exchange.
 
 Every stateful stage in the engine runs through
 ``stages.statecache.make_stage_fn``: a plain function whose state is built
@@ -7,6 +7,12 @@ An actor pool was measured slower at every size tried (see the
 statecache module docstring), so no ``map_batches`` call in the package
 may start one again: no class as the function, no
 ``fn_constructor_args`` and no ``(min, max)`` tuple ``concurrency``.
+
+Every keyed reduce the engine defines runs through ``ctx.bucket_exchange``
+(mostly via ``stages.agg.hash_bucket_agg``), which reduces a whole
+exchange block per call. Ray's ``groupby(key).map_groups`` calls Python
+once per group and ignores ``num_partitions`` under the sort shuffle, so
+no ``map_groups`` call may come back into the package.
 """
 
 import ast
@@ -54,3 +60,15 @@ def test_no_map_batches_call_starts_an_actor_pool():
                 bad.append(f"{where}: tuple concurrency")
     assert calls > 50  # the walk really sees the engine's map_batches calls
     assert not bad, "\n".join(bad)
+
+
+def test_no_map_groups_in_the_engine():
+    bad = [
+        f"{path.relative_to(PKG.parent)}:{node.lineno}"
+        for path, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "map_groups"
+    ]
+    assert not bad, "map_groups calls:\n" + "\n".join(bad)
