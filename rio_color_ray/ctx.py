@@ -17,11 +17,20 @@ With stateful stages running task-pool (stages/statecache.py) and the
 tile assembly vectorized over Arrow, sort-shuffle wins every exchange in
 this engine at every scale we can measure here, so we pin it explicitly.
 
-Every keyed reduce the engine defines goes through :func:`bucket_exchange`;
-only Ray's builtin ``groupby(key).aggregate`` runs beside it.
+Every keyed reduce the engine defines goes through :func:`bucket_exchange`,
+which alone decides each key's bucket; only Ray's builtin
+``groupby(key).aggregate`` runs beside it.
 """
 
+import functools
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
 from ray.data.context import DataContext, ShuffleStrategy
+
+# the exchange's own column: the key's bucket, never seen by a reduce
+BUCKET = "__bucket"
 
 
 def tune_data_context():
@@ -52,37 +61,49 @@ def shuffle_partitions(cap=64, floor=8):
     return max(floor, min(cap, 32))
 
 
-def bucket_exchange(ds, bucket_col, n_buckets, reduce_block, batch_format, schema=None):
-    """Co-locate every bucket's rows and reduce each exchange block once.
+def bucket_exchange(ds, key, reduce_block, batch_format, schema=None):
+    """Co-locate every key's rows and reduce each exchange block once.
 
-    ``bucket_col`` holds an int in ``[0, n_buckets)`` derived by the
-    caller from its key (so same-key rows share a bucket). ONE
-    ``sort(bucket_col, boundaries=...)`` with explicit equal-width bucket
-    ranges moves the rows, then ``reduce_block`` runs once per output
-    block — a whole range of buckets, all rows of any bucket in it — via
-    ``map_batches(batch_size=None)``. It must therefore reduce per key
-    vectorized, never assume one bucket per call. Ray skips the call for
-    an empty range. The Ray operator is named after ``reduce_block``
-    (a ``functools.partial`` shows its function's name).
+    ``ds`` is a Dataset, or a list of Datasets whose rows the exchange
+    co-groups: each gets its bucket inside its own map chain, before
+    their union (a bucket pass after the union is one more operator; it
+    made ``pagerank_edges`` ~35% slower at sf0.01, 4 CPUs). ``key`` is
+    a column name or a list of column names. The exchange owns the
+    bucket: there is one bucket per reduce task,
+    ``n = shuffle_partitions()`` of them (8 at 1-8 CPUs), and the rule
+    that maps a key to its bucket is chosen from the key's Arrow type, so
+    every block of one Dataset follows the same rule:
 
-    Why not ``groupby(bucket_col).map_groups`` (round-5 profile, sf0.1 /
-    32 CPUs, z10 tiles): under the pinned sort shuffle it ignores
+    * a single integer column: ``key % n``. Dense ints spread exactly, so
+      the checkpoint's partition ids fill the reduce tasks one each;
+    * any other key (strings, datetimes, several columns): the fixed
+      64-bit ``pd.util.hash_pandas_object`` of the key columns, ``% n``.
+
+    A null key lands in one fixed bucket (an int null reads as 0). The
+    bucket is computed from the key columns alone, appended to the block
+    without copying it, moved by ONE ``sort(bucket, boundaries=1..n-1)``
+    and dropped again before ``reduce_block`` runs, once per output
+    block, via ``map_batches(batch_size=None)``. A block holds every row
+    of each of its keys and many keys, so ``reduce_block`` must reduce
+    per key vectorized. Ray skips the call for an empty bucket. The Ray
+    operator is named after ``reduce_block`` (after its function, for a
+    ``functools.partial``). A mega-key still meets in one call: a cap or
+    salt belongs in the bucket rule here (callers salt today with a list
+    key, as ``pipelines/geo.py:cell_agg_salted`` does).
+
+    Why not ``groupby(key).map_groups`` (round-5 profile, sf0.1 / 32
+    CPUs, z10 tiles): under the pinned sort shuffle it ignores
     ``num_partitions`` and derives ranges from sampled quantiles, which
-    over 1024 discrete bucket values held 3-42 buckets per range — a
-    13-34x rows-per-task spread whose 3.5 s straggler was the flagship's
-    critical path — and it calls Python once per group. Fixed boundaries
-    make every range ``n_buckets / n_ranges`` buckets; a mixed bucket
-    hash (splitmix64, or the modulo of a dense key) makes the ranges
-    even in rows.
+    held 3-42 buckets per range, a 13-34x rows-per-task spread whose
+    3.5 s straggler was the flagship's critical path, and it calls
+    Python once per group. Fixed boundaries make every range one bucket.
 
-    Reduce tasks: ``min(n_buckets, shuffle_partitions(cap=n_buckets))``
-    — one per CPU, at least 8, never more than ``n_buckets`` (no repeated
-    boundary at 2-4 buckets); for the tiles 8 at 1-8 CPUs (formerly 16)
-    and 32 at 32 CPUs (formerly 64). Measured no worse at 1 CPU (perfbench
-    tiles_z10/tiles_resume) and at 4 CPUs (bench.py, sf0.1: flagship z7
-    1.44 -> 1.46 s, z10 1.72 -> 1.60 s; BASELINE.md "One reduce task per
-    CPU"). Plans at 8+ CPUs are unmeasured; the round-5 sweep that chose
-    2 per CPU at 32 CPUs predates the fused tile reduce.
+    Reduce tasks: one bucket per reduce task, one task per CPU, at least
+    8, at most 64 (:func:`shuffle_partitions`); 8 at 1-8 CPUs. Measured
+    no worse than 2 per CPU at 1 CPU (perfbench tiles_z10/tiles_resume)
+    and at 4 CPUs (bench.py, sf0.1: flagship z7 1.44 -> 1.46 s, z10 1.72
+    -> 1.60 s; BASELINE.md "One reduce task per CPU"). Plans at 8+ CPUs
+    are unmeasured.
 
     ``schema``, when given, is the reduce's output ``pyarrow.Schema``; it
     is cached on the returned Dataset so ``schema()`` and
@@ -98,12 +119,48 @@ def bucket_exchange(ds, bucket_col, n_buckets, reduce_block, batch_format, schem
     engine's only use of Ray's private plan; if an upgrade removes
     ``cache_schema`` the call fails here, at plan construction.
     """
-    n_ranges = min(n_buckets, shuffle_partitions(cap=n_buckets))
-    step = n_buckets / n_ranges
-    boundaries = [round(i * step) for i in range(1, n_ranges)]
-    out = ds.sort(bucket_col, boundaries=boundaries).map_batches(
-        reduce_block, batch_format=batch_format, batch_size=None
+    keys = [key] if isinstance(key, str) else list(key)
+    n = shuffle_partitions()
+
+    def add_bucket(block):
+        if isinstance(block, pa.Table):
+            return block.append_column(BUCKET, pa.array(_bucket_of(block.select(keys), n)))
+        out = block.copy(deep=False)  # a new column, not a copy of the data
+        out[BUCKET] = _bucket_of(pa.Table.from_pandas(block[keys], preserve_index=False), n)
+        return out
+
+    @functools.wraps(getattr(reduce_block, "func", reduce_block))
+    def reduce(block):
+        if isinstance(block, pa.Table):
+            return reduce_block(block.drop_columns([BUCKET]))
+        block = block.copy(deep=False)
+        del block[BUCKET]
+        return reduce_block(block)
+
+    sides = [
+        d.map_batches(add_bucket, batch_format=None) for d in (ds if isinstance(ds, list) else [ds])
+    ]
+    bucketed = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
+    out = bucketed.sort(BUCKET, boundaries=list(range(1, n))).map_batches(
+        reduce, batch_format=batch_format, batch_size=None
     )
     if schema is not None:
         out._plan.cache_schema(schema)
     return out
+
+
+def _bucket_of(keys, n):
+    """The bucket in ``[0, n)`` of every row of the key columns ``keys``."""
+    cols = keys.columns
+    if len(cols) == 1 and pa.types.is_integer(cols[0].type):
+        k = cols[0].fill_null(0).to_numpy()
+        return (k % k.dtype.type(n)).astype(np.int64)
+    # an int column hashes as ints whether or not its block holds a null
+    frame = pd.DataFrame(
+        {
+            i: c.fill_null(0).to_numpy() if pa.types.is_integer(c.type) else c.to_pandas()
+            for i, c in enumerate(cols)
+        }
+    )
+    h = pd.util.hash_pandas_object(frame, index=False).to_numpy()
+    return (h % np.uint64(n)).astype(np.int64)

@@ -153,22 +153,14 @@ def cell_agg_salted(sf_dir, key="h3_r8"):
     from ..stages.agg import hash_bucket_agg
 
     partial = ds.map_batches(_salted_partial(key), batch_format="pandas")
-    # stage 2 spreads a hot cell's partials over N_SALT reducer keys; the
-    # bucket key is a COMBINED (cell, salt) value — bucketing on salt
-    # alone would light up only N_SALT of the 64 buckets. Both reduces
-    # run as hash-bucket aggregates (cell cardinality is planet-scale at
-    # res 8 — stages/agg.py); int64 wrap in the combine is fine, it only
-    # has to be a pure function of (cell, salt).
-    def add_ks(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__ks"] = df[key].to_numpy() * np.int64(31) + df["salt"].to_numpy()
-        return df
-
+    # stage 2 spreads a hot cell's partials over N_SALT reducer keys: the
+    # exchange keys on the pair [cell, salt] — keying on salt alone would
+    # light up only N_SALT buckets. Both reduces run as keyed exchanges
+    # (cell cardinality is planet-scale at res 8 — stages/agg.py).
     mid = hash_bucket_agg(
-        partial.map_batches(add_ks, batch_format="pandas"),
-        "__ks",
-        lambda df: df.drop(columns="__ks")
-        .groupby([key, "salt"], as_index=False)["n"]
+        partial,
+        [key, "salt"],
+        lambda df: df.groupby([key, "salt"], as_index=False)["n"]
         .sum()
         .rename(columns={"n": "n_mid"}),
     )

@@ -119,12 +119,11 @@ def pagerank(sf_dir, n_iter=N_ITER):
             ds.map_batches(contribs, batch_format="pyarrow"),
             "doc_id",
             reduce_rank,
-            n_buckets=64,
         )
     return ds
 
 
-def pagerank_edges(sf_dir, n_iter=N_ITER, n_buckets=64):
+def pagerank_edges(sf_dir, n_iter=N_ITER):
     """PageRank over a REAL extracted edge table (same fixed point as
     :func:`pagerank`, so the same unrolled-CTE oracle verifies it).
 
@@ -142,7 +141,7 @@ def pagerank_edges(sf_dir, n_iter=N_ITER, n_buckets=64):
       n_iter times). The page corpus itself streams through exactly one
       extraction pass.
     * One iteration = one bucketed join exchange (edges + rank rows,
-      co-located by ``doc_id % n_buckets``) + one keyed partial-sum
+      co-located by their ``doc_id`` bucket) + one keyed partial-sum
       exchange of (dst, contribution) int64 pairs. No-inlink nodes stay
       in the domain via zero self-rows emitted from the join output
       (every node has FANOUT out-edges, so every node appears as a src).
@@ -202,7 +201,6 @@ def pagerank_edges(sf_dir, n_iter=N_ITER, n_buckets=64):
             links,
             rank,
             "doc_id",
-            n_buckets=n_buckets,
             left_schema=links_schema,
             right_schema=rank_schema,
         )
@@ -210,7 +208,6 @@ def pagerank_edges(sf_dir, n_iter=N_ITER, n_buckets=64):
             joined.map_batches(contribs, batch_format="pyarrow"),
             "doc_id",
             reduce_rank,
-            n_buckets=n_buckets,
         )
     return rank
 

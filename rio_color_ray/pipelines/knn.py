@@ -16,9 +16,6 @@ from ..stages.knn import KNNBruteStage, knn_guarantee_radius, topk_d2, topk_per_
 from ..stages.statecache import make_stage_fn
 from .geo import cellified
 
-N_KNN_BUCKETS = 32
-
-
 def _query_side(sf_dir, n_queries):
     """Driver-side query set: (urls, lat_u, lon_u) for doc_id < n_queries.
 
@@ -93,9 +90,8 @@ SELECT query_id, url, rank FROM (
 def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
     """Cell-ring kNN (the scale path; returns a pandas DataFrame).
 
-    Points and query candidate cells are co-partitioned on the hex cell
-    (bucketed to bound group count); each bucket merges point rows with
-    candidate rows on the cell id (vectorized pandas merge) and emits
+    Every block of points merges with the broadcast candidate cells of
+    the queries on the hex cell id (vectorized pandas merge) and emits
     local (query, url, d2) pairs; a reduce per exchange block ranks the
     pairs of every query in it. Queries whose k-th distance violates the
     ring guarantee escalate with doubled radius; the provably-exact
@@ -112,7 +108,6 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
         return pa.table(
             {
                 "cell": pa.array(cell, pa.int64()),
-                "bucket": pa.array(cell % N_KNN_BUCKETS, pa.int64()),
                 "url": batch.column("url"),
                 "lat_u": pa.array(np.rint(lat * 1e6).astype(np.int64), pa.int64()),
                 "lon_u": pa.array(np.rint(lon * 1e6).astype(np.int64), pa.int64()),
@@ -121,7 +116,7 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
 
     # pin the cellified points: every escalation round re-scans them, and
     # without this the whole read+cellify re-executes per round. The
-    # pinned set is (cell, bucket, url, lat_u, lon_u) — a fraction of the
+    # pinned set is (cell, url, lat_u, lon_u) — a fraction of the
     # corpus; at cluster scale the object store spills it rather than
     # re-reading storage each round (a deliberate trade documented here).
     cell_pts = pts.map_batches(add_cell, batch_format="pyarrow").materialize()
@@ -141,7 +136,6 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
                 "qpos": remaining[owner],
             }
         )
-        cand["bucket"] = cand["cell"] % N_KNN_BUCKETS
 
         # broadcast the candidate table (small: queries x disk size)
         empty = pa.table(
@@ -153,7 +147,7 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
         )
 
         def local_pairs(batch: pd.DataFrame, cand=cand):
-            m = batch.merge(cand, on=["bucket", "cell"], how="inner")
+            m = batch.merge(cand, on="cell", how="inner")
             if m.empty:
                 return empty
             qp = m["qpos"].to_numpy()

@@ -172,7 +172,7 @@ def q3_top_orders(sf_dir, k=10, num_partitions=16, builtin_join=False):
             lambda b: b.rename_columns(["o_orderkey", "revenue_micros"]),
             batch_format="pyarrow",
         )
-        joined = bucketed_hash_join(orders, li, "o_orderkey", n_buckets=num_partitions)
+        joined = bucketed_hash_join(orders, li, "o_orderkey")
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.groupby("o_orderkey", as_index=False)["revenue_micros"].sum()
@@ -201,7 +201,7 @@ SELECT o_orderkey, revenue_micros FROM (
 """
 
 
-def q5_nation_revenue(sf_dir, n_buckets=16):
+def q5_nation_revenue(sf_dir):
     """Revenue by customer nation — explicit bucketed hash join for the
     large-large side, broadcast merges for the dimensions."""
     import pyarrow.parquet as pq
@@ -225,7 +225,7 @@ def q5_nation_revenue(sf_dir, n_buckets=16):
         )
 
     li = li.map_batches(revenue, batch_format="pyarrow")
-    joined = bucketed_hash_join(orders, li, key="o_orderkey", n_buckets=n_buckets)
+    joined = bucketed_hash_join(orders, li, key="o_orderkey")
 
     # customer |><| nation is small but NOT tiny (150k x sf rows): ship it
     # once through the object store (ray.put; BroadcastJoinStage resolves
@@ -503,7 +503,7 @@ FROM assigned GROUP BY 1, 2
 SESSION_GAP_US = 30 * 60 * 1_000_000  # 30 min inactivity closes a session
 
 
-def sessionize(sf_dir, n_buckets=64):
+def sessionize(sf_dir):
     """Gap-based session windows per user (classic streaming op).
 
     Shuffle key = hash bucket of user_id (stages/agg.py); inside each
@@ -548,7 +548,7 @@ def sessionize(sf_dir, n_buckets=64):
         )
         return out
 
-    return hash_bucket_agg(ds, "user_id", sessions, n_buckets=n_buckets)
+    return hash_bucket_agg(ds, "user_id", sessions)
 
 
 SESSIONIZE_SQL = """
@@ -631,7 +631,7 @@ WHERE l_shipdate >= TIMESTAMP '{Q6_YEAR}-01-01 00:00:00'
 # As-of join (event-time point join), the classic operator Ray Data lacks.
 # ---------------------------------------------------------------------------
 
-def asof_join_clicks(sf_dir, n_buckets=64):
+def asof_join_clicks(sf_dir):
     """For every purchase, the latest click by the same user at-or-before
     the purchase (ordered by (ts, event_id) — fully deterministic ties).
 
@@ -673,7 +673,7 @@ def asof_join_clicks(sf_dir, n_buckets=64):
             }
         )
 
-    return hash_bucket_agg(ds, "user_id", asof, n_buckets=n_buckets)
+    return hash_bucket_agg(ds, "user_id", asof)
 
 
 ASOF_SQL = """
@@ -751,7 +751,7 @@ SELECT o_orderpriority, rank, o_orderkey, price_cents FROM (
 Q18_MIN_QTY = 200
 
 
-def q18_large_orders(sf_dir, min_qty=Q18_MIN_QTY, n_buckets=16):
+def q18_large_orders(sf_dir, min_qty=Q18_MIN_QTY):
     """Orders whose total lineitem quantity exceeds ``min_qty``.
 
     Two-level aggregate (per-batch partial sums -> small groupby), the
@@ -788,7 +788,6 @@ def q18_large_orders(sf_dir, min_qty=Q18_MIN_QTY, n_buckets=16):
         orders,
         per_order,
         key="o_orderkey",
-        n_buckets=n_buckets,
         left_schema={
             "o_orderkey": pa.int64(),
             "o_custkey": pa.int64(),
@@ -850,7 +849,7 @@ JOIN customer c ON c.c_custkey = o.o_custkey
 Q10_QTR = ("1996-01-01", "1996-04-01")
 
 
-def q10_returned_revenue(sf_dir, k=20, n_buckets=16):
+def q10_returned_revenue(sf_dir, k=20):
     """Revenue lost to returns per customer for one order quarter.
 
     orders (quarter filter pushed to the scan) |><| lineitem(R) through
@@ -890,7 +889,7 @@ def q10_returned_revenue(sf_dir, k=20, n_buckets=16):
         )
 
     li = li.map_batches(returned_revenue, batch_format="pyarrow")
-    joined = bucketed_hash_join(orders, li, "o_orderkey", n_buckets=n_buckets)
+    joined = bucketed_hash_join(orders, li, "o_orderkey")
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.groupby("o_custkey", as_index=False)["revenue_micros"].sum()
@@ -1016,7 +1015,7 @@ GROUP BY event_type
 RANGE_JOIN_WINDOW_US = 3_600_000_000  # 1 hour
 
 
-def range_join_clicks(sf_dir, window_us=RANGE_JOIN_WINDOW_US, n_buckets=64):
+def range_join_clicks(sf_dir, window_us=RANGE_JOIN_WINDOW_US):
     """For every purchase, how many clicks the same user made in
     ``[ts - window, ts)``.
 
@@ -1078,7 +1077,7 @@ def range_join_clicks(sf_dir, window_us=RANGE_JOIN_WINDOW_US, n_buckets=64):
             )
         return pd.concat(frames, ignore_index=True)
 
-    return hash_bucket_agg(ds, "user_id", count_range, n_buckets=n_buckets)
+    return hash_bucket_agg(ds, "user_id", count_range)
 
 
 RANGE_JOIN_SQL = f"""
@@ -1098,7 +1097,7 @@ GROUP BY p.event_id, p.user_id, p.ts
 # ---------------------------------------------------------------------------
 
 
-def customer_order_counts(sf_dir, n_buckets=16):
+def customer_order_counts(sf_dir):
     """All customers with their order count and total spend in cents.
 
     The orders side collapses to per-customer partials BEFORE the join
@@ -1131,7 +1130,6 @@ def customer_order_counts(sf_dir, n_buckets=16):
         cust,
         per_cust,
         key="c_custkey",
-        n_buckets=n_buckets,
         how="left",
         left_schema={"c_custkey": pa.int64(), "c_name": pa.string()},
         right_schema={
@@ -1165,7 +1163,7 @@ GROUP BY c.c_custkey, c.c_name
 # ---------------------------------------------------------------------------
 
 
-def event_gaps(sf_dir, n_buckets=64):
+def event_gaps(sf_dir):
     """(event_id, user_id, gap_us) for every event with a predecessor.
 
     The lag window over (user_id ORDER BY ts, event_id) as one
@@ -1193,7 +1191,7 @@ def event_gaps(sf_dir, n_buckets=64):
             }
         )
 
-    return hash_bucket_agg(ds, "user_id", gaps, n_buckets=n_buckets)
+    return hash_bucket_agg(ds, "user_id", gaps)
 
 
 EVENT_GAPS_SQL = """
@@ -1309,7 +1307,7 @@ _ARRIVAL_KNUTH = 2654435761
 _ARRIVAL_JITTER = 4096
 
 
-def late_events(sf_dir, n_buckets=64):
+def late_events(sf_dir):
     """Events that arrived AFTER later event-time had already been seen
     for the same user — the set a watermarking ingester would quarantine.
 
@@ -1350,7 +1348,7 @@ def late_events(sf_dir, n_buckets=64):
             }
         )
 
-    return hash_bucket_agg(ds, "user_id", late, n_buckets=n_buckets)
+    return hash_bucket_agg(ds, "user_id", late)
 
 
 LATE_EVENTS_SQL = f"""
@@ -1377,7 +1375,7 @@ SELECT event_id, user_id, max_prev - epoch_us(ts) AS lateness_us FROM (
 Q4_LATE_DAYS = 30
 
 
-def q4_late_shipments(sf_dir, n_buckets=16):
+def q4_late_shipments(sf_dir):
     """Per-priority count of orders with any lineitem shipped more than
     ``Q4_LATE_DAYS`` days after the order date.
 
@@ -1414,7 +1412,6 @@ def q4_late_shipments(sf_dir, n_buckets=16):
         orders,
         per_order,
         key="o_orderkey",
-        n_buckets=n_buckets,
         left_schema={
             "o_orderkey": pa.int64(),
             "o_orderdate": pa.timestamp("us"),
@@ -1457,7 +1454,7 @@ GROUP BY o_orderpriority
 # ---------------------------------------------------------------------------
 
 
-def user_running_value(sf_dir, n_buckets=64):
+def user_running_value(sf_dir):
     """(event_id, user_id, cum_value_cents): each user's running total of
     event value in exact integer cents, ordered by (ts, event_id).
 
@@ -1487,7 +1484,7 @@ def user_running_value(sf_dir, n_buckets=64):
             }
         )
 
-    return hash_bucket_agg(ds, "user_id", running, n_buckets=n_buckets)
+    return hash_bucket_agg(ds, "user_id", running)
 
 
 USER_RUNNING_VALUE_SQL = """

@@ -11,8 +11,8 @@ Shuffle discipline (round-5 design; measurements in BASELINE.md):
   (tile_key, pix, n) — reduces the corpus to at most
   active-pixels-per-tile rows per batch before any exchange.
 * stage 2 (the keyed exchange, ``ctx.bucket_exchange``): partials carry
-  ``bucket = splitmix64(tile_key) % N_TILE_BUCKETS`` (the mix
-  decorrelates bucket id from tile adjacency, so hot cities spread
+  ``tile_hash = splitmix64(tile_key)`` and the exchange keys on it (the
+  mix decorrelates the bucket from tile adjacency, so hot cities spread
   uniformly) and every tile's partials meet in one exchange block,
   which is assembled and colored in ONE vectorized call over its
   distinct pixel counts. The exchange declares that reduce's output
@@ -58,10 +58,9 @@ def color_stage(tiles_ds, ops, out_dtype=None, concurrency=None):
 TILE_SIZE = 32
 DEFAULT_ZOOM = 7
 DEFAULT_OPS = "gamma rgb 1.2, sigmoidal rgb 6 0.25, saturation 1.1"
-N_TILE_BUCKETS = 1024
 # the partial-histogram rows stage 1 emits and the exchange moves
 _PARTIALS_SCHEMA = pa.schema(
-    [(name, pa.int64()) for name in ("tile_key", "bucket", "pix", "n")]
+    [(name, pa.int64()) for name in ("tile_key", "tile_hash", "pix", "n")]
 )
 
 
@@ -84,17 +83,15 @@ def _partial_pixel_counts(z):
         combo = key * (TILE_SIZE * TILE_SIZE) + pix
         uniq, counts = np.unique(combo, return_counts=True)
         tile_key = uniq // (TILE_SIZE * TILE_SIZE)
-        # bucket by a MIXED tile key, not tile_key % B: adjacent tiles
-        # (hot cities) get adjacent raw keys, and the sort-based exchange
-        # range-splits CONTIGUOUS bucket ranges into reduce tasks — with
-        # the raw modulo one range swallowed a whole city (measured 34x
-        # tiles-per-task spread, 3.5s straggler at z10/sf0.1; round-5
-        # profile). splitmix64 decorrelates bucket id from tile
-        # adjacency, so every contiguous bucket range is a uniform
-        # sample of the tile population.
-        bucket = (splitmix64(tile_key) % np.uint64(N_TILE_BUCKETS)).astype(np.int64)
+        # key the exchange on a MIXED tile key, not tile_key: adjacent
+        # tiles (hot cities) get adjacent raw keys, and a contiguous run
+        # of raw keys once put a whole city in one reduce task (measured
+        # 34x tiles-per-task spread, 3.5s straggler at z10/sf0.1; round-5
+        # profile). splitmix64 decorrelates the bucket from tile
+        # adjacency, so every bucket is a uniform sample of the tiles.
+        tile_hash = splitmix64(tile_key).view(np.int64)
         return pa.Table.from_arrays(
-            [tile_key, bucket, uniq % (TILE_SIZE * TILE_SIZE), counts.astype(np.int64)],
+            [tile_key, tile_hash, uniq % (TILE_SIZE * TILE_SIZE), counts.astype(np.int64)],
             schema=_PARTIALS_SCHEMA,
         )
 
@@ -102,7 +99,7 @@ def _partial_pixel_counts(z):
 
 
 def _assemble_bucket(group: pa.Table, ops=None) -> pa.Table:
-    """All tiles of one bucket RANGE (one exchange block), rendered and,
+    """All tiles of one bucket (one exchange block), rendered and,
     given an ops program, color-corrected in one vectorized pass.
 
     Every output byte of a pixel depends only on that pixel's count, so
@@ -189,10 +186,10 @@ def render_tiles_from(points_ds, z=DEFAULT_ZOOM, ops=None):
     color-corrected by the DSL program ``ops`` when one is given.
 
     Per-batch partial pixel histograms, then one keyed exchange on the
-    mixed tile bucket (``ctx.bucket_exchange``, which documents the
+    mixed tile key (``ctx.bucket_exchange``, which documents the
     exchange and its reduce-task count) with :func:`_assemble_bucket` as
-    the reduce. At cluster scale raise N_TILE_BUCKETS together with zoom
-    when a bucket range outgrows a worker's heap.
+    the reduce. One reduce task holds one bucket, 1/``shuffle_partitions()``
+    of the tiles; at cluster scale that count grows with the CPUs.
 
     The returned Dataset carries its output schema, taken from the
     reduce's own output over an empty partials table (one cheap local
@@ -202,7 +199,7 @@ def render_tiles_from(points_ds, z=DEFAULT_ZOOM, ops=None):
     parts = points_ds.map_batches(_partial_pixel_counts(z), batch_format="pyarrow")
     reduce_block = partial(_assemble_bucket, ops=ops)
     schema = reduce_block(_PARTIALS_SCHEMA.empty_table()).schema
-    return bucket_exchange(parts, "bucket", N_TILE_BUCKETS, reduce_block, "pyarrow", schema)
+    return bucket_exchange(parts, "tile_hash", reduce_block, "pyarrow", schema)
 
 
 def render_tiles(sf_dir, z=DEFAULT_ZOOM, replicate=1, ops=None):

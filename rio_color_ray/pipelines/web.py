@@ -105,7 +105,7 @@ def host_stats(sf_dir, replicate=1):
         )
 
     ds = pages(sf_dir, replicate=replicate).map_batches(partial, batch_format="pyarrow")
-    return hash_bucket_agg(ds, "host", final, n_buckets=16)
+    return hash_bucket_agg(ds, "host", final)
 
 
 def host_stats_sql(pages_cte: str) -> str:
@@ -144,7 +144,7 @@ def latest_page_snapshot(sf_dir, group=4, replicate=1):
         return out[["canon_id", "url", "warc_ts"]]
 
     ds = pages(sf_dir, replicate=replicate).map_batches(partial, batch_format="pyarrow")
-    return hash_bucket_agg(ds, "canon_id", final, n_buckets=64)
+    return hash_bucket_agg(ds, "canon_id", final)
 
 
 def latest_page_snapshot_sql(pages_cte: str, group=4) -> str:
@@ -187,7 +187,7 @@ def url_canonical_dedup(sf_dir, replicate=1):
     ds = pages(sf_dir, replicate=replicate).map_batches(
         expand_canon, batch_format="pyarrow"
     )
-    return hash_bucket_agg(ds, "canon_url", final, n_buckets=16)
+    return hash_bucket_agg(ds, "canon_url", final)
 
 
 def url_canonical_dedup_sql(pages_cte: str) -> str:

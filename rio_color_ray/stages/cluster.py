@@ -20,10 +20,10 @@ Scale notes (100 TB):
   10^6 rows, not 10^12 pairs (the LSH pair-blowup problem does not
   exist here).
 * Each half-iteration is ONE keyed exchange (``ctx.bucket_exchange``)
-  of the (node, key, label) triple table on a hash BUCKET of the key,
-  with a vectorized pandas ``transform('min')`` over each exchange
-  block (a range of buckets) — no per-group Python call, no skew
-  sensitivity beyond the bucket.
+  of the (node, key, label) triple table on the grouping column, with
+  a vectorized pandas ``transform('min')`` over each exchange block
+  (one bucket of keys) — no per-group Python call, no skew sensitivity
+  beyond the bucket.
 * Iteration count is O(log diameter), not one hop per round: the
   key-grouped pass PATH-COMPRESSES the graph (key := the group's
   converged label, plus a witness self-row — see ``_spread_min``
@@ -51,7 +51,6 @@ def min_label_components(
     keys_ds: "ray.data.Dataset",
     node_col: str = "doc_id",
     key_col: str = "key",
-    n_buckets: int = 64,
     max_iters: int = 30,
     local_finish_rows: int = 2_000_000,
 ) -> "ray.data.Dataset":
@@ -73,19 +72,8 @@ def min_label_components(
     rounds, used by the convergence tests).
     """
 
-    def _exchange(ds, col, reduce_block):
-        """Keyed exchange on a hash bucket of ``col``."""
-
-        def add(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["__b"] = df[col].to_numpy() % n_buckets
-            return df
-
-        bucketed = ds.map_batches(add, batch_format="pandas")
-        return bucket_exchange(bucketed, "__b", n_buckets, reduce_block, "pandas")
-
     def _spread_min(group_col, other_col, rewrite=False):
-        """Within each exchange block (a range of hash buckets), propagate
+        """Within each exchange block (one bucket of keys), propagate
         min labels to LOCAL convergence: alternate per-group min over
         ``group_col`` and ``other_col`` until the block's sub-graph is
         stable. Labels only ever decrease and are bounded below by the
@@ -152,9 +140,11 @@ def min_label_components(
         batch_format="pandas",
     )
     for it in range(max_iters):
-        ds = _exchange(ds, key_col, _spread_min(key_col, node_col, rewrite=True))
-        ds = _exchange(ds, node_col, _spread_min(node_col, key_col))
-        ds = ds.drop_columns(["__b"]).materialize()
+        ds = bucket_exchange(
+            ds, key_col, _spread_min(key_col, node_col, rewrite=True), "pandas"
+        )
+        ds = bucket_exchange(ds, node_col, _spread_min(node_col, key_col), "pandas")
+        ds = ds.materialize()
         if ds.sum("__changed") == 0:
             import logging
 
@@ -186,4 +176,4 @@ def min_label_components(
         out = bucket.groupby(node_col, as_index=False)["label"].min()
         return out.rename(columns={"label": "cluster_id"})
 
-    return _exchange(ds, node_col, finish)
+    return bucket_exchange(ds, node_col, finish, "pandas")

@@ -212,7 +212,8 @@ def check_tiles(batch: pa.Table):
     """Raise ValueError naming the first malformed tile of ``batch``.
 
     A tile is well formed when its ``pixels`` is not null, its ``dtype``
-    is uint8 or uint16, and its buffer holds exactly
+    is uint8 or uint16, ``band_count``, ``width`` and ``height`` are at
+    least 1, and its buffer holds exactly
     ``band_count * width * height * itemsize`` bytes. One vectorized pass
     over the whole batch; the per-tile message is built only on failure.
     """
@@ -221,7 +222,10 @@ def check_tiles(batch: pa.Table):
     itemsize = pc.if_else(pc.equal(dtype, "uint16"), 2, 1)
     expected = pc.multiply(pc.multiply(b, w), pc.multiply(h, itemsize))
     ok = pc.and_(
-        pc.is_in(dtype, value_set=pa.array(list(_ITEMSIZE))),
+        pc.and_(
+            pc.is_in(dtype, value_set=pa.array(list(_ITEMSIZE))),
+            pc.greater(pc.min_element_wise(b, w, h), 0),
+        ),
         pc.equal(pc.binary_length(pixels).cast(pa.int64()), expected),
     )
     bad = np.flatnonzero(~pc.fill_null(ok, False).to_numpy(zero_copy_only=False))
@@ -234,6 +238,12 @@ def check_tiles(batch: pa.Table):
         raise ValueError(f"{name}: pixels is null")
     if row["dtype"] not in _ITEMSIZE:
         raise ValueError(f"{name}: unsupported dtype {row['dtype']!r}, expected uint8 or uint16")
+    size = (row["band_count"], row["width"], row["height"])
+    if any(v is None or v < 1 for v in size):
+        raise ValueError(
+            f"{name}: {size[0]} bands x {size[1]} x {size[2]}, "
+            "band_count, width and height must be at least 1"
+        )
     raise ValueError(
         f"{name}: pixels has {len(row['pixels'])} bytes, expected {expected[i].as_py()} "
         f"({row['band_count']} bands x {row['width']} x {row['height']} x "

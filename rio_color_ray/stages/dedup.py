@@ -192,28 +192,19 @@ class MinHashStage:
         )
 
 
-def _bucketed_segment_pairs(
-    band_ds, emit, n_buckets=64, extra_cols=(), what="LSH", dedup=True
-):
+def _bucketed_segment_pairs(band_ds, emit, extra_cols=(), what="LSH", dedup=True):
     """Shared scaffolding for banded candidate-pair stages.
 
     The LSH group count grows with the corpus (bands x distinct hashes),
-    so grouping runs on HASH BUCKETS of (band, band_hash), moved by the
-    keyed exchange (``ctx.bucket_exchange``) — one reduce call per
-    exchange block, not one per LSH bucket (~0.6 ms/group measured, see
-    stages/agg.py). Inside a block, segments are found with one lexsort
-    + boundary mask and handed to
-    ``emit(ids, extras) -> (id_a, id_b, degraded)`` per segment (numpy
-    slices, ~us each). The cross-band duplicate collapse is a bucketed
-    pair-hash drop_duplicates — never a pair-cardinality groupby.
+    so the keyed exchange (``ctx.bucket_exchange``) moves the rows on the
+    key ``[band, band_hash]`` — one reduce call per exchange block, not
+    one per LSH bucket (~0.6 ms/group measured, see stages/agg.py).
+    Inside a block, segments are found with one lexsort + boundary mask
+    and handed to ``emit(ids, extras) -> (id_a, id_b, degraded)`` per
+    segment (numpy slices, ~us each). The cross-band duplicate collapse
+    is an exchange keyed on the pair with one drop_duplicates per block
+    (:func:`dedup_pairs`) — never a pair-cardinality groupby.
     """
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        bh = df["band_hash"].to_numpy().astype(np.int64)
-        bd = df["band"].to_numpy().astype(np.int64)
-        df["__b"] = (bh * 1315423911 + bd) % n_buckets
-        return df
 
     def pairs_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
         d = bucket.drop_duplicates(["band", "band_hash", "id"]).sort_values(
@@ -256,16 +247,15 @@ def _bucketed_segment_pairs(
             {"id_a": np.concatenate(outs_a), "id_b": np.concatenate(outs_b)}
         )
 
-    bucketed = band_ds.map_batches(add_bucket, batch_format="pandas")
-    cand = bucket_exchange(bucketed, "__b", n_buckets, pairs_bucket, "pandas")
+    cand = bucket_exchange(band_ds, ["band", "band_hash"], pairs_bucket, "pandas")
     if not dedup:
         # caller collapses cross-band duplicates itself (e.g. inside the
         # verify exchange) — skip the dedicated pair-dedup exchange
         return cand
-    return dedup_pairs(cand, n_buckets=n_buckets)
+    return dedup_pairs(cand)
 
 
-def candidate_pairs_from_bands(band_ds, n_buckets=64, dedup=True):
+def candidate_pairs_from_bands(band_ds, dedup=True):
     """(band, band_hash) groups -> unique candidate id pairs (a < b),
     vectorized per segment (triu_indices) and star-capped
     (MAX_BUCKET_PAIRS_IDS) — see :func:`_bucketed_segment_pairs`.
@@ -279,32 +269,20 @@ def candidate_pairs_from_bands(band_ds, n_buckets=64, dedup=True):
         ia, ib = np.triu_indices(c, k=1)
         return u[ia], u[ib], 0
 
-    return _bucketed_segment_pairs(band_ds, emit, n_buckets=n_buckets, dedup=dedup)
+    return _bucketed_segment_pairs(band_ds, emit, dedup=dedup)
 
 
-def dedup_pairs(cand, n_buckets=64):
-    """Distinct (id_a, id_b) rows via a pair-hash bucketed exchange.
+def dedup_pairs(cand):
+    """Distinct (id_a, id_b) rows via an exchange keyed on the pair.
 
     Pair cardinality grows with the corpus, so the collapse must not be
-    one Ray group per pair — bucket on a hash of the pair, vectorized
-    drop_duplicates inside each exchange block.
+    one Ray group per pair — the exchange keys on ``[id_a, id_b]`` and
+    each exchange block runs one vectorized drop_duplicates.
     """
-
-    def add_pair_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        h = pd.util.hash_pandas_object(
-            df["id_a"].astype(str) + "\x00" + df["id_b"].astype(str), index=False
-        ).to_numpy()
-        df["__b"] = (h % np.uint64(n_buckets)).astype(np.int64)
-        return df
-
-    bucketed = cand.map_batches(add_pair_bucket, batch_format="pandas")
-    return bucket_exchange(
-        bucketed, "__b", n_buckets, lambda g: g.drop(columns="__b").drop_duplicates(), "pandas"
-    )
+    return bucket_exchange(cand, ["id_a", "id_b"], lambda g: g.drop_duplicates(), "pandas")
 
 
-def simhash_candidate_pairs(band_ds, max_hamming, n_buckets=64, cap=MAX_BUCKET_PAIRS_IDS):
+def simhash_candidate_pairs(band_ds, max_hamming, cap=MAX_BUCKET_PAIRS_IDS):
     """Bucketed SimHash candidate pairs with in-segment Hamming verify:
     the shared :func:`_bucketed_segment_pairs` scaffolding with an
     XOR+popcount pair filter against ``max_hamming``; segments over
@@ -326,9 +304,7 @@ def simhash_candidate_pairs(band_ds, max_hamming, n_buckets=64, cap=MAX_BUCKET_P
         keep = ham[ia, ib] <= max_hamming
         return u[ia[keep]], u[ib[keep]], 0
 
-    return _bucketed_segment_pairs(
-        band_ds, emit, n_buckets=n_buckets, extra_cols=("simhash",), what="simhash"
-    )
+    return _bucketed_segment_pairs(band_ds, emit, extra_cols=("simhash",), what="simhash")
 
 
 def jaccard(text_a, text_b, n=3):
@@ -466,14 +442,14 @@ class EmbeddingLSHStage:
         return pa.concat_tables(out)
 
 
-def embedding_cosine_pairs(band_ds, threshold, n_buckets=64, cap=MAX_BUCKET_PAIRS_IDS):
+def embedding_cosine_pairs(band_ds, threshold, cap=MAX_BUCKET_PAIRS_IDS):
     """Bucketed embedding near-dup pairs with in-segment cosine verify.
 
     The shared :func:`_bucketed_segment_pairs` scaffolding — LSH (table,
     bucket) keys ride as (band, band_hash), vectors ride as the extra
     column — so the embedding path gets the same scale guarantees the
-    text LSH paths have: hash-bucketed grouping (n_buckets Ray groups,
-    not one per LSH bucket), a ``cap`` star degradation (a boilerplate
+    text LSH paths have: grouping through the keyed exchange (one reduce
+    call per exchange block, not one per LSH bucket), a ``cap`` star degradation (a boilerplate
     cluster of n identical embeddings emits n-1 cosine-verified star
     pairs, never n^2), and the bucketed cross-table pair collapse
     (:func:`dedup_pairs`) instead of a pair-cardinality native groupby.
@@ -493,8 +469,7 @@ def embedding_cosine_pairs(band_ds, threshold, n_buckets=64, cap=MAX_BUCKET_PAIR
         return u[ia[keep]], u[ib[keep]], 0
 
     return _bucketed_segment_pairs(
-        band_ds, emit, n_buckets=n_buckets, extra_cols=("embedding",),
-        what="embedding-LSH",
+        band_ds, emit, extra_cols=("embedding",), what="embedding-LSH"
     )
 
 

@@ -3,13 +3,13 @@
 Two large-large strategies, both shuffle-aware:
 
 * ``Dataset.join`` (Ray's built-in hash-partitioned join) — used where
-  available; ``num_partitions`` chosen by the caller.
+  available; its ``num_partitions`` is the caller's.
 * ``bucketed_hash_join`` — the portable explicit pattern (ray_guide
-  "Joins and lookups"): both sides get a ``__bucket = key % B`` column
-  and a side tag, are unioned under a common nullable schema, moved by
-  the engine's keyed exchange (``ctx.bucket_exchange``), and each
-  exchange block (a range of buckets) does ONE vectorized pandas merge.
-  B is the hash modulus; the reduce parallelism is one task per CPU.
+  "Joins and lookups"): both sides get a side tag, are unioned under a
+  common nullable schema, moved by the engine's keyed exchange on the
+  key (``ctx.bucket_exchange``, which buckets it: one bucket per reduce
+  task, one task per CPU), and each exchange block does ONE vectorized
+  pandas merge.
 
 Broadcast joins ship the small side as a ``ray.put`` ref, resolve it once
 per worker process (``make_stage_fn``) and merge per batch — no shuffle.
@@ -87,7 +87,6 @@ def bucketed_hash_join(
     left,
     right,
     key,
-    n_buckets=32,
     how="inner",
     suffixes=("_l", "_r"),
     left_schema=None,
@@ -127,10 +126,6 @@ def bucketed_hash_join(
                     f"or project them away before the join"
                 )
             out = {key: batch.column(key)}
-            kv = batch.column(key).to_numpy(zero_copy_only=False)
-            out["__bucket"] = pa.array(
-                (kv % n_buckets).astype(np.int64), pa.int64()
-            )
             out["__side"] = pa.array(np.full(batch.num_rows, side, dtype=np.int8), pa.int8())
             for orig, new in colmap.items():
                 out[new] = batch.column(orig)
@@ -144,7 +139,6 @@ def bucketed_hash_join(
     r_other = [(lmap[c], lschema[c]) for c in lcols]
     lt = left.map_batches(tag(0, lmap, l_other), batch_format="pyarrow")
     rt = right.map_batches(tag(1, rmap, r_other), batch_format="pyarrow")
-    both = lt.union(rt)
 
     lnames = [lmap[c] for c in lcols]
     rnames = [rmap[c] for c in rcols]
@@ -160,4 +154,4 @@ def bucketed_hash_join(
         rg = group.filter(pc.equal(side, 1)).select([key] + rnames).to_pandas()
         return lg.merge(rg, on=key, how=how)
 
-    return bucket_exchange(both, "__bucket", n_buckets, merge_bucket, "pyarrow")
+    return bucket_exchange([lt, rt], key, merge_bucket, "pyarrow")

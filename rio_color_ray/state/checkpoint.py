@@ -8,8 +8,9 @@ filters the corpus at the source) and from a rendered tile's x column
 deployment knob: at cluster scale set K ≈ a few × node count so a lost
 node forfeits only its in-flight cell ranges.
 
-The writer is a keyed exchange on ``part`` (``ctx.bucket_exchange``):
-each exchange block holds every row of the partitions in its range, and
+The writer is a keyed exchange on ``part`` (``ctx.bucket_exchange``,
+whose modulo of an int key puts dense partition ids one per reduce task):
+each exchange block holds every row of the partitions in its bucket, and
 for each partition present it writes ``out_dir/part=<p>/data.parquet``
 via tmp + ``os.replace`` (idempotent under Ray task retries — a retried
 write simply replaces the same file), THEN the lineage record, and
@@ -108,7 +109,7 @@ def checkpointed_write(tiles_ds, out_dir, z, n_parts, stage="flagship"):
     parted = tiles_ds.map_batches(add_part, batch_format="pyarrow")
     writer = _partition_writer(out_dir, stage, "tile_id", lambda p: _x_range(p, z, n_parts))
     # lineage is tiny (one row per partition)
-    return bucket_exchange(parted, "part", n_parts, writer, "pyarrow").to_pandas()
+    return bucket_exchange(parted, "part", writer, "pyarrow").to_pandas()
 
 
 def resumable_flagship(
@@ -242,7 +243,7 @@ def resumable_curate(sf_dir, out_dir, n_parts=16, max_partitions=None, **curate_
     # cell_lo/cell_hi carry the content-hash bucket id (the lineage
     # schema's range fields; a hash bucket is a degenerate range)
     writer = _partition_writer(out_dir, "curate", "doc_id", lambda p: (p, p))
-    lineage = bucket_exchange(ds, "part", n_parts, writer, "pyarrow").to_pandas()  # tiny
+    lineage = bucket_exchange(ds, "part", writer, "pyarrow").to_pandas()  # tiny
     wrote = set(lineage["partition_id"].astype(str)) if len(lineage) else set()
     for p in pending:
         if str(p) not in wrote:

@@ -620,7 +620,7 @@ def test_min_label_components_multi_hop(ray_session):
         }
     )
     out = (
-        min_label_components(ray.data.from_pandas(keys), n_buckets=4)
+        min_label_components(ray.data.from_pandas(keys))
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -649,7 +649,7 @@ def test_min_label_components_long_chain(ray_session):
     # O(log diameter) property under test must not hide behind the
     # size-gated local finish
     out = min_label_components(
-        ray.data.from_pandas(keys), n_buckets=16, local_finish_rows=0
+        ray.data.from_pandas(keys), local_finish_rows=0
     ).to_pandas()
     assert len(out) == n
     assert (out["cluster_id"] == 0).all()
@@ -748,7 +748,7 @@ def test_min_label_components_random_graphs_vs_union_find(ray_session):
         for lfr in (0, 2_000_000):
             got = (
                 min_label_components(
-                    ray.data.from_pandas(df), n_buckets=8, local_finish_rows=lfr
+                    ray.data.from_pandas(df), local_finish_rows=lfr
                 )
                 .to_pandas()
                 .set_index("doc_id")["cluster_id"]

@@ -394,8 +394,13 @@ def _malformed(t, case):
         dt = t.column("dtype").to_pylist()
         dt[2] = "float32"
         return t.set_column(t.schema.get_field_index("dtype"), "dtype", pa.array(dt))
+    if case == "zero":  # a 0 x 0 tile: its empty buffer has the "right" length
+        for c in ("width", "height"):
+            v = t.column(c).to_pylist()
+            v[2] = 0
+            t = t.set_column(t.schema.get_field_index(c), c, pa.array(v, t.schema.field(c).type))
     px = t.column("pixels").to_pylist()
-    px[2] = None if case == "null" else px[2][:-1]
+    px[2] = {"null": None, "zero": b""}.get(case, px[2][:-1])
     return t.set_column(t.schema.get_field_index("pixels"), "pixels", pa.array(px, pa.binary()))
 
 
@@ -405,6 +410,7 @@ def _malformed(t, case):
         ("short", "pixels has 3071 bytes, expected 3072 (3 bands x 32 x 32 x 1 bytes)"),
         ("null", "pixels is null"),
         ("float32", "unsupported dtype 'float32', expected uint8 or uint16"),
+        ("zero", "3 bands x 0 x 0, band_count, width and height must be at least 1"),
     ],
 )
 def test_color_stage_names_the_malformed_tile(case, message):

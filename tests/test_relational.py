@@ -66,7 +66,7 @@ def test_bucketed_join_edge_cases(ray_session):
     rdf = pd.DataFrame({"k": [-5, 3, 3, 11], "rv": [10, 20, 30, 40]})
     out = (
         bucketed_hash_join(
-            ray.data.from_pandas(ldf), ray.data.from_pandas(rdf), key="k", n_buckets=4
+            ray.data.from_pandas(ldf), ray.data.from_pandas(rdf), key="k"
         )
         .to_pandas()
         .sort_values(["k", "lv", "rv"])
@@ -77,7 +77,7 @@ def test_bucketed_join_edge_cases(ray_session):
 
     empty = pd.DataFrame({"k": pd.Series([], dtype=np.int64), "rv": pd.Series([], dtype=np.int64)})
     out2 = bucketed_hash_join(
-        ray.data.from_pandas(ldf), ray.data.from_pandas(empty), key="k", n_buckets=4
+        ray.data.from_pandas(ldf), ray.data.from_pandas(empty), key="k"
     )
     assert out2.count() == 0
 
@@ -94,7 +94,7 @@ def test_bucketed_join_pandas_backed_strings(ray_session):
     rdf = pd.DataFrame({"k": [2, 3, 4], "big": [2**60 + 1, 2**60 + 2, 2**60 + 3]})
     out = (
         bucketed_hash_join(
-            ray.data.from_pandas(ldf), ray.data.from_pandas(rdf), key="k", n_buckets=2
+            ray.data.from_pandas(ldf), ray.data.from_pandas(rdf), key="k"
         )
         .to_pandas()
         .sort_values(["k", "name"])
@@ -117,7 +117,7 @@ def test_bucketed_join_matches_builtin(ray_session):
     li = li.map_batches(
         lambda b: b.rename_columns(["o_orderkey", "l_quantity"]), batch_format="pyarrow"
     )
-    ours = bucketed_hash_join(orders, li, key="o_orderkey", n_buckets=8).to_pandas()
+    ours = bucketed_hash_join(orders, li, key="o_orderkey").to_pandas()
     builtin = (
         ray.data.read_parquet(f"{SF}/orders.parquet", columns=["o_orderkey", "o_custkey"])
         .join(
@@ -319,7 +319,7 @@ def test_bucketed_join_left_unmatched(ray_session):
     out = (
         bucketed_hash_join(
             ray.data.from_pandas(ldf), ray.data.from_pandas(rdf), key="k",
-            n_buckets=3, how="left",
+            how="left",
         )
         .to_pandas()
         .sort_values("k")

@@ -13,6 +13,10 @@ Every keyed reduce the engine defines runs through ``ctx.bucket_exchange``
 exchange block per call. Ray's ``groupby(key).map_groups`` calls Python
 once per group and ignores ``num_partitions`` under the sort shuffle, so
 no ``map_groups`` call may come back into the package.
+
+The exchange owns the bucket: callers pass a key, and ``bucket_exchange``
+alone maps it to one bucket per reduce task. So no function may take a
+bucket count (``n_buckets``) again.
 """
 
 import ast
@@ -72,3 +76,15 @@ def test_no_map_groups_in_the_engine():
         and node.func.attr == "map_groups"
     ]
     assert not bad, "map_groups calls:\n" + "\n".join(bad)
+
+
+def test_no_n_buckets_parameter():
+    bad = [
+        f"{path.relative_to(PKG.parent)}:{node.lineno} {node.name}"
+        for path, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "n_buckets"
+        in [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+    ]
+    assert not bad, "functions taking n_buckets:\n" + "\n".join(bad)
