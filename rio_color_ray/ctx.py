@@ -38,8 +38,9 @@ def tune_data_context():
     ctx = DataContext.get_current()
     ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
     # Dataset.join runs Ray's hash-shuffle join (aggregator actors) under
-    # any strategy — q3_top_orders(builtin_join=True). With the pool
-    # uncapped that query stalled on a 4-CPU node.
+    # any strategy — the reference join of tests/test_relational.py::
+    # test_bucketed_join_matches_builtin. With the pool uncapped a q3
+    # join through it stalled on a 4-CPU node.
     ctx.max_hash_shuffle_aggregators = 8
     return ctx
 

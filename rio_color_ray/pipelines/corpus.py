@@ -697,15 +697,6 @@ def embeddings_replicated(sf_dir, replicate=1):
     return ds.map_batches(expand, batch_format="pyarrow")
 
 
-def embedding_buckets(sf_dir):
-    """LSH bucket assignment for every embedding (the ANN scale path's
-    partitioning key; same-(table, bucket) ids are near-dup candidates)."""
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-    return ds.map_batches(make_stage_fn(EmbeddingLSHStage), batch_format="pyarrow")
-
-
 def embedding_near_dup(sf_dir, threshold=0.95, replicate=2, n_tables=4):
     """Embedding near-dup pairs: multi-table LSH -> within-bucket cosine.
 

@@ -16,7 +16,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..sources.pages import synth_pages_batch
+from ..sources.pages import REP_STRIDE, synth_pages_batch
 from ..sources.polygons import make_admin_polygons, make_admin_rects
 from ..stages.cellify import cellify_batch
 from ..stages.geocode import geocode_batch
@@ -30,8 +30,9 @@ N_SALT = 16  # salt fan-out for hot-cell aggregation
 def pages(sf_dir, replicate=1, links_n=0):
     """The Common-Crawl-style corpus (url, warc_ts, html, text, lang).
 
-    ``replicate > 1`` unions that many deterministic corpus copies
-    (distinct urls/coords) — bench-scale input without external data.
+    ``replicate > 1`` emits that many deterministic corpus copies
+    (distinct urls/coords), replica-major within each block — bench-scale
+    input without external data.
     ``links_n > 0`` embeds the outbound href elements (sources/pages.py)
     used by the link-graph pipelines; off elsewhere so the geocode/tile
     path never pays for them.
@@ -46,18 +47,21 @@ def pages(sf_dir, replicate=1, links_n=0):
         "documents",
         columns=["doc_id", "source", "text", "lang"],  # n_chars never used
     )
-    if replicate <= 1:
-        return docs.map_batches(
-            lambda b: synth_pages_batch(b, links_n=links_n), batch_format="pyarrow"
-        )
 
     def expand(batch: pa.Table) -> pa.Table:
-        return pa.concat_tables(
-            [
-                synth_pages_batch(batch, replica=r, links_n=links_n)
-                for r in range(replicate)
-            ]
+        # every replica of the block in ONE synth_pages_batch call (its
+        # fixed per-call cost dominates at Ray's block shape), replica-major
+        # like synth_pages_batch(batch, replica=r) for r in range(replicate)
+        n = batch.num_rows
+        reps = batch.take(np.tile(np.arange(n), replicate))
+        doc_id = reps.column("doc_id")
+        offset = np.repeat(np.arange(replicate) * REP_STRIDE, n)
+        reps = reps.set_column(
+            reps.schema.get_field_index("doc_id"),
+            "doc_id",
+            pa.array(doc_id.to_numpy() + offset, doc_id.type),
         )
+        return synth_pages_batch(reps, links_n=links_n)
 
     return docs.map_batches(expand, batch_format="pyarrow")
 

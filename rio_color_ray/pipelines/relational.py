@@ -8,8 +8,7 @@ oracle bit-for-bit — no float summation-order hazards.
 Join strategy per query (the explicit scale decisions):
 * dimension tables (nation/region/customer-subset) -> BROADCAST merge
 * orders |><| lineitem (both large) -> our explicit ``bucketed_hash_join``
-  (q3 and q5; q3 keeps Ray's ``Dataset.join`` as an opt-in
-  ``builtin_join=True`` variant — both oracle-checked)
+  (q3 and q5, both oracle-checked)
 * aggregates -> per-batch partial reduce, then a small groupby
 """
 
@@ -116,15 +115,14 @@ GROUP BY l_returnflag, l_linestatus
 """
 
 
-def q3_top_orders(sf_dir, k=10, num_partitions=16, builtin_join=False):
+def q3_top_orders(sf_dir, k=10):
     """BUILDING-segment orders before the cutoff, ranked by revenue.
 
     customer -> broadcast semi-filter; orders |><| lineitem -> the
-    engine's bucketed hash join by default (task-based sort-shuffle
-    exchange; ``builtin_join=True`` switches to Ray's ``Dataset.join``,
-    whose per-execution hash-aggregator actor pools cost ~2s of spawn
-    and can wedge small nodes — ctx.py); exact integer revenue. Both
-    paths are asserted identical in tests.
+    engine's bucketed hash join (task-based sort-shuffle exchange, not
+    Ray's ``Dataset.join``, whose per-execution hash-aggregator actor
+    pools cost ~2s of spawn and can wedge small nodes — ctx.py); exact
+    integer revenue.
     """
     import pyarrow.parquet as pq
 
@@ -153,26 +151,13 @@ def q3_top_orders(sf_dir, k=10, num_partitions=16, builtin_join=False):
         disc = np.rint(batch.column("l_discount").to_numpy(zero_copy_only=False) * 100).astype(np.int64)
         return pa.table(
             {
-                "l_orderkey": batch.column("l_orderkey"),
+                "o_orderkey": batch.column("l_orderkey"),  # the join key's name
                 "revenue_micros": pa.array(price_c * (100 - disc), pa.int64()),
             }
         )
 
     li = li.map_batches(revenue, batch_format="pyarrow")
-    if builtin_join:
-        joined = orders.join(
-            li,
-            join_type="inner",
-            num_partitions=num_partitions,
-            on=("o_orderkey",),
-            right_on=("l_orderkey",),
-        )
-    else:
-        li = li.map_batches(
-            lambda b: b.rename_columns(["o_orderkey", "revenue_micros"]),
-            batch_format="pyarrow",
-        )
-        joined = bucketed_hash_join(orders, li, "o_orderkey")
+    joined = bucketed_hash_join(orders, li, "o_orderkey")
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.groupby("o_orderkey", as_index=False)["revenue_micros"].sum()
@@ -446,8 +431,7 @@ GROUP BY 1
 """
 
 
-WINDOW_US = 6 * 3600 * 1_000_000  # 6h sliding window ...
-SLIDE_US = 3 * 3600 * 1_000_000  # ... advancing every 3h
+SLIDE_US = 3 * 3600 * 1_000_000  # windows advance every 3h; each spans 2 * SLIDE_US (6h)
 
 
 def events_sliding_window(sf_dir):

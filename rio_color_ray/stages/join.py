@@ -2,8 +2,9 @@
 
 Two large-large strategies, both shuffle-aware:
 
-* ``Dataset.join`` (Ray's built-in hash-partitioned join) — used where
-  available; its ``num_partitions`` is the caller's.
+* ``Dataset.join`` (Ray's built-in hash-partitioned join) — the engine
+  runs none; it is the reference the bucketed join is tested against
+  (its ``num_partitions`` is the caller's).
 * ``bucketed_hash_join`` — the portable explicit pattern (ray_guide
   "Joins and lookups"): both sides get a side tag, are unioned under a
   common nullable schema, moved by the engine's keyed exchange on the

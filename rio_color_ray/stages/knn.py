@@ -32,7 +32,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..spatial import hex_cell, hex_disk, hex_edge_deg
+from ..spatial import hex_edge_deg
 
 
 def microdeg(lat, lon):
@@ -111,10 +111,3 @@ def knn_guarantee_radius(res, d2_k):
     edge_u = hex_edge_deg(res) * 1e6
     d_k = np.sqrt(np.asarray(d2_k, dtype=np.float64))
     return np.ceil((d_k / edge_u + 2.0) / 1.5).astype(np.int64)
-
-
-def candidate_cells_for_queries(qlat, qlon, res, radius):
-    """(query_id, cell) candidate expansion rows via hex disks."""
-    cells = hex_cell(np.asarray(qlat), np.asarray(qlon), res)
-    ids, owner = hex_disk(cells, int(radius))
-    return owner, ids.astype(np.int64)

@@ -13,7 +13,11 @@ without a lineage record (a kill mid-write) is simply overwritten on the
 next run, so a killed run never double-counts (SURVEY.md §7 "What's
 hard" #5). Resume = read `_lineage/`, anti-join completed partitions,
 filter the INPUT corpus (before the expensive join/render stages) to the
-remainder and rerun only those cell ranges.
+remainder and rerun only those cell ranges. A resumable flagship run is
+one keyed exchange on the partition id whose reduce renders, colors and
+writes each partition (state/checkpoint.py); the resumable corpus
+curation writes through the same partition writer and the same resume
+protocol.
 """
 
 from .lineage import (
@@ -23,7 +27,6 @@ from .lineage import (
     write_lineage_record,
 )
 from .checkpoint import (
-    checkpointed_write,
     partition_of_lonlat,
     read_output,
     resumable_curate,
@@ -35,7 +38,6 @@ __all__ = [
     "completed_partitions",
     "lineage_table",
     "write_lineage_record",
-    "checkpointed_write",
     "partition_of_lonlat",
     "read_output",
     "resumable_curate",

@@ -3,20 +3,27 @@
 Cell-range partitioning: partition p covers web-mercator tile-x range
 ``[p*2^z/K, (p+1)*2^z/K)`` at the render zoom z (K = n_parts). The id is
 computable BOTH from a page's lon (before any expensive stage — so resume
-filters the corpus at the source) and from a rendered tile's x column
-(so the writer groups output rows consistently). Partition count is a
-deployment knob: at cluster scale set K ≈ a few × node count so a lost
-node forfeits only its in-flight cell ranges.
+filters the corpus at the source) and from a tile's x (so every partial
+pixel count and every rendered tile lands in its page's partition).
+Partition count is a deployment knob: at cluster scale set K ≈ a few ×
+node count so a lost node forfeits only its in-flight cell ranges. It
+also sets a resumable run's render parallelism: the tile reduce runs one
+task per occupied ``part`` bucket, so fewer pending partitions than
+``shuffle_partitions()`` run fewer tasks.
 
-The writer is a keyed exchange on ``part`` (``ctx.bucket_exchange``,
-whose modulo of an int key puts dense partition ids one per reduce task):
-each exchange block holds every row of the partitions in its bucket, and
-for each partition present it writes ``out_dir/part=<p>/data.parquet``
-via tmp + ``os.replace`` (idempotent under Ray task retries — a retried
-write simply replaces the same file), THEN the lineage record, and
-returns one lineage row per partition. Pending partitions that yielded
-zero rows get an explicit empty lineage record afterwards so resume does
-not re-run them forever.
+A resumable flagship run is ONE keyed exchange on ``part``
+(``ctx.bucket_exchange``, whose modulo of an int key puts dense
+partition ids one per reduce task). A tile lies in exactly one
+partition, so every partial of a tile meets in one exchange block, which
+is rendered and colored there (``pipelines/tiles.py:_assemble_bucket``)
+and written by the same reduce: for each partition present it writes
+``out_dir/part=<p>/data.parquet`` via tmp + ``os.replace`` (idempotent
+under Ray task retries — a retried write simply replaces the same file),
+THEN the lineage record, and returns one lineage row per partition.
+Pending partitions that yielded zero rows get an explicit empty lineage
+record afterwards so resume does not re-run them forever. The corpus
+curation run (:func:`resumable_curate`) writes through the same
+partition writer and the same resume protocol (:func:`_resume`).
 
 The writer is Arrow-native: it filters, sorts and writes the exchange's
 Arrow block as is, with no pandas round trip, so no pandas schema
@@ -26,6 +33,7 @@ metadata reaches the stored files or the blocks read back from them.
 whose schema Ray takes from the Parquet footers.
 """
 
+import functools
 import os
 import time
 import uuid
@@ -50,7 +58,7 @@ def _x_range(p, z, n_parts):
 def partition_of_lonlat(lat, lon, z, n_parts):
     """Vectorized cell-range partition id from coordinates."""
     xt, _ = mercator_tile(np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64), z)
-    return (xt.astype(np.int64) * n_parts) // (1 << z)
+    return _partition_of_tile_x(xt, z, n_parts)
 
 
 def _partition_of_tile_x(x, z, n_parts):
@@ -95,21 +103,52 @@ def _partition_writer(out_dir, stage, sort_col, cell_range_fn):
     return write_group
 
 
-def checkpointed_write(tiles_ds, out_dir, z, n_parts, stage="flagship"):
-    """Tiles Dataset -> partitioned parquet + lineage; returns lineage rows.
+def _resume(out_dir, n_parts, max_partitions, stage, sort_col, cell_range, run):
+    """The resume protocol of every checkpointed run.
 
-    The keyed exchange on ``part`` is the only exchange; each
-    partition's write is atomic and independently restartable.
+    Partitions without a lineage record are pending; at most
+    ``max_partitions`` of them run (the test harness uses it to simulate
+    a killed run). ``run(pending, write)`` computes them and returns the
+    lineage rows of a keyed exchange on ``part`` whose reduce ends in
+    ``write``, the :func:`_partition_writer` of ``stage``. A pending
+    partition that produced no rows gets a ``"<stage>-empty"`` record.
+    Returns a summary dict (counts + wall time).
     """
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        part = _partition_of_tile_x(batch.column("x").to_numpy(), z, n_parts)
-        return batch.append_column("part", pa.array(part, pa.int64()))
-
-    parted = tiles_ds.map_batches(add_part, batch_format="pyarrow")
-    writer = _partition_writer(out_dir, stage, "tile_id", lambda p: _x_range(p, z, n_parts))
-    # lineage is tiny (one row per partition)
-    return bucket_exchange(parted, "part", writer, "pyarrow").to_pandas()
+    t_run = time.time()
+    done = completed_partitions(out_dir)
+    pending = [p for p in range(n_parts) if str(p) not in done][:max_partitions]
+    if not pending:
+        return {
+            "completed_before": len(done),
+            "written_now": 0,
+            "n_parts": n_parts,
+            "wall_s": 0.0,
+        }
+    lineage = run(pending, _partition_writer(out_dir, stage, sort_col, cell_range))
+    wrote = set(lineage["partition_id"].astype(str)) if len(lineage) else set()
+    for p in pending:
+        if str(p) not in wrote:
+            lo, hi = cell_range(p)
+            write_lineage_record(
+                out_dir,
+                {
+                    "partition_id": str(p),
+                    "cell_lo": int(lo),
+                    "cell_hi": int(hi),
+                    "rows_in": 0,
+                    "rows_out": 0,
+                    "stage": f"{stage}-empty",
+                    "wall_s": 0.0,
+                    "checkpoint_ts": now_ts(),
+                },
+            )
+    return {
+        "completed_before": len(done),
+        "written_now": len(pending),
+        "rows_out": int(lineage["rows_out"].sum()) if len(lineage) else 0,
+        "n_parts": n_parts,
+        "wall_s": round(time.time() - t_run, 3),
+    }
 
 
 def resumable_flagship(
@@ -123,77 +162,62 @@ def resumable_flagship(
 ):
     """Run (or resume) the flagship pipeline, checkpointing per cell range.
 
-    ``max_partitions`` caps how many pending partitions this invocation
-    processes — the test harness uses it to simulate a killed run.
-    Returns a summary dict (counts + per-stage metrics).
+    The pending pages' partial pixel counts carry their partition, and
+    one keyed exchange on it renders, colors and writes every pending
+    partition (see the module docstring). ``max_partitions`` caps how
+    many pending partitions this invocation processes — the test harness
+    uses it to simulate a killed run. Returns a summary dict (counts +
+    per-stage metrics).
     """
     from ..color import parse_operations
     from ..sources.polygons import make_admin_polygons
     from ..stages.pip_stage import PIPJoinStage
     from ..stages.statecache import make_stage_fn
-    from ..pipelines.tiles import DEFAULT_OPS, DEFAULT_ZOOM, render_tiles_from
+    from ..pipelines.tiles import DEFAULT_OPS, DEFAULT_ZOOM, _assemble_bucket, _partial_pixel_counts
     from ..pipelines.geo import cellified
 
     ops = ops or DEFAULT_OPS
     z = DEFAULT_ZOOM if z is None else z
     parse_operations(ops)  # validate before any work launches
-    t_run = time.time()
 
-    done = completed_partitions(out_dir)
-    pending = [p for p in range(n_parts) if str(p) not in done]
-    if max_partitions is not None:
-        pending = pending[:max_partitions]
-    if not pending:
-        return {
-            "completed_before": len(done),
-            "written_now": 0,
-            "n_parts": n_parts,
-            "wall_s": 0.0,
-        }
-    pending_arr = pa.array(pending, pa.int64())
+    def run(pending, write):
+        pending_arr = pa.array(pending, pa.int64())
 
-    def keep_pending(batch: pa.Table) -> pa.Table:
-        part = partition_of_lonlat(
-            batch.column("lat").to_numpy(), batch.column("lon").to_numpy(), z, n_parts
-        )
-        mask = pc.is_in(pa.array(part, pa.int64()), value_set=pending_arr)
-        return batch.filter(mask)
-
-    pts = cellified(sf_dir, keep_columns=["url", "lat", "lon"], replicate=replicate)
-    pts = pts.map_batches(keep_pending, batch_format="pyarrow")
-    joined = pts.map_batches(
-        make_stage_fn(PIPJoinStage, make_admin_polygons(), "left"),
-        batch_format="pyarrow",
-    )
-    corrected = render_tiles_from(joined, z, ops=ops)
-    lineage = checkpointed_write(corrected, out_dir, z, n_parts)
-
-    # pending cell ranges with zero tiles still need a completion record,
-    # otherwise resume would retry them on every run
-    wrote = set(lineage["partition_id"].astype(str)) if len(lineage) else set()
-    for p in pending:
-        if str(p) not in wrote:
-            lo, hi = _x_range(p, z, n_parts)
-            write_lineage_record(
-                out_dir,
-                {
-                    "partition_id": str(p),
-                    "cell_lo": int(lo),
-                    "cell_hi": int(hi),
-                    "rows_in": 0,
-                    "rows_out": 0,
-                    "stage": "flagship-empty",
-                    "wall_s": 0.0,
-                    "checkpoint_ts": now_ts(),
-                },
+        def keep_pending(batch: pa.Table) -> pa.Table:
+            part = partition_of_lonlat(
+                batch.column("lat").to_numpy(), batch.column("lon").to_numpy(), z, n_parts
             )
-    return {
-        "completed_before": len(done),
-        "written_now": len(pending),
-        "rows_out": int(lineage["rows_out"].sum()) if len(lineage) else 0,
-        "n_parts": n_parts,
-        "wall_s": round(time.time() - t_run, 3),
-    }
+            mask = pc.is_in(pa.array(part, pa.int64()), value_set=pending_arr)
+            return batch.filter(mask)
+
+        def add_part(batch: pa.Table) -> pa.Table:
+            # the x bits of tile_key (pipelines/tiles.py:_tile_key); the
+            # exchange keys on part, so the mixed tile hash is not moved
+            x = (batch.column("tile_key").to_numpy() >> 22) & ((1 << 22) - 1)
+            part = _partition_of_tile_x(x, z, n_parts)
+            return batch.drop_columns(["tile_hash"]).append_column("part", pa.array(part))
+
+        @functools.wraps(write)  # the Ray operator keeps the writer's name
+        def render_and_write(block: pa.Table) -> pa.Table:
+            tiles = _assemble_bucket(block.drop_columns(["part"]), ops)
+            part = _partition_of_tile_x(tiles.column("x").to_numpy(), z, n_parts)
+            return write(tiles.append_column("part", pa.array(part)))
+
+        pts = cellified(sf_dir, keep_columns=["url", "lat", "lon"], replicate=replicate)
+        pts = pts.map_batches(keep_pending, batch_format="pyarrow")
+        joined = pts.map_batches(
+            make_stage_fn(PIPJoinStage, make_admin_polygons(), "left"),
+            batch_format="pyarrow",
+        )
+        parts = joined.map_batches(_partial_pixel_counts(z), batch_format="pyarrow").map_batches(
+            add_part, batch_format="pyarrow"
+        )
+        # lineage is tiny (one row per partition)
+        return bucket_exchange(parts, "part", render_and_write, "pyarrow").to_pandas()
+
+    return _resume(
+        out_dir, n_parts, max_partitions, "flagship", "tile_id", lambda p: _x_range(p, z, n_parts), run
+    )
 
 
 def read_output(out_dir):
@@ -226,44 +250,10 @@ def resumable_curate(sf_dir, out_dir, n_parts=16, max_partitions=None, **curate_
     """
     from ..pipelines.curate import curate_corpus
 
-    t_run = time.time()
-    done = completed_partitions(out_dir)
-    pending = [p for p in range(n_parts) if str(p) not in done]
-    if max_partitions is not None:
-        pending = pending[:max_partitions]
-    if not pending:
-        return {
-            "completed_before": len(done),
-            "written_now": 0,
-            "n_parts": n_parts,
-            "wall_s": 0.0,
-        }
+    def run(pending, write):
+        ds = curate_corpus(sf_dir, parts=pending, n_parts=n_parts, **curate_kw)
+        return bucket_exchange(ds, "part", write, "pyarrow").to_pandas()  # tiny
 
-    ds = curate_corpus(sf_dir, parts=pending, n_parts=n_parts, **curate_kw)
     # cell_lo/cell_hi carry the content-hash bucket id (the lineage
     # schema's range fields; a hash bucket is a degenerate range)
-    writer = _partition_writer(out_dir, "curate", "doc_id", lambda p: (p, p))
-    lineage = bucket_exchange(ds, "part", writer, "pyarrow").to_pandas()  # tiny
-    wrote = set(lineage["partition_id"].astype(str)) if len(lineage) else set()
-    for p in pending:
-        if str(p) not in wrote:
-            write_lineage_record(
-                out_dir,
-                {
-                    "partition_id": str(p),
-                    "cell_lo": p,
-                    "cell_hi": p,
-                    "rows_in": 0,
-                    "rows_out": 0,
-                    "stage": "curate-empty",
-                    "wall_s": 0.0,
-                    "checkpoint_ts": now_ts(),
-                },
-            )
-    return {
-        "completed_before": len(done),
-        "written_now": len(pending),
-        "rows_out": int(lineage["rows_out"].sum()) if len(lineage) else 0,
-        "n_parts": n_parts,
-        "wall_s": round(time.time() - t_run, 3),
-    }
+    return _resume(out_dir, n_parts, max_partitions, "curate", "doc_id", lambda p: (p, p), run)

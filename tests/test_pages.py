@@ -120,3 +120,26 @@ def _batches(draw):
 @given(_batches())
 def test_geo_head_equals_float_formatting(case):
     _check(*case)
+
+
+def test_pages_replicas_match_per_replica_calls(ray_session):
+    """``pages(replicate=R)`` builds every replica of a block in one call;
+    each output block equals the per-replica ``synth_pages_batch`` calls
+    over its documents, concatenated replica-major."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray
+
+    from rio_color_ray.pipelines.geo import pages
+
+    sf = "/root/testdata/sf0.001"
+    docs = pq.read_table(f"{sf}/documents.parquet", columns=["doc_id", "source", "text", "lang"])
+    blocks = [ray.get(ref) for ref in pages(sf, replicate=3).to_arrow_refs()]
+    assert sum(b.num_rows for b in blocks) == 3 * docs.num_rows
+    for block in blocks:
+        first = block.slice(0, block.num_rows // 3).column("url")
+        ids = pc.cast(pc.replace_substring_regex(first, ".*/", ""), pa.int64())
+        src = docs.filter(pc.is_in(docs.column("doc_id"), value_set=ids.combine_chunks()))
+        assert src.column("doc_id").equals(ids)
+        want = pa.concat_tables([synth_pages_batch(src, replica=r) for r in range(3)])
+        assert block.equals(want)

@@ -213,15 +213,6 @@ def test_sessionize(ray_session, con):
     pd.testing.assert_series_equal(got.sort_index(), gaps.sort_index(), check_names=False)
 
 
-def test_q3_builtin_join_matches_bucketed(ray_session, con):
-    """Ray's built-in Dataset.join path == the default bucketed path."""
-    from rio_color_ray.pipelines import relational as R
-
-    a = R.q3_top_orders(SF).to_pandas().reset_index(drop=True)
-    b = R.q3_top_orders(SF, builtin_join=True).to_pandas().reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b, check_dtype=False)
-
-
 def test_statecache_group_lru_bounded(ray_session):
     """Repeated pipeline builds must not grow worker state without bound:
     the per-class LRU keeps at most 4 live stage instances."""

@@ -1,9 +1,9 @@
 """Checkpoint / resume / lineage (north_rule: resumable runs).
 
-Simulated kill: a first invocation processes only 3 of 8 cell-range
-partitions (``max_partitions=3``); the second invocation must complete
-ONLY the remainder (the first 3 lineage records are untouched — byte
-mtimes compared) and the union of partitions must equal a fresh
+Simulated kill: a first invocation processes only half of the cell-range
+partitions (``max_partitions``); the second invocation must complete
+ONLY the remainder (the first half's lineage records are untouched —
+byte mtimes compared) and the union of partitions must equal a fresh
 one-shot flagship run tile-for-tile.
 """
 
@@ -13,12 +13,13 @@ import pandas as pd
 import pytest
 
 SF = "/root/testdata/sf0.001"
-N_PARTS = 8
 
 
 @pytest.fixture(scope="module")
-def out_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("ckpt"))
+def oneshot(ray_session):
+    from rio_color_ray.pipelines.flagship import flagship
+
+    return flagship(SF).to_pandas().sort_values("tile_id").reset_index(drop=True)
 
 
 def _lineage_mtimes(out_dir):
@@ -26,31 +27,35 @@ def _lineage_mtimes(out_dir):
     return {f: os.path.getmtime(os.path.join(d, f)) for f in os.listdir(d) if f.endswith(".json")}
 
 
-def test_kill_and_resume_matches_oneshot(ray_session, out_dir):
+# 16 parts over 8 reduce tasks put two partitions in one reduce call;
+# 3 parts leave reduce ranges empty
+@pytest.mark.parametrize("n_parts", [3, 8, 16])
+def test_kill_and_resume_matches_oneshot(ray_session, oneshot, tmp_path, n_parts):
     from rio_color_ray.state import (
         completed_partitions,
         lineage_table,
         read_output,
         resumable_flagship,
     )
-    from rio_color_ray.pipelines.flagship import flagship
 
-    # "killed" run: only 3 partitions get checkpointed
-    s1 = resumable_flagship(SF, out_dir, n_parts=N_PARTS, max_partitions=3)
-    assert s1["written_now"] == 3 and s1["completed_before"] == 0
-    assert len(completed_partitions(out_dir)) == 3
+    out_dir = str(tmp_path / f"ckpt{n_parts}")
+    killed = n_parts // 2
+    # "killed" run: only half of the partitions get checkpointed
+    s1 = resumable_flagship(SF, out_dir, n_parts=n_parts, max_partitions=killed)
+    assert s1["written_now"] == killed and s1["completed_before"] == 0
+    assert len(completed_partitions(out_dir)) == killed
     mt_before = _lineage_mtimes(out_dir)
 
-    # resume: completes the remaining 5, does not rewrite the first 3
-    s2 = resumable_flagship(SF, out_dir, n_parts=N_PARTS)
-    assert s2["completed_before"] == 3 and s2["written_now"] == N_PARTS - 3
-    assert len(completed_partitions(out_dir)) == N_PARTS
+    # resume: completes the rest, does not rewrite the first half
+    s2 = resumable_flagship(SF, out_dir, n_parts=n_parts)
+    assert s2["completed_before"] == killed and s2["written_now"] == n_parts - killed
+    assert len(completed_partitions(out_dir)) == n_parts
     mt_after = _lineage_mtimes(out_dir)
     for name, mt in mt_before.items():
         assert mt_after[name] == mt, f"completed partition {name} was rewritten on resume"
 
     # a third run is a no-op
-    s3 = resumable_flagship(SF, out_dir, n_parts=N_PARTS)
+    s3 = resumable_flagship(SF, out_dir, n_parts=n_parts)
     assert s3["written_now"] == 0
 
     # resumed output == fresh one-shot flagship, tile-for-tile
@@ -60,23 +65,38 @@ def test_kill_and_resume_matches_oneshot(ray_session, out_dir):
         .sort_values("tile_id")
         .reset_index(drop=True)
     )
-    want = (
-        flagship(SF)
-        .to_pandas()
-        .sort_values("tile_id")
-        .reset_index(drop=True)[got.columns]
-    )
-    pd.testing.assert_frame_equal(got, want)
+    pd.testing.assert_frame_equal(got, oneshot[got.columns])
+    assert s1["rows_out"] + s2["rows_out"] == len(got)
 
     # lineage metrics: full coverage of the tile-x keyspace, counts add up
     lin = lineage_table(out_dir).to_pandas()
-    assert len(lin) == N_PARTS
+    assert len(lin) == n_parts
     assert int(lin["rows_out"].sum()) == len(got)
     assert set(lin["stage"]) <= {"flagship", "flagship-empty"}
     spans = lin.sort_values("cell_lo")[["cell_lo", "cell_hi"]].to_numpy()
     assert spans[0][0] == 0
     for (lo, hi), (lo2, _) in zip(spans, spans[1:]):
         assert lo2 == hi + 1, "cell ranges must tile the keyspace exactly"
+
+
+def test_resumable_flagship_is_one_exchange(ray_session, tmp_path, monkeypatch):
+    """Rendering and writing the checkpoint share one keyed exchange: the
+    exchange on the partition id already co-locates every tile's partials."""
+    from rio_color_ray import ctx
+    from rio_color_ray.pipelines import tiles
+    from rio_color_ray.state import checkpoint
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[1])
+        return ctx.bucket_exchange(*args, **kwargs)
+
+    monkeypatch.setattr(tiles, "bucket_exchange", counting)
+    monkeypatch.setattr(checkpoint, "bucket_exchange", counting)
+    s = checkpoint.resumable_flagship(SF, str(tmp_path / "ckpt"), n_parts=8)
+    assert s["written_now"] == 8 and s["rows_out"] > 0
+    assert built == ["part"]
 
 
 def test_lineage_record_atomic_and_validated(tmp_path):
