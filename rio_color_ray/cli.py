@@ -184,7 +184,7 @@ def atmos(atmo, contrast, bias, out_dtype, as_color, src_path, dst_path, jobs, c
 @click.option("--ops", type=str, default=None)
 @co_opt
 def flagship_cmd(sf_dir, dst_path, replicate, zoom, ops, creation_options):
-    """pages -> geocode -> cellify -> PIP join -> tiles -> color -> Parquet."""
+    """pages -> geocode -> PIP join -> tiles -> color -> Parquet."""
     from .pipelines.flagship import flagship
     from .pipelines.tiles import DEFAULT_OPS, DEFAULT_ZOOM
 

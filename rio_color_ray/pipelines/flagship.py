@@ -3,6 +3,7 @@
 pages -> geocode -> cellify -> PIP join (broadcast STRtree) -> per-tile
 pixel partials -> boundary-partitioned sort(tile bucket) -> one reduce
 that rasterizes and color-corrects each tile (pipelines/tiles.py).
+Cellify computes only the cells a pipeline keeps, none here (geo.py).
 
 One streaming Dataset: no stage materializes the corpus; the only
 all-to-all exchange is the sort over pre-summed (tile_key, pix)

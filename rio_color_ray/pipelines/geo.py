@@ -18,7 +18,7 @@ import pyarrow as pa
 
 from ..sources.pages import REP_STRIDE, synth_pages_batch
 from ..sources.polygons import make_admin_polygons, make_admin_rects
-from ..stages.cellify import cellify_batch
+from ..stages.cellify import CELL_COLUMNS, cellify_batch
 from ..stages.geocode import geocode_batch
 from ..stages.pip_stage import PIPJoinStage, RectJoinStage
 from ..stages.statecache import make_stage_fn
@@ -67,12 +67,12 @@ def pages(sf_dir, replicate=1, links_n=0):
 
 
 def cellified(sf_dir, keep_columns=None, replicate=1):
-    """pages -> geocode -> cellify; optionally prune columns early."""
-    ds = (
-        pages(sf_dir, replicate=replicate)
-        .map_batches(geocode_batch, batch_format="pyarrow")
-        .map_batches(cellify_batch, batch_format="pyarrow")
-    )
+    """pages -> geocode -> cellify; optionally prune columns early. Only
+    the cells in ``keep_columns`` (all without it) are computed, if any."""
+    ds = pages(sf_dir, replicate=replicate).map_batches(geocode_batch, batch_format="pyarrow")
+    cells = [c for c in CELL_COLUMNS if not keep_columns or c in keep_columns]
+    if cells:
+        ds = ds.map_batches(cellify_batch, batch_format="pyarrow", fn_kwargs={"cells": cells})
     if keep_columns:
         ds = ds.select_columns(keep_columns)
     return ds

@@ -10,7 +10,7 @@ Shuffle discipline (round-5 design; measurements in BASELINE.md):
 * stage 1 (map_batches): per-batch PARTIAL pixel histograms
   (tile_key, pix, n) — reduces the corpus to at most
   active-pixels-per-tile rows per batch before any exchange.
-* stage 2 (the keyed exchange, ``ctx.bucket_exchange``): partials carry
+* stage 2 (the keyed exchange, ``ctx.bucket_exchange``): partials get
   ``tile_hash = splitmix64(tile_key)`` and the exchange keys on it (the
   mix decorrelates the bucket from tile adjacency, so hot cities spread
   uniformly) and every tile's partials meet in one exchange block,
@@ -58,9 +58,9 @@ def color_stage(tiles_ds, ops, out_dtype=None, concurrency=None):
 TILE_SIZE = 32
 DEFAULT_ZOOM = 7
 DEFAULT_OPS = "gamma rgb 1.2, sigmoidal rgb 6 0.25, saturation 1.1"
-# the partial-histogram rows stage 1 emits and the exchange moves
+# the partial-histogram rows stage 1 emits
 _PARTIALS_SCHEMA = pa.schema(
-    [(name, pa.int64()) for name in ("tile_key", "tile_hash", "pix", "n")]
+    [(name, pa.int64()) for name in ("tile_key", "pix", "n")]
 )
 
 
@@ -82,20 +82,20 @@ def _partial_pixel_counts(z):
         pix = row.astype(np.int64) * TILE_SIZE + col.astype(np.int64)
         combo = key * (TILE_SIZE * TILE_SIZE) + pix
         uniq, counts = np.unique(combo, return_counts=True)
-        tile_key = uniq // (TILE_SIZE * TILE_SIZE)
-        # key the exchange on a MIXED tile key, not tile_key: adjacent
-        # tiles (hot cities) get adjacent raw keys, and a contiguous run
-        # of raw keys once put a whole city in one reduce task (measured
-        # 34x tiles-per-task spread, 3.5s straggler at z10/sf0.1; round-5
-        # profile). splitmix64 decorrelates the bucket from tile
-        # adjacency, so every bucket is a uniform sample of the tiles.
-        tile_hash = splitmix64(tile_key).view(np.int64)
+        tile_key, pix = np.divmod(uniq, TILE_SIZE * TILE_SIZE)
         return pa.Table.from_arrays(
-            [tile_key, tile_hash, uniq % (TILE_SIZE * TILE_SIZE), counts.astype(np.int64)],
-            schema=_PARTIALS_SCHEMA,
+            [tile_key, pix, counts.astype(np.int64)], schema=_PARTIALS_SCHEMA
         )
 
     return fn
+
+
+def _add_tile_hash(batch: pa.Table) -> pa.Table:
+    # key the exchange on a MIXED tile key: raw keys of adjacent tiles (hot
+    # cities) once put a whole city in one reduce task (34x tiles-per-task
+    # spread, 3.5s straggler at z10/sf0.1; round-5 profile)
+    tile_hash = splitmix64(batch.column("tile_key").to_numpy()).view(np.int64)
+    return batch.append_column("tile_hash", pa.array(tile_hash))
 
 
 def _assemble_bucket(group: pa.Table, ops=None) -> pa.Table:
@@ -196,7 +196,9 @@ def render_tiles_from(points_ds, z=DEFAULT_ZOOM, ops=None):
     call; it cannot drift from the blocks), so ``to_arrow_refs()`` and
     ``schema()`` never re-run the plan (see ``bucket_exchange``).
     """
-    parts = points_ds.map_batches(_partial_pixel_counts(z), batch_format="pyarrow")
+    parts = points_ds.map_batches(_partial_pixel_counts(z), batch_format="pyarrow").map_batches(
+        _add_tile_hash, batch_format="pyarrow"
+    )
     reduce_block = partial(_assemble_bucket, ops=ops)
     schema = reduce_block(_PARTIALS_SCHEMA.empty_table()).schema
     return bucket_exchange(parts, "tile_hash", reduce_block, "pyarrow", schema)

@@ -80,29 +80,28 @@ def rects_sql_values(rects):
 
 def polys_edges_sql_values(polys):
     """Polygon edges as a SQL VALUES list — the DuckDB-oracle twin of the
-    exact ray-cast in ``spatial.points_in_polygon`` (rtree.py:115).
+    engine's ray cast (``spatial.rtree.pairs_in_polygons``).
 
-    One row per edge (admin_id, x1, y1, x2, y2) with (x1, y1) the PREVIOUS
-    vertex and (x2, y2) the current one (wrap edge included), exactly the
-    pairing the engine's loop uses. Vertex doubles are embedded as
+    One row per real edge (admin_id, x1, y1, x2, y2) of the engine's own
+    edge table (``spatial.rtree.polygon_edges``), with (x1, y1) the
+    PREVIOUS vertex and (x2, y2) the current one (wrap edge included);
+    pad edges are left out. Vertex doubles are embedded as
     ``CAST('<repr>' AS DOUBLE)`` — shortest-roundtrip repr parses back to
     the identical float64, so the SQL crossing test
     ``lon < (x1-x2)*(lat-y2)/(y1-y2)+x2`` computes bit-identical IEEE
     doubles to the numpy expression.
     """
+    from ..spatial import polygon_edges
 
     def d(v):
         return f"CAST('{float(v)!r}' AS DOUBLE)"
 
-    rows = []
-    for p in polys:
-        xs, ys = p["xs"], p["ys"]
-        j = len(xs) - 1
-        for i in range(len(xs)):
-            rows.append(
-                f"({int(p['admin_id'])}, {d(xs[j])}, {d(ys[j])}, {d(xs[i])}, {d(ys[i])})"
-            )
-            j = i
+    edges, n_edges = polygon_edges(polys)
+    rows = [
+        f"({int(p['admin_id'])}, " + ", ".join(d(v) for v in edges[:, i, e]) + ")"
+        for i, p in enumerate(polys)
+        for e in range(n_edges[i])
+    ]
     return "(VALUES " + ", ".join(rows) + ") AS e(admin_id, x1, y1, x2, y2)"
 
 

@@ -13,8 +13,8 @@
   quadratic s/t -> Hilbert curve position. Same caveat: S2-style, not
   bit-compatible with Google S2.
 * ``rtree`` — STR-bulk-loaded packed R-tree over bounding boxes with a
-  fully vectorized batch query, plus vectorized ray-casting
-  point-in-polygon.
+  fully vectorized batch query, plus one-pass ray casting of candidate
+  (point, polygon) pairs over a padded edge table.
 * ``geo`` — haversine, web-mercator tile math.
 """
 
@@ -28,7 +28,7 @@ from .hexgrid import (
     hex_edge_deg,
 )
 from .s2 import s2_cell, s2_parent, s2_level, s2_face
-from .rtree import STRtree, points_in_polygon
+from .rtree import STRtree, pairs_in_polygons, polygon_edges
 from .geo import haversine_km, mercator_tile, tile_pixel
 
 __all__ = [
@@ -44,7 +44,8 @@ __all__ = [
     "s2_level",
     "s2_face",
     "STRtree",
-    "points_in_polygon",
+    "polygon_edges",
+    "pairs_in_polygons",
     "haversine_km",
     "mercator_tile",
     "tile_pixel",

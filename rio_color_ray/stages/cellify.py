@@ -1,11 +1,11 @@
 """Cellify stage: assign spatial cell ids — stateless, vectorized.
 
-Appends, per row: hex cells at res 7/8/9 (H3-analog), an S2-style cell at
-level 12, and a coarse integer grid cell (0.5 deg) whose derivation is
-also SQL-expressible — the oracle-checkable projection of the cell
-assignment. Each resolution is computed DIRECTLY from lat/lon (never via
-hex_parent — aperture-7 hierarchies don't nest exactly; see
-spatial.hexgrid docstring).
+Appends, per row, the cells asked for (by default all): hex cells at res
+7/8/9 (H3-analog), an S2-style cell at level 12, and a coarse integer grid
+cell (0.5 deg) whose derivation is also SQL-expressible. Each resolution
+is computed DIRECTLY from lat/lon (never via hex_parent — aperture-7
+hierarchies don't nest exactly; see spatial.hexgrid docstring). A
+pipeline computes only the cells it keeps (``geo.py:cellified``).
 """
 
 import numpy as np
@@ -26,8 +26,18 @@ def grid_cell_ids(lat, lon):
     return (gy * _GRID_COLS + gx).astype(np.int64)
 
 
-def cellify_batch(batch: pa.Table) -> pa.Table:
-    """geocoded batch -> + h3_r7/h3_r8/h3_r9, s2_cell, grid_cell columns.
+_CELLS = {
+    "h3_r7": lambda lat, lon: hex_cell(lat, lon, 7),
+    "h3_r8": lambda lat, lon: hex_cell(lat, lon, 8),
+    "h3_r9": lambda lat, lon: hex_cell(lat, lon, 9),
+    "s2_cell": lambda lat, lon: s2_cell(lat, lon, S2_LEVEL),
+    "grid_cell": grid_cell_ids,
+}
+CELL_COLUMNS = tuple(_CELLS)
+
+
+def cellify_batch(batch: pa.Table, cells=CELL_COLUMNS) -> pa.Table:
+    """geocoded batch -> + the ``cells`` columns (by default all five).
 
     Cell ids are emitted as int64 (all fit in 63 bits): Ray Data's
     multi-key sort/aggregate coerces MIXED uint64+int64 key tuples through
@@ -36,22 +46,11 @@ def cellify_batch(batch: pa.Table) -> pa.Table:
     """
     lat = batch.column("lat").to_numpy(zero_copy_only=False)
     lon = batch.column("lon").to_numpy(zero_copy_only=False)
-    return (
-        batch.append_column(
-            "h3_r7", pa.array(hex_cell(lat, lon, 7).astype(np.int64), pa.int64())
+    for name in cells:
+        batch = batch.append_column(
+            name, pa.array(_CELLS[name](lat, lon).astype(np.int64), pa.int64())
         )
-        .append_column(
-            "h3_r8", pa.array(hex_cell(lat, lon, 8).astype(np.int64), pa.int64())
-        )
-        .append_column(
-            "h3_r9", pa.array(hex_cell(lat, lon, 9).astype(np.int64), pa.int64())
-        )
-        .append_column(
-            "s2_cell",
-            pa.array(s2_cell(lat, lon, S2_LEVEL).astype(np.int64), pa.int64()),
-        )
-        .append_column("grid_cell", pa.array(grid_cell_ids(lat, lon), pa.int64()))
-    )
+    return batch
 
 
 def grid_cell_sql(lat_expr="lat", lon_expr="lon"):

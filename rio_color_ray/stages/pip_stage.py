@@ -11,15 +11,16 @@ shuffled. Join modes:
 * left   — every point; admin_id = -1 where unmatched (first match wins,
            lowest admin_id, for deterministic output under any ordering)
 
-Candidate verification sorts (pair -> polygon) ONCE and slices segments,
-so cost is O(pairs log pairs + sum_poly E_poly * pts_poly) — the naive
-per-polygon masking rescan is O(polys * pairs) and was measurably slow.
+Candidates are verified in one broadcast pass over the polygons' padded
+edge table (``spatial.rtree.polygon_edges``, built with the tree): no
+Python loop per polygon or edge. Matches are then stably sorted by
+polygon, so ``inner`` rows come out grouped by polygon.
 """
 
 import numpy as np
 import pyarrow as pa
 
-from ..spatial import STRtree, points_in_polygon
+from ..spatial import STRtree, pairs_in_polygons, polygon_edges
 
 
 def _maybe_get(obj):
@@ -69,27 +70,19 @@ class PIPJoinStage:
 
     def __init__(self, polygons, mode="inner"):
         polygons = _maybe_get(polygons)
-        self.polys = polygons
         self.mode = mode
         self.tree = STRtree(np.asarray([p["bbox"] for p in polygons]))
+        self.edges, _ = polygon_edges(polygons)
         self.admin_ids = np.asarray([p["admin_id"] for p in polygons], dtype=np.int64)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         lat = batch.column("lat").to_numpy()
         lon = batch.column("lon").to_numpy()
         pts, poly_idx = self.tree.query_points(lon, lat)
-        if len(pts):
-            # verify candidates polygon-by-polygon via sorted segments
-            order = np.argsort(poly_idx, kind="stable")
-            pts, poly_idx = pts[order], poly_idx[order]
-            bounds = np.searchsorted(poly_idx, np.arange(len(self.polys) + 1))
-            keep = np.zeros(len(pts), dtype=bool)
-            for pid in np.unique(poly_idx):
-                lo, hi = bounds[pid], bounds[pid + 1]
-                seg = pts[lo:hi]
-                poly = self.polys[pid]
-                keep[lo:hi] = points_in_polygon(poly["xs"], poly["ys"], lon[seg], lat[seg])
-            pts, poly_idx = pts[keep], poly_idx[keep]
+        keep = pairs_in_polygons(self.edges, poly_idx, lon[pts], lat[pts])
+        pts, poly_idx = pts[keep], poly_idx[keep]
+        order = np.argsort(poly_idx, kind="stable")
+        pts, poly_idx = pts[order], poly_idx[order]
         return _emit(batch, pts, poly_idx, self.admin_ids, self.mode)
 
 

@@ -20,6 +20,7 @@ and written by the same reduce: for each partition present it writes
 ``out_dir/part=<p>/data.parquet`` via tmp + ``os.replace`` (idempotent
 under Ray task retries — a retried write simply replaces the same file),
 THEN the lineage record, and returns one lineage row per partition.
+Both writes are atomic, not durable against power loss (state/lineage.py).
 Pending partitions that yielded zero rows get an explicit empty lineage
 record afterwards so resume does not re-run them forever. The corpus
 curation run (:func:`resumable_curate`) writes through the same
@@ -191,11 +192,9 @@ def resumable_flagship(
             return batch.filter(mask)
 
         def add_part(batch: pa.Table) -> pa.Table:
-            # the x bits of tile_key (pipelines/tiles.py:_tile_key); the
-            # exchange keys on part, so the mixed tile hash is not moved
+            # the x bits of tile_key (pipelines/tiles.py:_tile_key)
             x = (batch.column("tile_key").to_numpy() >> 22) & ((1 << 22) - 1)
-            part = _partition_of_tile_x(x, z, n_parts)
-            return batch.drop_columns(["tile_hash"]).append_column("part", pa.array(part))
+            return batch.append_column("part", pa.array(_partition_of_tile_x(x, z, n_parts)))
 
         @functools.wraps(write)  # the Ray operator keeps the writer's name
         def render_and_write(block: pa.Table) -> pa.Table:

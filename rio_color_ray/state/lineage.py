@@ -5,6 +5,9 @@ lo/hi (web-mercator tile-x range at the render zoom), rows_in, rows_out,
 stage, wall_s, checkpoint_ts. One JSON file per partition under
 ``out_dir/_lineage/`` — written atomically (tmp + ``os.replace``) and
 only AFTER the partition's data file has been renamed into place.
+Atomic, not durable against power loss: nothing is fsynced (nor is the
+data file a record vouches for); resume after a killed process needs only
+the rename order.
 """
 
 import json
@@ -34,7 +37,7 @@ def _lineage_path(out_dir, partition_id):
 
 
 def write_lineage_record(out_dir, record):
-    """Atomically persist one lineage record (tmp file + rename)."""
+    """Atomically (not durably) persist one lineage record (tmp file + rename)."""
     missing = [f for f in LINEAGE_FIELDS if f not in record]
     if missing:
         raise ValueError(f"lineage record missing fields: {missing}")
@@ -43,8 +46,6 @@ def write_lineage_record(out_dir, record):
     tmp = os.path.join(out_dir, TMP_DIR, f"lin-{record['partition_id']}-{uuid.uuid4().hex}.json")
     with open(tmp, "w") as f:
         json.dump(record, f)
-        f.flush()
-        os.fsync(f.fileno())
     os.replace(tmp, _lineage_path(out_dir, record["partition_id"]))
 
 

@@ -57,6 +57,37 @@ def direct_math():
     return _direct_math
 
 
+def _pip_loop(poly_x, poly_y, px, py):
+    """Even-odd ray casting, one polygon, one Python step per edge: the
+    independent reference for the engine's one-pass kernel
+    (``spatial.rtree.pairs_in_polygons``). A closing vertex equal to the
+    first is dropped; the wrap edge is always tested."""
+    poly_x = np.asarray(poly_x, dtype=np.float64)
+    poly_y = np.asarray(poly_y, dtype=np.float64)
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
+    if poly_x[0] == poly_x[-1] and poly_y[0] == poly_y[-1] and len(poly_x) > 1:
+        poly_x, poly_y = poly_x[:-1], poly_y[:-1]
+
+    inside = np.zeros(len(px), dtype=bool)
+    j = len(poly_x) - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(len(poly_x)):
+            x1, y1 = poly_x[j], poly_y[j]
+            x2, y2 = poly_x[i], poly_y[i]
+            crosses = (y2 > py) != (y1 > py)
+            xint = (x1 - x2) * (py - y2) / (y1 - y2) + x2
+            inside ^= crosses & (px < xint)
+            j = i
+    return inside
+
+
+@pytest.fixture(scope="session")
+def pip_loop():
+    """The per-edge loop reference of point-in-polygon."""
+    return _pip_loop
+
+
 @pytest.fixture
 def arr():
     """The reference's (3,2,2) golden fixture (tests/test_operations.py:15-30)."""

@@ -65,10 +65,45 @@ def test_cell_agg_salted_equals_plain(ray_session, geo):
     assert int(a["n_pages"].sum()) == 500  # every page counted exactly once
 
 
-def test_pip_join_vs_bruteforce(ray_session, geo):
+def _cellify_cells(ds):
+    """The ``cells`` of every cellify map in ``ds``'s logical plan."""
+    from rio_color_ray.stages.cellify import cellify_batch
+
+    found, ops = [], [ds._logical_plan.dag]
+    while ops:
+        op = ops.pop()
+        if getattr(op, "_fn", None) is cellify_batch:
+            found.append(list(op._fn_kwargs["cells"]))
+        ops.extend(op.input_dependencies)
+    return found
+
+
+@pytest.mark.parametrize(
+    "keep",
+    [None, ["url", "lat", "lon"], ["grid_cell"], ["url", "h3_r9", "lat", "s2_cell", "h3_r7"]],
+)
+def test_cellified_computes_only_kept_cells(ray_session, geo, keep):
+    import pyarrow as pa
+
+    from rio_color_ray.stages.cellify import CELL_COLUMNS, cellify_batch
+
+    ds = geo.cellified(SF, keep_columns=keep)
+    kept = [c for c in CELL_COLUMNS if keep is None or c in keep]
+    assert _cellify_cells(ds) == ([kept] if kept else [])
+    # the kept cells' values equal the full cellify_batch output
+    points = pa.Table.from_pandas(
+        geo.cellified(SF, keep_columns=["url", "lat", "lon"]).to_pandas(), preserve_index=False
+    )
+    cols = keep or ["url", *CELL_COLUMNS]
+    got = ds.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
+    want = cellify_batch(points).to_pandas()[cols].sort_values(cols).reset_index(drop=True)
+    assert len(got) == 500
+    pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+def test_pip_join_vs_bruteforce(ray_session, geo, pip_loop):
     from rio_color_ray.sources.pages import page_coords_microdeg
     from rio_color_ray.sources.polygons import make_admin_polygons
-    from rio_color_ray.spatial import points_in_polygon
 
     got = geo.pip_join(SF, mode="inner").to_pandas()
     doc_id = np.arange(500)
@@ -76,7 +111,7 @@ def test_pip_join_vs_bruteforce(ray_session, geo):
     lat, lon = lat_u / 1e6, lon_u / 1e6
     expect = set()
     for p in make_admin_polygons():
-        inside = points_in_polygon(p["xs"], p["ys"], lon, lat)
+        inside = pip_loop(p["xs"], p["ys"], lon, lat)
         for d in doc_id[inside]:
             expect.add((d, p["admin_id"]))
     got_ids = got["url"].str.rsplit("/", n=1).str[1].astype(int)

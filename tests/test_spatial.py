@@ -14,7 +14,8 @@ from rio_color_ray.spatial import (
     hex_res,
     hex_ring,
     mercator_tile,
-    points_in_polygon,
+    pairs_in_polygons,
+    polygon_edges,
     s2_cell,
     s2_face,
     s2_level,
@@ -207,6 +208,12 @@ def test_strtree_empty_and_tiny():
     assert pts.tolist() == [0] and items.tolist() == [0]
 
 
+def points_in_polygon(xs, ys, px, py):
+    """Every point against one polygon, through the engine's kernel."""
+    edges, _ = polygon_edges([{"xs": xs, "ys": ys}])
+    return pairs_in_polygons(edges, np.zeros(len(px), dtype=np.int64), px, py)
+
+
 def test_pip_square_and_concave():
     # unit square
     sq_x = np.asarray([0.0, 1.0, 1.0, 0.0])
@@ -253,6 +260,122 @@ def test_pip_matches_matplotlib_free_bruteforce():
         # compare only away from edges (boundary semantics may differ)
         mask = strict
         assert np.array_equal(got[mask], inside[mask])
+
+
+def _property_polygons(rng):
+    """Mixed vertex counts (3-14, so rows are padded), vertices on a
+    half-unit grid (so points land on vertices and horizontal edges),
+    self-intersections allowed, one closed ring, non-sorted admin ids."""
+    polys = []
+    for i in range(24):
+        k = int(rng.integers(3, 15))
+        cx, cy = rng.integers(-6, 7, 2)
+        xs = cx + rng.integers(-8, 9, k) / 2.0
+        ys = cy + rng.integers(-8, 9, k) / 2.0
+        if i == 0:  # closed ring: first vertex repeated last
+            xs, ys = np.append(xs, xs[0]), np.append(ys, ys[0])
+        if i == 1:  # an axis-aligned rectangle: two horizontal edges
+            xs, ys = np.asarray([0.0, 3.0, 3.0, 0.0]), np.asarray([1.0, 1.0, 2.5, 2.5])
+        polys.append(
+            {
+                "admin_id": int((i * 7) % 24),
+                "xs": xs,
+                "ys": ys,
+                "bbox": (xs.min(), ys.min(), xs.max(), ys.max()),
+            }
+        )
+    return polys
+
+
+def _property_points(rng, polys):
+    """Vertices, grid points, uniform points, NaN points, points on the
+    rectangle's horizontal edges, and points ON slanted edges: px is the
+    edge's crossing x as the SQL twin computes it, so a kernel whose
+    float expression differs in the last bit flips some of them."""
+    vx = np.concatenate([p["xs"] for p in polys])
+    vy = np.concatenate([p["ys"] for p in polys])
+    gx, gy = rng.integers(-20, 21, (2, 1500)) / 2.0  # on the vertex grid
+    ux, uy = rng.uniform(-11, 11, (2, 1500))
+    x2, y2 = vx, vy
+    x1, y1 = np.roll(vx, 1), np.roll(vy, 1)  # ring seams make a few extra segments
+    slanted = y1 != y2
+    x1, y1, x2, y2 = x1[slanted], y1[slanted], x2[slanted], y2[slanted]
+    ey = y2 + rng.uniform(0, 1, len(y2)) * (y1 - y2)
+    ex = (x1 - x2) * (ey - y2) / (y1 - y2) + x2
+    px = np.concatenate([vx, gx, ux, ex, [np.nan, 1.0, np.nan], [1.5, 0.0, 3.0]])
+    py = np.concatenate([vy, gy, uy, ey, [1.0, np.nan, np.nan], [1.0, 2.5, 1.75]])
+    return px, py
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pip_kernel_matches_loop_reference(seed, pip_loop):
+    """The one-pass kernel against the per-edge loop, bit for bit, over
+    every (point, polygon) pair."""
+    rng = np.random.default_rng(seed)
+    polys = _property_polygons(rng)
+    px, py = _property_points(rng, polys)
+    edges, n_edges = polygon_edges(polys)
+    assert edges.shape == (4, len(polys), n_edges.max())
+    assert n_edges.min() < n_edges.max()  # padding is exercised
+    assert n_edges[0] == len(polys[0]["xs"]) - 1  # the closing vertex dropped
+    pi = np.repeat(np.arange(len(polys)), len(px))
+    got = pairs_in_polygons(edges, pi, np.tile(px, len(polys)), np.tile(py, len(polys)))
+    want = np.concatenate([pip_loop(p["xs"], p["ys"], px, py) for p in polys])
+    assert np.array_equal(got, want)
+    assert 0 < got.sum() < len(got)
+    assert not got[np.tile(np.isnan(px) | np.isnan(py), len(polys))].any()
+
+
+def _loop_join(polys, mode, batch, pip_loop):
+    """The PIP join with per-polygon loop verification, pairs sorted by
+    polygon: the join's output before the one-pass kernel."""
+    from rio_color_ray.stages.pip_stage import _emit
+
+    lat = batch.column("lat").to_numpy()
+    lon = batch.column("lon").to_numpy()
+    admin_ids = np.asarray([p["admin_id"] for p in polys], dtype=np.int64)
+    tree = STRtree(np.asarray([p["bbox"] for p in polys]))
+    pts, pi = tree.query_points(lon, lat)
+    order = np.argsort(pi, kind="stable")
+    pts, pi = pts[order], pi[order]
+    keep = np.zeros(len(pts), dtype=bool)
+    for k in np.unique(pi):
+        seg = pi == k
+        keep[seg] = pip_loop(polys[k]["xs"], polys[k]["ys"], lon[pts[seg]], lat[pts[seg]])
+    return _emit(batch, pts[keep], pi[keep], admin_ids, mode)
+
+
+@pytest.mark.parametrize("mode", ["inner", "semi", "anti", "left"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pip_join_matches_loop_reference(seed, mode, pip_loop):
+    import pyarrow as pa
+
+    from rio_color_ray.stages.pip_stage import PIPJoinStage
+
+    rng = np.random.default_rng(seed)
+    polys = _property_polygons(rng)
+    px, py = _property_points(rng, polys)
+    batch = pa.table({"row": np.arange(len(px)), "lat": py, "lon": px})
+    got = PIPJoinStage(polys, mode)(batch)
+    want = _loop_join(polys, mode, batch, pip_loop)
+    # DataFrame.equals: same rows in the same order, NaN equal to NaN
+    assert got.schema == want.schema and got.to_pandas().equals(want.to_pandas())
+    assert got.num_rows > 0
+    if mode in ("semi", "anti"):
+        assert got.num_rows < len(px)
+    # no polygons: nothing matches, in every mode
+    empty = PIPJoinStage([], mode)(batch)
+    n = {"inner": 0, "semi": 0, "anti": len(px), "left": len(px)}[mode]
+    assert empty.num_rows == n
+    if mode == "left":
+        assert set(empty.column("admin_id").to_pylist()) == {-1}
+
+
+def test_pip_kernel_empty_polygon_set():
+    edges, n_edges = polygon_edges([])
+    assert edges.shape == (4, 0, 0) and len(n_edges) == 0
+    got = pairs_in_polygons(edges, np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
+    assert got.dtype == bool and len(got) == 0
 
 
 # --- geo --------------------------------------------------------------------

@@ -17,6 +17,11 @@ no ``map_groups`` call may come back into the package.
 The exchange owns the bucket: callers pass a key, and ``bucket_exchange``
 alone maps it to one bucket per reduce task. So no function may take a
 bucket count (``n_buckets``) again.
+
+The flagship's fused map operator does only work its output needs: it
+computes no cell id (the flagship keeps none), and the PIP join checks
+candidates in one broadcast pass, so the per-edge loop
+``points_in_polygon`` lives in the tests only, as their reference.
 """
 
 import ast
@@ -88,3 +93,24 @@ def test_no_n_buckets_parameter():
         in [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
     ]
     assert not bad, "functions taking n_buckets:\n" + "\n".join(bad)
+
+
+def test_flagship_map_chain_computes_no_cell(ray_session):
+    from conftest import SF_SMOKE
+    from rio_color_ray.pipelines.flagship import flagship
+
+    ds = flagship(SF_SMOKE).materialize()
+    chain = [line for line in ds.stats().splitlines() if "MapBatches(geocode_batch)" in line]
+    assert chain, ds.stats()
+    for line in chain:
+        assert "PIPJoinStageFn" in line and "_add_tile_hash" in line  # one fused operator
+        assert "cellify_batch" not in line
+
+
+def test_no_engine_module_uses_points_in_polygon():
+    bad = [
+        str(path.relative_to(PKG.parent))
+        for path in sorted(PKG.rglob("*.py"))
+        if "points_in_polygon" in path.read_text()
+    ]
+    assert not bad, "points_in_polygon in the engine: " + ", ".join(bad)
