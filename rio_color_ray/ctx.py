@@ -18,8 +18,10 @@ tile assembly vectorized over Arrow, sort-shuffle wins every exchange in
 this engine at every scale we can measure here, so we pin it explicitly.
 
 Every keyed reduce the engine defines goes through :func:`bucket_exchange`,
-which alone decides each key's bucket; only Ray's builtin
-``groupby(key).aggregate`` runs beside it.
+which alone decides each key's bucket: sums, mins and maxes as
+``stages.agg.keyed_agg`` (one Arrow group_by as the map-side combiner
+and as the reduce), every other reduce as a caller's vectorized
+function. Ray's builtin ``groupby(key).aggregate`` runs nowhere.
 """
 
 import functools
@@ -125,9 +127,9 @@ def bucket_exchange(ds, key, reduce_block, batch_format, schema=None):
 
     def add_bucket(block):
         if isinstance(block, pa.Table):
-            return block.append_column(BUCKET, pa.array(_bucket_of(block.select(keys), n)))
+            return block.append_column(BUCKET, pa.array(_bucket_of(block, keys, n)))
         out = block.copy(deep=False)  # a new column, not a copy of the data
-        out[BUCKET] = _bucket_of(pa.Table.from_pandas(block[keys], preserve_index=False), n)
+        out[BUCKET] = _bucket_of(block, keys, n)
         return out
 
     @functools.wraps(getattr(reduce_block, "func", reduce_block))
@@ -150,18 +152,29 @@ def bucket_exchange(ds, key, reduce_block, batch_format, schema=None):
     return out
 
 
-def _bucket_of(keys, n):
-    """The bucket in ``[0, n)`` of every row of the key columns ``keys``."""
-    cols = keys.columns
-    if len(cols) == 1 and pa.types.is_integer(cols[0].type):
-        k = cols[0].fill_null(0).to_numpy()
+def _bucket_of(block, keys, n):
+    """The bucket in ``[0, n)`` of every row of ``block``'s ``keys``.
+
+    An Arrow and a pandas block give a key the same bucket: an integer
+    column is read as its numpy ints, a null as 0 (so an int column
+    hashes as ints whether or not its block holds a null), and any other
+    column is hashed as its pandas values.
+    """
+    if isinstance(block, pa.Table):
+        cols = [
+            c.fill_null(0).to_numpy() if pa.types.is_integer(c.type) else c.to_pandas()
+            for c in block.select(keys).columns
+        ]
+    else:
+        cols = [
+            c.to_numpy(getattr(c.dtype, "numpy_dtype", c.dtype), na_value=0)
+            if pd.api.types.is_integer_dtype(c.dtype)
+            else c
+            for c in (block[k] for k in keys)
+        ]
+    if len(cols) == 1 and isinstance(cols[0], np.ndarray):
+        k = cols[0]
         return (k % k.dtype.type(n)).astype(np.int64)
-    # an int column hashes as ints whether or not its block holds a null
-    frame = pd.DataFrame(
-        {
-            i: c.fill_null(0).to_numpy() if pa.types.is_integer(c.type) else c.to_pandas()
-            for i, c in enumerate(cols)
-        }
-    )
+    frame = pd.DataFrame(dict(enumerate(cols)))
     h = pd.util.hash_pandas_object(frame, index=False).to_numpy()
     return (h % np.uint64(n)).astype(np.int64)

@@ -83,14 +83,10 @@ def band_histograms(tiles_ds, bins=None):
             }
         )
 
-    from ray.data.aggregate import Sum
+    from ..stages.agg import keyed_agg
 
-    agg = (
-        tiles_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["band", "bin"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
+    partials = tiles_ds.map_batches(partial, batch_format="pyarrow")
+    agg = keyed_agg(partials, ["band", "bin"], {"n": "sum"}).to_pandas()
     out = np.zeros((3, len(bins) - 1), dtype=np.int64)
     out[agg["band"], agg["bin"]] = agg["n"]
     return out

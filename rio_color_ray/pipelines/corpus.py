@@ -12,7 +12,7 @@ import ray.data
 
 from ..ctx import bucket_exchange
 from ..sources.pages import REP_STRIDE
-from ..stages.agg import hash_bucket_agg
+from ..stages.agg import hash_bucket_agg, keyed_agg
 from ..stages.ann import AnnBruteStage, ann_topk_reduce, list_col_to_matrix
 from ..stages.dedup import (
     EmbeddingLSHStage,
@@ -1097,8 +1097,6 @@ def label_centroids(sf_dir):
     sum_q20 / (n * 2^20) — division left to the consumer so the
     transported value stays an exact int64.
     """
-    from ray.data.aggregate import Sum
-
     ds = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"]
     )
@@ -1130,10 +1128,10 @@ def label_centroids(sf_dir):
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["label", "dim"])
-        .aggregate(Sum("sum_q20", alias_name="sum_q20"), Sum("n", alias_name="n"))
+    return keyed_agg(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["label", "dim"],
+        {"sum_q20": "sum", "n": "sum"},
     )
 
 

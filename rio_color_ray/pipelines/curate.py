@@ -5,8 +5,8 @@ The composition a 100 TB pretraining-data run needs, expressed
 Ray-Data-first: every stage is a vectorized ``map_batches`` over Arrow,
 the only exchanges are (a) the dedup groupby on the 64-bit content hash
 (moves (hash, id, small-metadata) — never document bodies) and (b) the
-vocabulary count groupby (moves (token, partial_count) after per-batch
-pre-aggregation). Sampling decisions are pure functions of stable row
+vocabulary count (a keyed sum: moves (token, partial_count) after the
+per-block combine). Sampling decisions are pure functions of stable row
 ids (stages/sampling.py), so output is identical under resume,
 repartitioning, or a different cluster size — and every operator here
 has an exact DuckDB oracle.
@@ -19,7 +19,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..stages.agg import hash_bucket_agg
+from ..stages.agg import hash_bucket_agg, keyed_agg
 from ..stages.sampling import (
     split_assign_batch,
     split_sql,
@@ -210,35 +210,25 @@ def vocab_top_tokens(sf_dir, k=VOCAB_K):
     """Corpus-wide top-k tokens by count (tokenizer-vocab seed).
 
     Per-batch token explosion is pure Arrow (split_pattern_regex +
-    list_flatten) followed by a vectorized value-count — the exchange
-    moves (token, partial_count) rows, bounded by per-batch distinct
-    tokens, not corpus token occurrences. Final order: count desc, token
-    asc (fully deterministic).
+    list_flatten) into a keyed count — the combiner leaves the exchange
+    (token, partial_count) rows, bounded by per-batch distinct tokens,
+    not corpus token occurrences. Final order: count desc, token asc
+    (fully deterministic).
     """
 
-    def partial_counts(batch: pa.Table) -> pa.Table:
+    def tokens(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(
             pc.split_pattern_regex(batch.column("text"), pattern=r"\s+")
         )
         toks = toks.filter(pc.not_equal(toks, ""))
-        vc = toks.value_counts()
-        return pa.table(
-            {
-                "token": vc.field("values"),
-                "n": pc.cast(vc.field("counts"), pa.int64()),
-            }
-        )
+        return pa.table({"token": toks, "n": np.ones(len(toks), np.int64)})
 
     ds = documents(sf_dir, columns=["text"])
     from ..stages.topk import topk_rows
 
     # token cardinality is vocabulary-sized (millions on a real corpus):
-    # hash-bucket reduce on the string key (stages/agg.py)
-    counts = hash_bucket_agg(
-        ds.map_batches(partial_counts, batch_format="pyarrow"),
-        "token",
-        lambda df: df.groupby("token", as_index=False)["n"].sum(),
-    )
+    # a keyed count on the string key (stages/agg.py)
+    counts = keyed_agg(ds.map_batches(tokens, batch_format="pyarrow"), "token", {"n": "sum"})
     return topk_rows(counts, ["n", "token"], [True, False], k)
 
 
@@ -329,38 +319,27 @@ def mix_sources(sf_dir):
     ``keep_ppm[s] = (min_tokens * 1e6) // tokens[s]`` (the smallest
     source keeps everything). Returns (doc_id, source) of kept docs.
 
-    Scale shape: phase 1 is a source-cardinality aggregate (per-batch
-    partial sums, then a groupby over a handful of source keys); phase 2
-    is a stateless hash filter with the tiny keep_ppm table captured by
-    value — the corpus itself never shuffles, and the decision is stable
-    under repartition/resume (pure function of doc_id). keep_ppm is
-    computed in arbitrary-precision Python ints and HUGEINT in the twin,
-    so min_tokens * 1e6 cannot overflow at any corpus size.
+    Scale shape: phase 1 is a source-cardinality keyed sum (a handful of
+    source keys); phase 2 is a stateless hash filter with the tiny
+    keep_ppm table captured by value — the corpus itself never
+    shuffles, and the decision is stable under repartition/resume (pure
+    function of doc_id). keep_ppm is computed in arbitrary-precision
+    Python ints and HUGEINT in the twin, so min_tokens * 1e6 cannot
+    overflow at any corpus size.
     """
     import pyarrow.compute as pc
-
-    import ray
-    from ray.data.aggregate import Sum
 
     from ..stages.sampling import splitmix64
 
     ds = documents(sf_dir, columns=["doc_id", "source", "text"])
 
-    def partial_tokens(batch: pa.Table) -> pd.DataFrame:
-        n = pc.cast(
-            pc.count_substring_regex(batch.column("text"), r"\S+"), pa.int64()
-        ).to_numpy()
-        df = pd.DataFrame(
-            {"source": batch.column("source").to_pandas().to_numpy(), "toks": n}
-        )
-        return df.groupby("source", as_index=False)["toks"].sum()
+    def doc_tokens(batch: pa.Table) -> pa.Table:
+        n = pc.count_substring_regex(batch.column("text"), r"\S+")
+        return pa.table({"source": batch.column("source"), "toks": pc.cast(n, pa.int64())})
 
-    totals = (
-        ds.map_batches(partial_tokens, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(Sum("toks", alias_name="toks"))
-        .to_pandas()  # source-cardinality rows
-    )
+    totals = keyed_agg(
+        ds.map_batches(doc_tokens, batch_format="pyarrow"), "source", {"toks": "sum"}
+    ).to_pandas()  # source-cardinality rows
     # zero-token sources (all-empty texts after aggressive stripping)
     # keep nothing and are excluded from the mixture minimum — without
     # the guard min_toks = 0 would zero every source (and the division
@@ -441,8 +420,6 @@ def tfidf_top_terms(sf_dir, k_vocab=VOCAB_K, m=TFIDF_TOP_M):
     """
     import ray
 
-    from ray.data.aggregate import Sum
-
     from ..stages.statecache import process_cached
 
     vocab = vocab_top_tokens(sf_dir, k=k_vocab).to_pandas()
@@ -464,17 +441,14 @@ def tfidf_top_terms(sf_dir, k_vocab=VOCAB_K, m=TFIDF_TOP_M):
             {"doc_id": doc_rep[keep], "token": flat.to_pandas().to_numpy()[keep]}
         )
 
-    def df_partial(batch: pa.Table) -> pd.DataFrame:
-        pairs = explode_vocab(batch).drop_duplicates()
-        out = pairs.groupby("token", as_index=False).size()
-        return out.rename(columns={"size": "df"}).astype({"df": np.int64})
+    def doc_terms(batch: pa.Table) -> pa.Table:
+        # a document is one row, so its distinct terms are distinct here
+        token = explode_vocab(batch).drop_duplicates()["token"].to_numpy()
+        return pa.table({"token": pa.array(token, pa.string()), "df": np.ones(len(token), np.int64)})
 
-    df_tbl = (
-        docs.map_batches(df_partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("df", alias_name="df"))
-        .to_pandas()  # <= k_vocab rows
-    )
+    df_tbl = keyed_agg(
+        docs.map_batches(doc_terms, batch_format="pyarrow"), "token", {"df": "sum"}
+    ).to_pandas()  # <= k_vocab rows
     df_tbl["weight_ppm"] = np.minimum(
         (1_000_000 * n_docs) // df_tbl["df"].to_numpy(), TFIDF_WEIGHT_PPM_CAP
     )
@@ -550,8 +524,8 @@ def pack_sequences(sf_dir, budget=PACK_BUDGET, n_parts=PACK_PARTS):
 
     1. doc_id range from Parquet row-group statistics (metadata only, no
        scan), split into ``n_parts`` contiguous ranges;
-    2. pass 1: per-range token totals (per-batch partials -> ``n_parts``
-       rows to the driver -> exclusive scan -> broadcast);
+    2. pass 1: per-range token totals (a keyed sum -> ``n_parts`` rows
+       to the driver -> exclusive scan -> broadcast);
     3. pass 2: each range sorts its own docs and adds its base offset —
        every doc's global stream offset, with no cross-range exchange.
 
@@ -582,12 +556,13 @@ def pack_sequences(sf_dir, budget=PACK_BUDGET, n_parts=PACK_PARTS):
     if los:
         lo, hi = min(los), max(his)
     else:  # stats-free file: one distributed min/max pass over doc_id
-        from ray.data.aggregate import Max, Min
+        def ids(batch: pa.Table) -> pa.Table:
+            i = batch.column("doc_id")
+            return pa.table({"__k": np.zeros(len(i), np.int64), "lo": i, "hi": i})
 
-        bounds = documents(sf_dir, columns=["doc_id"]).aggregate(
-            Min("doc_id"), Max("doc_id")
-        )
-        lo, hi = bounds["min(doc_id)"], bounds["max(doc_id)"]
+        ds = documents(sf_dir, columns=["doc_id"]).map_batches(ids, batch_format="pyarrow")
+        [bounds] = keyed_agg(ds, "__k", {"lo": "min", "hi": "max"}).take_all()
+        lo, hi = bounds["lo"], bounds["hi"]
     span = (hi - lo + n_parts) // n_parts  # ceil
 
     def tc(batch: pa.Table) -> pd.DataFrame:
@@ -598,21 +573,13 @@ def pack_sequences(sf_dir, budget=PACK_BUDGET, n_parts=PACK_PARTS):
     docs = documents(sf_dir, columns=["doc_id", "text"])
     counted = docs.map_batches(tc, batch_format="pyarrow")
 
-    def part_partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("part", as_index=False)["n_tokens"].sum()
-
-    from ray.data.aggregate import Sum
-
     totals = (
-        counted.map_batches(part_partial, batch_format="pandas")
-        .groupby("part")
-        .aggregate(Sum("n_tokens", alias_name="total"))
+        keyed_agg(counted, "part", {"n_tokens": "sum"})
         .to_pandas()  # n_parts rows
         .sort_values("part")
     )
-    base = np.zeros(n_parts, dtype=np.int64)
     present = totals["part"].to_numpy()
-    cum = np.cumsum(totals["total"].to_numpy())
+    cum = np.cumsum(totals["n_tokens"].to_numpy())
     run = np.zeros(n_parts + 1, dtype=np.int64)
     run[present + 1] = cum
     base = np.maximum.accumulate(run)[:-1]  # exclusive base per part
@@ -776,10 +743,10 @@ def length_filter_median(sf_dir, q=LENGTH_FILTER_Q):
     first quality gate on web text, and it needs a corpus statistic.
 
     Scale shape: two streaming passes. Pass 1 reduces to a histogram of
-    DISTINCT token counts (per-batch partial counts, then a bucketed
-    merge — the exchange moves (length, count) pairs, bounded by the
-    distinct-length set, not by rows); the cutoff falls out of one
-    cumulative sum over that driver-sized histogram. Pass 2 re-streams
+    DISTINCT token counts (a keyed count — the exchange moves (length,
+    count) pairs, bounded by the distinct-length set, not by rows); the
+    cutoff falls out of one cumulative sum over that driver-sized
+    histogram. Pass 2 re-streams
     the corpus through a stateless filter against the broadcast cutoff.
     Returns Dataset[doc_id, n_tokens].
     """
@@ -790,14 +757,11 @@ def length_filter_median(sf_dir, q=LENGTH_FILTER_Q):
             token_count_batch, batch_format="pyarrow"
         )
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.groupby("n_tokens", as_index=False).size()
-        return out.rename(columns={"size": "cnt"})
+    def ones(batch: pa.Table) -> pa.Table:
+        return batch.append_column("cnt", pa.array(np.ones(batch.num_rows, np.int64)))
 
-    hist = hash_bucket_agg(
-        tc(sf_dir).map_batches(partial, batch_format="pandas"),
-        "n_tokens",
-        lambda df: df.groupby("n_tokens", as_index=False)["cnt"].sum(),
+    hist = keyed_agg(
+        tc(sf_dir).map_batches(ones, batch_format="pyarrow"), "n_tokens", {"cnt": "sum"}
     ).to_pandas()  # driver-sized: one row per distinct document length
     h = hist.sort_values("n_tokens", kind="mergesort")
     cum = h["cnt"].to_numpy().cumsum()

@@ -83,30 +83,22 @@ def geocode_query(sf_dir):
     return cellified(sf_dir, keep_columns=["url", "lat", "lon"])
 
 
-def _partial_count(key):
-    """Batch-level pre-aggregation: one (key, n) row per key per batch."""
+def _count_pages(ds, key):
+    """Pages per ``key``: a keyed sum of ones, combined inside every map
+    block before the exchange (stages/agg.py)."""
+    from ..stages.agg import keyed_agg
 
-    def agg(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.groupby(key, as_index=False).size()
-        return out.rename(columns={"size": "n"})
+    return keyed_agg(ds.map_batches(_ones, batch_format="pyarrow"), key, {"n_pages": "sum"})
 
-    return agg
+
+def _ones(batch: pa.Table) -> pa.Table:
+    return batch.append_column("n_pages", pa.array(np.ones(batch.num_rows, np.int64)))
 
 
 def grid_cell_agg(sf_dir):
     """Pages per 0.5-deg grid cell — partial-sum, then a hash-bucket
     reduce (cell cardinality grows toward planet scale; stages/agg.py)."""
-    from ..stages.agg import hash_bucket_agg
-
-    ds = cellified(sf_dir, keep_columns=["grid_cell"])
-    partial = ds.map_batches(_partial_count("grid_cell"), batch_format="pandas")
-    return hash_bucket_agg(
-        partial,
-        "grid_cell",
-        lambda df: df.groupby("grid_cell", as_index=False)["n"]
-        .sum()
-        .rename(columns={"n": "n_pages"}),
-    )
+    return _count_pages(cellified(sf_dir, keep_columns=["grid_cell"]), "grid_cell")
 
 
 def top_grid_cells(sf_dir, k=20):
@@ -121,14 +113,6 @@ def top_grid_cells(sf_dir, k=20):
     return topk_rows(
         grid_cell_agg(sf_dir), ["n_pages", "grid_cell"], [True, False], k
     )
-
-
-def _salted_partial(key):
-    def agg(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.groupby([key, "salt"], as_index=False).size()
-        return g.rename(columns={"size": "n"})
-
-    return agg
 
 
 def cell_agg_salted(sf_dir, key="h3_r8"):
@@ -154,27 +138,14 @@ def cell_agg_salted(sf_dir, key="h3_r8"):
     ds = cellified(sf_dir, keep_columns=["url", key]).map_batches(
         add_salt, batch_format="pyarrow"
     )
-    from ..stages.agg import hash_bucket_agg
-
-    partial = ds.map_batches(_salted_partial(key), batch_format="pandas")
     # stage 2 spreads a hot cell's partials over N_SALT reducer keys: the
     # exchange keys on the pair [cell, salt] — keying on salt alone would
     # light up only N_SALT buckets. Both reduces run as keyed exchanges
     # (cell cardinality is planet-scale at res 8 — stages/agg.py).
-    mid = hash_bucket_agg(
-        partial,
-        [key, "salt"],
-        lambda df: df.groupby([key, "salt"], as_index=False)["n"]
-        .sum()
-        .rename(columns={"n": "n_mid"}),
-    )
-    return hash_bucket_agg(
-        mid,
-        key,
-        lambda df: df.groupby(key, as_index=False)["n_mid"]
-        .sum()
-        .rename(columns={"n_mid": "n_pages"}),
-    )
+    from ..stages.agg import keyed_agg
+
+    mid = _count_pages(ds, [key, "salt"])
+    return keyed_agg(mid, key, {"n_pages": "sum"})
 
 
 def cell_agg_h8(sf_dir):
@@ -251,14 +222,4 @@ def cell_agg_s2(sf_dir):
     """Pages per S2-style quadsphere cell (Hilbert ids). Oracle-checked
     against the generated SQL twin ``spatial.s2.s2_cell_sql`` (the same
     projection chain + unrolled Hilbert bit walk in DuckDB)."""
-    from ..stages.agg import hash_bucket_agg
-
-    ds = cellified(sf_dir, keep_columns=["s2_cell"])
-    partial = ds.map_batches(_partial_count("s2_cell"), batch_format="pandas")
-    return hash_bucket_agg(
-        partial,
-        "s2_cell",
-        lambda df: df.groupby("s2_cell", as_index=False)["n"]
-        .sum()
-        .rename(columns={"n": "n_pages"}),
-    )
+    return _count_pages(cellified(sf_dir, keep_columns=["s2_cell"]), "s2_cell")

@@ -9,7 +9,8 @@ Join strategy per query (the explicit scale decisions):
 * dimension tables (nation/region/customer-subset) -> BROADCAST merge
 * orders |><| lineitem (both large) -> our explicit ``bucketed_hash_join``
   (q3 and q5, both oracle-checked)
-* aggregates -> per-batch partial reduce, then a small groupby
+* aggregates -> one keyed aggregate (stages/agg.py): an Arrow group_by
+  combines each map block, the same group_by reduces each bucket
 """
 
 import numpy as np
@@ -18,28 +19,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Sum
 
-from ..stages.agg import hash_bucket_agg
+from ..stages.agg import hash_bucket_agg, keyed_agg
 from ..stages.join import BroadcastJoinStage, broadcast_semi_filter, bucketed_hash_join
 
 Q1_CUTOFF = "1998-09-02"
 Q3_DATE = "1997-01-01"
-
-
-def _cast_ts_us(*cols):
-    """Final-stage cast to timestamp[us]: Ray's sort-based aggregate
-    normalizes temporal key columns to ns; the DuckDB oracle emits us."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        for c in cols:
-            i = batch.schema.get_field_index(c)
-            batch = batch.set_column(
-                i, c, pc.cast(batch.column(c), pa.timestamp("us"))
-            )
-        return batch
-
-    return fn
 
 
 def _read(sf_dir, name, columns=None):
@@ -68,7 +53,7 @@ def q1_pricing_summary(sf_dir):
         ],
     )
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
+    def rows(batch: pa.Table) -> pa.Table:
         batch = batch.filter(
             pc.less_equal(batch.column("l_shipdate"), pa.scalar(np.datetime64(Q1_CUTOFF, "us")))
         )
@@ -76,26 +61,23 @@ def q1_pricing_summary(sf_dir):
         price_c = _int_cents(batch.column("l_extendedprice"))
         disc_pct = np.rint(batch.column("l_discount").to_numpy(zero_copy_only=False) * 100).astype(np.int64)
         tax_pct = np.rint(batch.column("l_tax").to_numpy(zero_copy_only=False) * 100).astype(np.int64)
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "l_returnflag": batch.column("l_returnflag").to_pandas().to_numpy(),
-                "l_linestatus": batch.column("l_linestatus").to_pandas().to_numpy(),
+                "l_returnflag": batch.column("l_returnflag"),
+                "l_linestatus": batch.column("l_linestatus"),
                 "sum_qty": qty,
                 "sum_base_price_cents": price_c,
                 "sum_disc_price_micros": price_c * (100 - disc_pct),
                 "sum_charge_micros2": price_c * (100 - disc_pct) * (100 + tax_pct),
-                "count_order": 1,
+                "count_order": np.ones(batch.num_rows, np.int64),
             }
         )
-        return df.groupby(["l_returnflag", "l_linestatus"], as_index=False).sum()
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("sum_base_price_cents", alias_name="sum_base_price_cents"),
-        Sum("sum_disc_price_micros", alias_name="sum_disc_price_micros"),
-        Sum("sum_charge_micros2", alias_name="sum_charge_micros2"),
-        Sum("count_order", alias_name="count_order"),
+    sums = ["sum_qty", "sum_base_price_cents", "sum_disc_price_micros", "sum_charge_micros2", "count_order"]
+    return keyed_agg(
+        ds.map_batches(rows, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        dict.fromkeys(sums, "sum"),
     )
 
 
@@ -159,14 +141,7 @@ def q3_top_orders(sf_dir, k=10):
     li = li.map_batches(revenue, batch_format="pyarrow")
     joined = bucketed_hash_join(orders, li, "o_orderkey")
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.groupby("o_orderkey", as_index=False)["revenue_micros"].sum()
-
-    per_order = hash_bucket_agg(
-        joined.map_batches(partial, batch_format="pandas"),
-        "o_orderkey",
-        lambda df: df.groupby("o_orderkey", as_index=False)["revenue_micros"].sum(),
-    )
+    per_order = keyed_agg(joined, "o_orderkey", {"revenue_micros": "sum"})
     from ..stages.topk import topk_rows
 
     return topk_rows(per_order, ["revenue_micros", "o_orderkey"], [True, False], k)
@@ -231,14 +206,7 @@ def q5_nation_revenue(sf_dir):
         batch_format="pandas",
     ).select_columns(["n_name", "revenue_micros"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.groupby("n_name", as_index=False)["revenue_micros"].sum()
-
-    return (
-        with_nation.map_batches(partial, batch_format="pandas")
-        .groupby("n_name")
-        .aggregate(Sum("revenue_micros", alias_name="revenue_micros"))
-    )
+    return keyed_agg(with_nation, "n_name", {"revenue_micros": "sum"})
 
 
 Q5_SQL = """
@@ -256,31 +224,20 @@ def events_daily(sf_dir):
     """Tumbling 1-day window: events per (day, event_type) + value cents."""
     ds = _read(sf_dir, "events", columns=["ts", "event_type", "value"])
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
-        day = pc.floor_temporal(batch.column("ts"), unit="day")
-        cents = _int_cents(batch.column("value"))
-        df = pd.DataFrame(
+    def rows(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
-                "day": day.to_pandas(),
-                "event_type": batch.column("event_type").to_pandas().to_numpy(),
-                "n_events": 1,
-                "value_cents": cents,
+                "day": pc.floor_temporal(batch.column("ts"), unit="day"),
+                "event_type": batch.column("event_type"),
+                "n_events": np.ones(batch.num_rows, np.int64),
+                "value_cents": _int_cents(batch.column("value")),
             }
         )
-        out = df.groupby(["day", "event_type"], as_index=False).sum()
-        # pyarrow's to_pandas coerces temporal cols to ns; the oracle emits
-        # timestamp[us] — pin us so the hash compare sees identical dtypes.
-        out["day"] = out["day"].astype("datetime64[us]")
-        return out
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["day", "event_type"])
-        .aggregate(
-            Sum("n_events", alias_name="n_events"),
-            Sum("value_cents", alias_name="value_cents"),
-        )
-        .map_batches(_cast_ts_us("day"), batch_format="pyarrow")
+    return keyed_agg(
+        ds.map_batches(rows, batch_format="pyarrow"),
+        ["day", "event_type"],
+        {"n_events": "sum", "value_cents": "sum"},
     )
 
 
@@ -295,22 +252,14 @@ FROM events GROUP BY 1, 2
 def top_users_by_value(sf_dir, k=10):
     ds = _read(sf_dir, "events", columns=["user_id", "value"])
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
-        df = pd.DataFrame(
-            {
-                "user_id": batch.column("user_id").to_numpy(),
-                "value_cents": _int_cents(batch.column("value")),
-            }
+    def rows(batch: pa.Table) -> pa.Table:
+        return pa.table(
+            {"user_id": batch.column("user_id"), "value_cents": _int_cents(batch.column("value"))}
         )
-        return df.groupby("user_id", as_index=False).sum()
 
     from ..stages.topk import topk_rows
 
-    out = hash_bucket_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        "user_id",
-        lambda df: df.groupby("user_id", as_index=False)["value_cents"].sum(),
-    )
+    out = keyed_agg(ds.map_batches(rows, batch_format="pyarrow"), "user_id", {"value_cents": "sum"})
     return topk_rows(out, ["value_cents", "user_id"], [True, False], k)
 
 
@@ -325,33 +274,21 @@ SELECT user_id, value_cents FROM (
 def distinct_users_per_type(sf_dir):
     """count(distinct user_id) via TWO-LEVEL exact distinct.
 
-    Level 1 partitions by a hash bucket of user_id (stages/agg.py — the
-    (event_type, user_id) combo cardinality grows with the data, so the
-    distinct collapse runs as a vectorized drop_duplicates per bucket,
-    not one Ray group per combo), so no reducer ever holds one
+    Level 1 is a keyed aggregate with no aggregates on the (user_id,
+    event_type) combo (stages/agg.py — the combo cardinality grows with
+    the data, so the distinct collapse runs vectorized per exchange
+    block, not one Ray group per combo), so no reducer ever holds one
     event_type's full user set (5 event types would otherwise mean 5
-    giant groups at 100 TB). Level 2 counts the combo rows per type:
-    batch partial counts into a 5-row groupby.
+    giant groups at 100 TB). Level 2 sums one per combo row per type.
     """
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
+    combos = keyed_agg(ds, ["user_id", "event_type"], {})
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.drop_duplicates()
+    def ones(batch: pa.Table) -> pa.Table:
+        return batch.append_column("n_users", pa.array(np.ones(batch.num_rows, np.int64)))
 
-    combos = hash_bucket_agg(
-        ds.map_batches(partial, batch_format="pandas"),
-        "user_id",
-        lambda df: df.drop_duplicates(),
-    )
-
-    def count_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.groupby("event_type", as_index=False).size()
-        return g.rename(columns={"size": "n"})
-
-    return (
-        combos.map_batches(count_partial, batch_format="pandas")
-        .groupby("event_type")
-        .aggregate(Sum("n", alias_name="n_users"))
+    return keyed_agg(
+        combos.map_batches(ones, batch_format="pyarrow"), "event_type", {"n_users": "sum"}
     )
 
 
@@ -366,7 +303,7 @@ def q14_promo_revenue(sf_dir):
     ``part`` is the small side — read once on the driver, broadcast as a
     dense ``partkey -> is_promo`` int8 lookup array inside a stateless
     ``map_batches`` (no shuffle for the join); the monthly aggregate is a
-    per-batch partial reduce into a tiny groupby. Exact integer micros.
+    keyed sum. Exact integer micros.
     """
     import pyarrow.parquet as pq
 
@@ -387,7 +324,7 @@ def q14_promo_revenue(sf_dir):
         sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"]
     )
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
+    def rows(batch: pa.Table) -> pa.Table:
         lookup = process_cached(("q14_lookup", ref.hex()), lambda: ray.get(ref),
                                 group="q14_promo_lookup")
         price_c = _int_cents(batch.column("l_extendedprice"))
@@ -398,22 +335,18 @@ def q14_promo_revenue(sf_dir):
         is_promo = lookup[batch.column("l_partkey").to_numpy()]
         ship = batch.column("l_shipdate").to_numpy(zero_copy_only=False)
         month = np.datetime_as_string(ship.astype("datetime64[M]"))
-        df = pd.DataFrame(
+        return pa.table(
             {
                 "ship_month": month,
                 "promo_revenue_micros": rev * is_promo,
                 "total_revenue_micros": rev,
             }
         )
-        return df.groupby("ship_month", as_index=False).sum()
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("ship_month")
-        .aggregate(
-            Sum("promo_revenue_micros", alias_name="promo_revenue_micros"),
-            Sum("total_revenue_micros", alias_name="total_revenue_micros"),
-        )
+    return keyed_agg(
+        ds.map_batches(rows, batch_format="pyarrow"),
+        "ship_month",
+        {"promo_revenue_micros": "sum", "total_revenue_micros": "sum"},
     )
 
 
@@ -443,30 +376,24 @@ def events_sliding_window(sf_dir):
     """
     ds = _read(sf_dir, "events", columns=["ts", "event_type", "value"])
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
+    def rows(batch: pa.Table) -> pa.Table:
         ts = batch.column("ts").to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
         cents = _int_cents(batch.column("value"))
-        etype = batch.column("event_type").to_pandas().to_numpy()
+        etype = batch.column("event_type")
         w1 = (ts // SLIDE_US) * SLIDE_US  # latest window containing ts
-        rows = {
-            "window_start": np.concatenate([w1, w1 - SLIDE_US]),
-            "event_type": np.concatenate([etype, etype]),
-            "n_events": np.ones(2 * len(cents), dtype=np.int64),
-            "value_cents": np.concatenate([cents, cents]),
-        }
-        df = pd.DataFrame(rows)
-        out = df.groupby(["window_start", "event_type"], as_index=False).sum()
-        out["window_start"] = out["window_start"].astype("datetime64[us]")
-        return out
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["window_start", "event_type"])
-        .aggregate(
-            Sum("n_events", alias_name="n_events"),
-            Sum("value_cents", alias_name="value_cents"),
+        return pa.table(
+            {
+                "window_start": np.concatenate([w1, w1 - SLIDE_US]).astype("datetime64[us]"),
+                "event_type": pa.chunked_array(etype.chunks * 2, etype.type),
+                "n_events": np.ones(2 * len(cents), dtype=np.int64),
+                "value_cents": np.concatenate([cents, cents]),
+            }
         )
-        .map_batches(_cast_ts_us("window_start"), batch_format="pyarrow")
+
+    return keyed_agg(
+        ds.map_batches(rows, batch_format="pyarrow"),
+        ["window_start", "event_type"],
+        {"n_events": "sum", "value_cents": "sum"},
     )
 
 
@@ -562,10 +489,10 @@ Q6_YEAR = "1996"  # inside the synthetic shipdate range (1995-2001)
 def q6_forecast_revenue(sf_dir):
     """TPC-H Q6 analog: discounted-revenue filter-sum, exact micros.
 
-    Pure read -> filter -> partial-sum map_batches -> one-row reduce; the
-    only exchange moves one partial row per block. Float filter literals
-    compare against the same stored doubles DuckDB sees, so row
-    selection is bit-identical.
+    Pure read -> filter -> partial-sum map_batches -> a keyed sum over a
+    constant key; the only exchange moves one partial row per block.
+    Float filter literals compare against the same stored doubles DuckDB
+    sees, so row selection is bit-identical.
     """
     ds = _read(
         sf_dir,
@@ -592,12 +519,8 @@ def q6_forecast_revenue(sf_dir):
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__k")
-        .aggregate(Sum("revenue_micros", alias_name="revenue_micros"))
-        .drop_columns(["__k"])
-    )
+    partials = ds.map_batches(partial, batch_format="pyarrow")
+    return keyed_agg(partials, "__k", {"revenue_micros": "sum"}).drop_columns(["__k"])
 
 
 Q6_SQL = f"""
@@ -837,8 +760,8 @@ def q10_returned_revenue(sf_dir, k=20):
     """Revenue lost to returns per customer for one order quarter.
 
     orders (quarter filter pushed to the scan) |><| lineitem(R) through
-    the engine's bucketed hash join; per-customer partial sums before the
-    final small groupby; customer names broadcast-merged at the end.
+    the engine's bucketed hash join; a keyed per-customer sum; customer
+    names broadcast-merged at the end.
     """
     lo = np.datetime64(Q10_QTR[0], "us")
     hi = np.datetime64(Q10_QTR[1], "us")
@@ -875,19 +798,10 @@ def q10_returned_revenue(sf_dir, k=20):
     li = li.map_batches(returned_revenue, batch_format="pyarrow")
     joined = bucketed_hash_join(orders, li, "o_orderkey")
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.groupby("o_custkey", as_index=False)["revenue_micros"].sum()
-
     from ..stages.topk import topk_rows
 
     per_cust = topk_rows(
-        hash_bucket_agg(
-            joined.map_batches(partial, batch_format="pandas"),
-            "o_custkey",
-            lambda df: df.groupby("o_custkey", as_index=False)[
-                "revenue_micros"
-            ].sum(),
-        ),
+        keyed_agg(joined, "o_custkey", {"revenue_micros": "sum"}),
         ["revenue_micros", "o_custkey"],
         [True, False],
         k,
@@ -942,29 +856,26 @@ QUANTILES = (0.25, 0.5, 0.75, 0.9)
 def value_quantiles_per_type(sf_dir):
     """Exact discrete quantiles of event value (cents) per event_type.
 
-    Scale shape: per-batch (type, cents) partial counts, a groupby on the
-    composite key (distinct cents per type is bounded by the price grid,
-    ~50k values, NOT by row count), then an exchange on the type whose
+    Scale shape: a keyed count on the composite (type, cents) key
+    (distinct cents per type is bounded by the price grid, ~50k values,
+    NOT by row count), then an exchange on the type whose
     reduce sorts each type's distinct values in its block and indexes
     their cumulative counts. No full
     sort of the data, no per-row shuffle — the exchange moves counts.
     """
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        b = pd.DataFrame(
+    def rows(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
-                "event_type": batch["event_type"],
-                "cents": np.rint(batch["value"].to_numpy() * 100).astype(np.int64),
+                "event_type": batch.column("event_type"),
+                "cents": _int_cents(batch.column("value")),
+                "n": np.ones(batch.num_rows, np.int64),
             }
         )
-        out = b.groupby(["event_type", "cents"], as_index=False).size()
-        return out.rename(columns={"size": "n"})
 
-    counts = hash_bucket_agg(
-        ds.map_batches(partial, batch_format="pandas"),
-        "cents",
-        lambda df: df.groupby(["event_type", "cents"], as_index=False)["n"].sum(),
+    counts = keyed_agg(
+        ds.map_batches(rows, batch_format="pyarrow"), ["event_type", "cents"], {"n": "sum"}
     )
 
     def quantiles(block: pd.DataFrame) -> pd.DataFrame:
@@ -1084,7 +995,7 @@ GROUP BY p.event_id, p.user_id, p.ts
 def customer_order_counts(sf_dir):
     """All customers with their order count and total spend in cents.
 
-    The orders side collapses to per-customer partials BEFORE the join
+    The orders side collapses to a keyed per-customer sum BEFORE the join
     (the aggregate is at most |customers| rows), then the engine's
     bucketed hash join runs with ``how='left'`` so customers without
     orders survive with zeros. Both sides shuffle once on the customer
@@ -1093,22 +1004,19 @@ def customer_order_counts(sf_dir):
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        b = pd.DataFrame(
+    def rows(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
-                "c_custkey": batch["o_custkey"],
-                "n_orders": np.ones(len(batch), dtype=np.int64),
-                "spend_cents": np.rint(
-                    batch["o_totalprice"].to_numpy() * 100
-                ).astype(np.int64),
+                "c_custkey": batch.column("o_custkey"),
+                "n_orders": np.ones(batch.num_rows, np.int64),
+                "spend_cents": _int_cents(batch.column("o_totalprice")),
             }
         )
-        return b.groupby("c_custkey", as_index=False).sum()
 
-    per_cust = hash_bucket_agg(
-        orders.map_batches(partial, batch_format="pandas"),
+    per_cust = keyed_agg(
+        orders.map_batches(rows, batch_format="pyarrow"),
         "c_custkey",
-        lambda df: df.groupby("c_custkey", as_index=False).sum(),
+        {"n_orders": "sum", "spend_cents": "sum"},
     )
     joined = bucketed_hash_join(
         cust,
@@ -1261,10 +1169,11 @@ def events_pivot(sf_dir):
         # unknown types fall out of the reindex: counted into no column
         wide = block.groupby(["day", "event_type"])["n"].sum().unstack(fill_value=0)
         wide = wide.reindex(columns=list(PIVOT_TYPES), fill_value=0).add_prefix("n_")
-        return wide.rename_axis(columns=None).reset_index()
+        out = wide.rename_axis(columns=None).reset_index()
+        out["day"] = out["day"].astype("datetime64[us]")  # the oracle's type
+        return out
 
-    out = hash_bucket_agg(ds.map_batches(partial, batch_format="pandas"), "day", widen)
-    return out.map_batches(_cast_ts_us("day"), batch_format="pyarrow")
+    return hash_bucket_agg(ds.map_batches(partial, batch_format="pandas"), "day", widen)
 
 
 PIVOT_SQL = (
@@ -1363,10 +1272,9 @@ def q4_late_shipments(sf_dir):
     """Per-priority count of orders with any lineitem shipped more than
     ``Q4_LATE_DAYS`` days after the order date.
 
-    EXISTS collapses to max(l_shipdate) per order: lineitem pre-reduces
-    to per-orderkey partials inside map_batches (at most |orders| rows
-    leave each task), a hash-bucket max (per-order keys are
-    high-cardinality — stages/agg.py), one bucketed hash join against
+    EXISTS collapses to max(l_shipdate) per order: a keyed max (per-order
+    keys are high-cardinality; the combiner lets at most |orders| rows
+    leave each task — stages/agg.py), one bucketed hash join against
     orders, then a 5-row priority count. No semi-join pair blowup at
     any scale.
     """
@@ -1375,22 +1283,16 @@ def q4_late_shipments(sf_dir):
     )
     line = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
 
-    def partial_max(batch: pd.DataFrame) -> pd.DataFrame:
-        b = pd.DataFrame(
+    def ship_us(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
-                "o_orderkey": batch["l_orderkey"],
-                "ship_us": batch["l_shipdate"]
-                .to_numpy()
-                .astype("datetime64[us]")
-                .astype(np.int64),
+                "o_orderkey": batch.column("l_orderkey"),
+                "ship_us": pc.cast(batch.column("l_shipdate"), pa.timestamp("us")).cast(pa.int64()),
             }
         )
-        return b.groupby("o_orderkey", as_index=False).max()
 
-    per_order = hash_bucket_agg(
-        line.map_batches(partial_max, batch_format="pandas"),
-        "o_orderkey",
-        lambda df: df.groupby("o_orderkey", as_index=False).max(),
+    per_order = keyed_agg(
+        line.map_batches(ship_us, batch_format="pyarrow"), "o_orderkey", {"ship_us": "max"}
     )
     joined = bucketed_hash_join(
         orders,
@@ -1405,21 +1307,18 @@ def q4_late_shipments(sf_dir):
     )
     late_us = Q4_LATE_DAYS * 86_400_000_000
 
-    def late_partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def late_rows(batch: pd.DataFrame) -> pa.Table:
         od_us = batch["o_orderdate"].to_numpy().astype("datetime64[us]").astype(np.int64)
         is_late = batch["ship_us"].to_numpy() > od_us + late_us
-        b = pd.DataFrame(
+        return pa.table(
             {
-                "o_orderpriority": batch["o_orderpriority"].to_numpy()[is_late],
+                "o_orderpriority": pa.array(batch["o_orderpriority"].to_numpy()[is_late], pa.string()),
                 "n_late": np.ones(int(is_late.sum()), dtype=np.int64),
             }
         )
-        return b.groupby("o_orderpriority", as_index=False).sum()
 
-    return (
-        joined.map_batches(late_partial, batch_format="pandas")
-        .groupby("o_orderpriority")
-        .aggregate(Sum("n_late", alias_name="n_late"))
+    return keyed_agg(
+        joined.map_batches(late_rows, batch_format="pandas"), "o_orderpriority", {"n_late": "sum"}
     )
 
 
@@ -1576,61 +1475,46 @@ def events_rollup(sf_dir):
     rows, per-day subtotals, and the grand total, with 'ALL' sentinels
     instead of SQL's rollup NULLs (strings hash/compare cleanly).
 
-    The detail aggregate is bounded (days x 5 types), so Ray's native
-    groupby is fine; the two rollup levels are derived FROM the detail
-    result (tiny) — the raw stream is read once.
+    Three keyed sums: the detail (bounded: days x 5 types), then the two
+    rollup levels derived FROM the detail result (tiny) — the raw stream
+    is read once.
     """
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        b = pd.DataFrame(
+    def rows(batch: pa.Table) -> pa.Table:
+        day = pc.floor_temporal(batch.column("ts"), unit="day").cast(pa.date32())
+        return pa.table(
             {
-                "day": batch["ts"]
-                .to_numpy()
-                .astype("datetime64[D]")
-                .astype("datetime64[us]"),
-                "event_type": batch["event_type"],
+                "day": day.cast(pa.string()),  # YYYY-MM-DD
+                "event_type": batch.column("event_type"),
+                "n": np.ones(batch.num_rows, np.int64),
             }
         )
-        out = b.groupby(["day", "event_type"], as_index=False).size()
-        out["day"] = out["day"].dt.strftime("%Y-%m-%d")
-        return out.rename(columns={"size": "n"})
 
-    detail = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["day", "event_type"])
-        .aggregate(Sum("n", alias_name="n"))
-        # three consumers below (detail rows, day subtotals, grand total):
-        # pin the bounded detail result so the raw stream really is read
-        # once, not re-executed per union branch
-        .materialize()
-    )
-    sub = (
-        detail.groupby("day")
-        .aggregate(Sum("n", alias_name="n"))
-        .map_batches(
-            lambda df: df.assign(event_type="ALL"), batch_format="pandas"
-        )
-    )
-    grand = (
-        detail.map_batches(
-            lambda df: df.assign(__g=np.int64(0)), batch_format="pandas"
-        )
-        .groupby("__g")
-        .aggregate(Sum("n", alias_name="n"))
-        .map_batches(
-            lambda df: pd.DataFrame(
-                {"day": ["ALL"], "event_type": ["ALL"], "n": df["n"]}
-            ),
-            batch_format="pandas",
-        )
-    )
-    cols = ["day", "event_type", "n"]
-    reorder = lambda df: df[cols]  # noqa: E731 - tiny projection
-    return (
-        detail.map_batches(reorder, batch_format="pandas")
-        .union(sub.map_batches(reorder, batch_format="pandas"))
-        .union(grand)
+    # three consumers below (detail rows, day subtotals, grand total): pin
+    # the bounded detail result so the raw stream really is read once,
+    # not re-executed per union branch
+    detail = keyed_agg(
+        ds.map_batches(rows, batch_format="pyarrow"), ["day", "event_type"], {"n": "sum"}
+    ).materialize()
+
+    def all_of(*cols):
+        # fill the rolled-up columns with 'ALL', in the output order
+        def fn(batch: pa.Table) -> pa.Table:
+            for c in cols:
+                batch = batch.append_column(c, pa.array(["ALL"] * batch.num_rows, pa.string()))
+            return batch.select(["day", "event_type", "n"])
+
+        return fn
+
+    def zero_key(batch: pa.Table) -> pa.Table:
+        return batch.append_column("__g", pa.array(np.zeros(batch.num_rows, np.int64)))
+
+    sub = keyed_agg(detail, "day", {"n": "sum"})
+    grand = keyed_agg(detail.map_batches(zero_key, batch_format="pyarrow"), "__g", {"n": "sum"})
+    return detail.union(
+        sub.map_batches(all_of("event_type"), batch_format="pyarrow"),
+        grand.map_batches(all_of("day", "event_type"), batch_format="pyarrow"),
     )
 
 

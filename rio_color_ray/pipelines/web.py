@@ -30,7 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.pages import LINK_FANOUT as _LINK_FANOUT
-from ..stages.agg import hash_bucket_agg
+from ..stages.agg import hash_bucket_agg, keyed_agg
 from .geo import pages
 
 # anchored to the document tail so embedded tags inside text can't
@@ -162,10 +162,11 @@ def url_canonical_dedup(sf_dir, replicate=1):
     ``[?#].*`` and count variants per canonical url.
 
     The variant expansion and the canonicalization happen in the same
-    stateless batch pass; the exchange moves (canon_url, n) partials.
+    stateless batch pass, into a keyed count: the exchange moves
+    (canon_url, n_variants) partials.
     """
 
-    def expand_canon(batch: pa.Table) -> pd.DataFrame:
+    def expand_canon(batch: pa.Table) -> pa.Table:
         url = batch.column("url").combine_chunks()
         did = _doc_ids(url)
         variants = [url]
@@ -177,17 +178,12 @@ def url_canonical_dedup(sf_dir, replicate=1):
             variants.append(pc.binary_join_element_wise(anchored, _FRAGMENT, ""))
         raw = pa.concat_arrays(variants)
         canon = pc.replace_substring_regex(raw, r"[?#].*$", "")
-        df = pd.DataFrame({"canon_url": canon.to_pandas()})
-        return df.groupby("canon_url", as_index=False).size().rename(columns={"size": "n"})
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("canon_url", as_index=False)["n"].sum()
-        return out.rename(columns={"n": "n_variants"})
+        return pa.table({"canon_url": canon, "n_variants": np.ones(len(canon), np.int64)})
 
     ds = pages(sf_dir, replicate=replicate).map_batches(
         expand_canon, batch_format="pyarrow"
     )
-    return hash_bucket_agg(ds, "canon_url", final)
+    return keyed_agg(ds, "canon_url", {"n_variants": "sum"})
 
 
 def url_canonical_dedup_sql(pages_cte: str) -> str:

@@ -35,24 +35,14 @@ def content_hash_batch(key_col, id_col):
 def exact_dedup(ds, key_col="text", id_col="doc_id"):
     """Keep the minimum id per distinct key value. Returns Dataset[id].
 
-    The content-hash key is corpus-cardinality, so the final reduce is a
-    hash-bucket aggregate (stages/agg.py) — per-batch partial mins, one
-    exchange of (hash, id) partials, vectorized pandas min per block.
+    The content-hash key is corpus-cardinality, so the min runs as a
+    keyed aggregate (stages/agg.py) — combined inside each block, one
+    exchange of (hash, id) partials.
     """
-    from .agg import hash_bucket_agg
+    from .agg import keyed_agg
 
     hashed = ds.map_batches(content_hash_batch(key_col, id_col), batch_format="pyarrow")
-
-    # partial min-per-hash inside each batch, then the bucketed reduce
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.groupby("h64", as_index=False)[id_col].min()
-
-    out = hash_bucket_agg(
-        hashed.map_batches(partial, batch_format="pandas"),
-        "h64",
-        lambda df: df.groupby("h64", as_index=False)[id_col].min(),
-    )
-    return out.select_columns([id_col])
+    return keyed_agg(hashed, "h64", {id_col: "min"}).select_columns([id_col])
 
 
 # --- MinHash + LSH ----------------------------------------------------------

@@ -205,6 +205,25 @@ def test_pack_sequences(ray_session, con):
     assert (g["pack_offset"] < curate.PACK_BUDGET).all()
 
 
+def test_pack_sequences_without_statistics(ray_session, tmp_path):
+    """A documents file written without column statistics sends
+    pack_sequences to its doc_id min/max scan; the packing is the same."""
+    import pyarrow.parquet as pq
+
+    from rio_color_ray.pipelines import curate
+
+    path = tmp_path / "documents.parquet"
+    pq.write_table(pq.read_table(f"{SF}/documents.parquet"), path, write_statistics=False)
+    f = pq.ParquetFile(path)
+    i = f.schema_arrow.get_field_index("doc_id")
+    assert all(f.metadata.row_group(r).column(i).statistics is None for r in range(f.num_row_groups))
+    cols = ["doc_id", "n_tokens", "pack_id", "pack_offset"]
+    want = curate.pack_sequences(SF).to_pandas()[cols].sort_values("doc_id")
+    got = curate.pack_sequences(str(tmp_path)).to_pandas()[cols].sort_values("doc_id")
+    assert len(got) == len(want) > 0
+    pd.testing.assert_frame_equal(got.reset_index(drop=True), want.reset_index(drop=True))
+
+
 def test_chunk_documents(ray_session, con):
     from rio_color_ray.pipelines import curate
 

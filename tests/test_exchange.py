@@ -2,7 +2,10 @@
 
 The exchange owns the bucket: every key kind it buckets (int modulo,
 hashed strings, datetimes and column lists, nulls) must bring all of a
-key's rows to one reduce call, whatever block they start in.
+key's rows to one reduce call, whatever block they start in, and give a
+key the same bucket from a pandas block as from an Arrow block.
+``stages.agg.keyed_agg`` over the same key kinds must match DuckDB's
+``GROUP BY``.
 """
 
 import os
@@ -12,6 +15,7 @@ from functools import partial
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -59,9 +63,10 @@ def _key_table(kind):
     return pa.table({**cols, "v": pa.array(np.arange(n), pa.int64())})
 
 
-@pytest.mark.parametrize(
-    "kind", ["int64", "string", "datetime", "two_columns", "int_with_null"]
-)
+KEY_KINDS = ["int64", "string", "datetime", "two_columns", "int_with_null"]
+
+
+@pytest.mark.parametrize("kind", KEY_KINDS)
 def test_every_key_meets_in_one_reduce_call(ray_session, kind):
     from rio_color_ray.ctx import BUCKET, bucket_exchange, shuffle_partitions
 
@@ -90,6 +95,83 @@ def test_every_key_meets_in_one_reduce_call(ray_session, kind):
         got[cols].sort_values(keys).reset_index(drop=True),
         exp[cols].sort_values(keys).reset_index(drop=True),
     )
+
+
+@pytest.mark.parametrize("kind", KEY_KINDS)
+def test_pandas_and_arrow_blocks_give_every_key_one_bucket(kind):
+    """A pandas block buckets its key columns without an Arrow round
+    trip; every key must still get the bucket its Arrow block gives it
+    (a nullable ``Int64`` column reads its null as 0, as Arrow does)."""
+    from rio_color_ray.ctx import _bucket_of
+
+    table = _key_table(kind)
+    keys = [c for c in table.column_names if c != "v"]
+    nullable = {pa.int64(): pd.Int64Dtype()}.get if kind == "int_with_null" else None
+    frame = table.to_pandas(types_mapper=nullable)
+    for n in (3, 8):
+        want = _bucket_of(table, keys, n)
+        assert ((want >= 0) & (want < n)).all()
+        np.testing.assert_array_equal(_bucket_of(frame, keys, n), want)
+
+
+def _keyed_agg_table(kind):
+    """A key table with a sum, a count and a timestamp min and max per
+    key; ``big_sums`` puts each int key's sum just above 2**62."""
+    table = _key_table("int64" if kind == "big_sums" else kind)
+    n = table.num_rows
+    v = np.arange(n, dtype=np.int64)
+    if kind == "big_sums":
+        v += 2**62 // 3  # three rows per key
+    ts = np.datetime64("2024-03-01", "us") + np.arange(n)[::-1] * np.int64(3_600_000_000)
+    table = table.set_column(table.schema.get_field_index("v"), "v", pa.array(v))
+    for name, col in (("ts_lo", ts), ("ts_hi", ts), ("n", np.ones(n, np.int64))):
+        table = table.append_column(name, pa.array(col))
+    return table
+
+
+def _arrow(ds):
+    import ray
+
+    # an empty exchange range comes back as a block without columns
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()), promote_options="default")
+
+
+@pytest.mark.parametrize("kind", KEY_KINDS + ["big_sums"])
+def test_keyed_agg_matches_duckdb_group_by(ray_session, kind):
+    import duckdb
+    import ray.data
+
+    from rio_color_ray.stages.agg import keyed_agg
+
+    table = _keyed_agg_table(kind)
+    keys = [c for c in table.column_names if c.startswith("k")]
+    key = keys[0] if len(keys) == 1 else keys
+    # every key spread over several blocks, plus an empty block
+    ds = _blocks(table, keys).union(ray.data.from_arrow(table.slice(0, 0)))
+    aggs = {"v": "sum", "n": "sum", "ts_lo": "min", "ts_hi": "max"}
+    got = _arrow(keyed_agg(ds, key, aggs))
+    assert got.column_names == keys + list(aggs)
+    assert got.schema.field("v").type == pa.int64()  # integer sums stay int64
+    assert got.schema.field("ts_lo").type == pa.timestamp("us")
+    assert [got.schema.field(k).type for k in keys] == [table.schema.field(k).type for k in keys]
+
+    con = duckdb.connect()
+    con.register("t", table)
+    k_sql = ", ".join(keys)
+    want = con.sql(
+        f"SELECT {k_sql}, CAST(sum(v) AS BIGINT) AS v, count(*) AS n, "
+        f"min(ts_lo) AS ts_lo, max(ts_hi) AS ts_hi FROM t GROUP BY {k_sql}"
+    ).arrow().cast(got.schema)
+    order = [(k, "ascending") for k in keys]
+    # a null key is one group, as in SQL (a pandas groupby drops it)
+    assert got.column(keys[0]).null_count == (kind == "int_with_null")
+    assert got.sort_by(order).equals(want.sort_by(order))
+    if kind == "big_sums":
+        assert pc.min(got.column("v")).as_py() > 2**62
+
+    distinct = _arrow(keyed_agg(ds, key, {}))
+    want = con.sql(f"SELECT DISTINCT {k_sql} FROM t").arrow().cast(distinct.schema)
+    assert distinct.sort_by(order).equals(want.sort_by(order))
 
 
 @pytest.mark.parametrize("n_keys", [2, 3, 16, 64])

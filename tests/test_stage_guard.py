@@ -12,7 +12,11 @@ Every keyed reduce the engine defines runs through ``ctx.bucket_exchange``
 (mostly via ``stages.agg.hash_bucket_agg``), which reduces a whole
 exchange block per call. Ray's ``groupby(key).map_groups`` calls Python
 once per group and ignores ``num_partitions`` under the sort shuffle, so
-no ``map_groups`` call may come back into the package.
+no ``map_groups`` call may come back into the package. Sums, mins and
+maxes run as ``stages.agg.keyed_agg``, so Ray's builtin
+``aggregate`` (which keeps its own sort-based exchange beside this one)
+may not come back either; Arrow's ``Table.group_by(...).aggregate``, the
+kernel inside ``keyed_agg``, is not Ray's and stays allowed.
 
 The exchange owns the bucket: callers pass a key, and ``bucket_exchange``
 alone maps it to one bucket per reduce task. So no function may take a
@@ -81,6 +85,28 @@ def test_no_map_groups_in_the_engine():
         and node.func.attr == "map_groups"
     ]
     assert not bad, "map_groups calls:\n" + "\n".join(bad)
+
+
+def test_no_builtin_aggregate_in_the_engine():
+    bad = []
+    for path, tree in _modules().items():
+        where = path.relative_to(PKG.parent)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "aggregate"
+                # Arrow's TableGroupBy: ``<table>.group_by(...).aggregate``
+                and not (isinstance(node.func.value, ast.Call) and _name(node.func.value.func) == "group_by")
+            ):
+                bad.append(f"{where}:{node.lineno} .aggregate(")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ray.data.aggregate"):
+                bad.append(f"{where}:{node.lineno} from {node.module} import")
+            elif isinstance(node, ast.Import) and any(
+                a.name.startswith("ray.data.aggregate") for a in node.names
+            ):
+                bad.append(f"{where}:{node.lineno} import ray.data.aggregate")
+    assert not bad, "Ray builtin aggregates:\n" + "\n".join(bad)
 
 
 def test_no_n_buckets_parameter():
