@@ -20,8 +20,11 @@ this engine at every scale we can measure here, so we pin it explicitly.
 Every keyed reduce the engine defines goes through :func:`bucket_exchange`,
 which alone decides each key's bucket: sums, mins and maxes as
 ``stages.agg.keyed_agg`` (one Arrow group_by as the map-side combiner
-and as the reduce), every other reduce as a caller's vectorized
-function. Ray's builtin ``groupby(key).aggregate`` runs nowhere.
+and as the reduce), the first k rows per key (or overall) as
+``stages.agg.keyed_topk`` (one Arrow sort as the combiner and as the
+reduce), every other reduce as a caller's vectorized function. Ray's
+builtin ``groupby(key).aggregate`` runs nowhere, nor does a second
+exchange for a global top-k.
 """
 
 import functools
@@ -80,7 +83,9 @@ def bucket_exchange(ds, key, reduce_block, batch_format, schema=None):
     * a single integer column: ``key % n``. Dense ints spread exactly, so
       the checkpoint's partition ids fill the reduce tasks one each;
     * any other key (strings, datetimes, several columns): the fixed
-      64-bit ``pd.util.hash_pandas_object`` of the key columns, ``% n``.
+      64-bit ``pd.util.hash_pandas_object`` of the key columns, ``% n``;
+    * no key (``[]``): one bucket, so one reduce task sees every row (a
+      global top-k, whose combiner already cut each block to ``k`` rows).
 
     A null key lands in one fixed bucket (an int null reads as 0). The
     bucket is computed from the key columns alone, appended to the block
@@ -123,7 +128,7 @@ def bucket_exchange(ds, key, reduce_block, batch_format, schema=None):
     ``cache_schema`` the call fails here, at plan construction.
     """
     keys = [key] if isinstance(key, str) else list(key)
-    n = shuffle_partitions()
+    n = shuffle_partitions() if keys else 1
 
     def add_bucket(block):
         if isinstance(block, pa.Table):
@@ -144,7 +149,9 @@ def bucket_exchange(ds, key, reduce_block, batch_format, schema=None):
         d.map_batches(add_bucket, batch_format=None) for d in (ds if isinstance(ds, list) else [ds])
     ]
     bucketed = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
-    out = bucketed.sort(BUCKET, boundaries=list(range(1, n))).map_batches(
+    # Ray samples boundaries when given none, so one bucket is the range
+    # below 1, beside an empty one
+    out = bucketed.sort(BUCKET, boundaries=list(range(1, max(n, 2)))).map_batches(
         reduce, batch_format=batch_format, batch_size=None
     )
     if schema is not None:
@@ -158,8 +165,11 @@ def _bucket_of(block, keys, n):
     An Arrow and a pandas block give a key the same bucket: an integer
     column is read as its numpy ints, a null as 0 (so an int column
     hashes as ints whether or not its block holds a null), and any other
-    column is hashed as its pandas values.
+    column is hashed as its pandas values. No key at all puts every row
+    in bucket 0.
     """
+    if not keys:
+        return np.zeros(len(block), np.int64)
     if isinstance(block, pa.Table):
         cols = [
             c.fill_null(0).to_numpy() if pa.types.is_integer(c.type) else c.to_pandas()

@@ -12,8 +12,8 @@ import ray.data
 
 from ..ctx import bucket_exchange
 from ..sources.pages import REP_STRIDE
-from ..stages.agg import hash_bucket_agg, keyed_agg
-from ..stages.ann import AnnBruteStage, ann_topk_reduce, list_col_to_matrix
+from ..stages.agg import hash_bucket_agg, keyed_agg, keyed_topk
+from ..stages.ann import AnnBruteStage, list_col_to_matrix
 from ..stages.dedup import (
     EmbeddingLSHStage,
     MinHashStage,
@@ -549,6 +549,13 @@ def _query_vectors(sf_dir, n_queries, with_labels=False):
     return vid[order], mat.astype(np.float64)
 
 
+def _ranked(partial, k):
+    """Each query's k best candidates by (rounded score desc, vec_id asc),
+    ranked: the per-batch partials meet in one keyed top-k."""
+    order = [("score_r6", "descending"), ("vec_id", "ascending")]
+    return keyed_topk(partial, "query_id", order, k).select_columns(["query_id", "vec_id", "rank"])
+
+
 def ann_topk(sf_dir, k=10, n_queries=8):
     """Exact brute-force cosine top-k (query side broadcast)."""
     qid, qmat = _query_vectors(sf_dir, n_queries)
@@ -558,7 +565,7 @@ def ann_topk(sf_dir, k=10, n_queries=8):
     partial = ds.map_batches(
         make_stage_fn(AnnBruteStage, qid, qmat, k), batch_format="pyarrow"
     )
-    return hash_bucket_agg(partial, "query_id", lambda b: ann_topk_reduce(b, k))
+    return _ranked(partial, k)
 
 
 def ann_topk_filtered(sf_dir, k=10, n_queries=8):
@@ -575,7 +582,7 @@ def ann_topk_filtered(sf_dir, k=10, n_queries=8):
         make_stage_fn(AnnBruteStage, qid, qmat, k, query_labels=qlab),
         batch_format="pyarrow",
     )
-    return hash_bucket_agg(partial, "query_id", lambda b: ann_topk_reduce(b, k))
+    return _ranked(partial, k)
 
 
 def ann_topk_filtered_sql(k=10, n_queries=8) -> str:
@@ -619,7 +626,7 @@ def ann_topk_ivf(sf_dir, k=10, n_queries=8, n_cells=16, n_probe=6, sample_n=512)
         make_stage_fn(AnnIVFStage, qid, qmat, cent, n_probe, k),
         batch_format="pyarrow",
     )
-    return hash_bucket_agg(partial, "query_id", lambda b: ann_topk_reduce(b, k))
+    return _ranked(partial, k)
 
 
 def ann_topk_ivf_fullprobe(sf_dir, k=10, n_queries=8, n_cells=16):

@@ -19,7 +19,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..stages.agg import hash_bucket_agg, keyed_agg
+from ..stages.agg import hash_bucket_agg, keyed_agg, keyed_topk
 from ..stages.sampling import (
     split_assign_batch,
     split_sql,
@@ -95,8 +95,8 @@ def curate_corpus(sf_dir, min_quality_ppm=CURATE_MIN_QUALITY_PPM, parts=None, n_
     quality_ppm, split).
 
     Scale shape: the quality filter runs BEFORE the dedup exchange, so
-    rejected documents never shuffle; the dedup groupby keys on the
-    64-bit content hash and carries only (hash, doc_id, lang, n_tokens,
+    rejected documents never shuffle; the dedup's keyed top-1 keys on
+    the 64-bit content hash and carries only (hash, doc_id, lang, n_tokens,
     quality_ppm) — text stays in the scan stage. Stratified sampling and
     split assignment are stateless row functions after the exchange.
     Hash-collision note as stages/dedup.py: ~0.03 expected collisions at
@@ -144,23 +144,11 @@ def curate_corpus(sf_dir, min_quality_ppm=CURATE_MIN_QUALITY_PPM, parts=None, n_
         metrics_and_filter, batch_format="pyarrow"
     )
 
-    # dedup: min doc_id per content hash, metadata riding along. Partial
-    # min inside each batch first — the exchange then moves at most one
-    # row per (batch, hash).
-    def partial_min(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.loc[batch.groupby("h64")["doc_id"].idxmin()]
-
-    def bucket_min(df: pd.DataFrame) -> pd.DataFrame:
-        # content-hash cardinality is corpus-sized: vectorized min per
-        # hash inside the bucket (stages/agg.py), never one Ray group
-        # per distinct text
-        return df.loc[df.groupby("h64")["doc_id"].idxmin()].drop(columns="h64")
-
-    deduped = hash_bucket_agg(
-        filtered.map_batches(partial_min, batch_format="pandas"),
-        "h64",
-        bucket_min,
-    )
+    # dedup: min doc_id per content hash, metadata riding along. A keyed
+    # top-1 per hash: content-hash cardinality is corpus-sized, and its
+    # combiner moves at most one row per (batch, hash).
+    kept = ["doc_id", "lang", "n_tokens", "quality_ppm"] + (["part"] if n_parts is not None else [])
+    deduped = keyed_topk(filtered, "h64", [("doc_id", "ascending")], 1).select_columns(kept)
 
     sampled = deduped.map_batches(
         stratified_filter_batch(
@@ -224,12 +212,12 @@ def vocab_top_tokens(sf_dir, k=VOCAB_K):
         return pa.table({"token": toks, "n": np.ones(len(toks), np.int64)})
 
     ds = documents(sf_dir, columns=["text"])
-    from ..stages.topk import topk_rows
-
     # token cardinality is vocabulary-sized (millions on a real corpus):
-    # a keyed count on the string key (stages/agg.py)
+    # a keyed count on the string key, then a global top-k (stages/agg.py)
     counts = keyed_agg(ds.map_batches(tokens, batch_format="pyarrow"), "token", {"n": "sum"})
-    return topk_rows(counts, ["n", "token"], [True, False], k)
+    return keyed_topk(counts, [], [("n", "descending"), ("token", "ascending")], k).select_columns(
+        ["token", "n"]
+    )
 
 
 def vocab_top_tokens_sql(k=VOCAB_K):
@@ -253,9 +241,9 @@ def sample_k_per_stratum(sf_dir, k=SAMPLE_K):
     splitmix64(doc_id) and keep the k smallest — a uniform k-sample
     that is identical on every run and every cluster layout (order-by-
     random-hash is the distributed replacement for reservoir sampling,
-    which is sequential by construction). Per-batch partial top-k first,
-    so the per-lang exchange moves at most k rows per (batch, lang),
-    then the same top-k over each exchange block.
+    which is sequential by construction). A keyed top-k on ``lang``:
+    its combiner moves at most k rows per (batch, lang) through the
+    exchange.
     """
     from ..stages.sampling import splitmix64
 
@@ -269,16 +257,9 @@ def sample_k_per_stratum(sf_dir, k=SAMPLE_K):
             "h", pa.array((h - np.uint64(1 << 63)).view(np.int64), pa.int64())
         )
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.sort_values(["lang", "h", "doc_id"], kind="mergesort")
-        return b.groupby("lang", as_index=False).head(k)
-
-    return hash_bucket_agg(
-        ds.map_batches(with_hash, batch_format="pyarrow").map_batches(
-            partial, batch_format="pandas"
-        ),
-        "lang",
-        lambda b: partial(b)[["lang", "doc_id"]],
+    ds = ds.map_batches(with_hash, batch_format="pyarrow")
+    return keyed_topk(ds, "lang", [("h", "ascending"), ("doc_id", "ascending")], k).select_columns(
+        ["lang", "doc_id"]
     )
 
 
@@ -698,26 +679,15 @@ def cap_per_source(sf_dir, k=CAP_PER_SOURCE_K):
     The standard guard against a single host/domain dominating a crawl-
     derived pretraining mix.
 
-    Scale shape: per-block partial cap first (each block emits at most
-    k rows per source it contains — a vectorized sort + groupby-head,
-    no Python loop), then the survivors merge per-source inside
-    hash-bucketed groups. The exchange moves at most k x n_sources x
-    n_blocks (id, source) pairs — never document text, never the
-    uncapped row set. Returns Dataset[doc_id, source].
+    Scale shape: a keyed top-k on ``source`` (stages/agg.py), whose
+    combiner caps every block at k rows per source before the exchange.
+    The exchange moves at most k x n_sources x n_blocks (id, source)
+    pairs — never document text, never the uncapped row set. Returns
+    Dataset[doc_id, source].
     """
     ds = documents(sf_dir, columns=["doc_id", "source"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.sort_values(["source", "doc_id"], kind="mergesort")
-        return b.groupby("source", as_index=False).head(k)
-
-    return hash_bucket_agg(
-        ds.map_batches(partial, batch_format="pandas"),
-        "source",
-        lambda df: df.sort_values(["source", "doc_id"], kind="mergesort")
-        .groupby("source", as_index=False)
-        .head(k),
-    )
+    return keyed_topk(ds, "source", [("doc_id", "ascending")], k).select_columns(["doc_id", "source"])
 
 
 def cap_per_source_sql(k=CAP_PER_SOURCE_K) -> str:

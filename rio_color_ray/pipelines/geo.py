@@ -104,15 +104,16 @@ def grid_cell_agg(sf_dir):
 def top_grid_cells(sf_dir, k=20):
     """Densest grid cells; deterministic tie-break on cell id.
 
-    Partial top-k per block, not a full sort — the aggregate is
+    A global keyed top-k, not a full sort — the aggregate is
     cell-count-sized, which at planet scale is still millions of rows
-    nobody wants range-partitioned for 20 survivors (stages/topk.py).
+    nobody wants range-partitioned for 20 survivors; the top-k's
+    combiner cuts every block to k rows before its one exchange
+    (stages/agg.py).
     """
-    from ..stages.topk import topk_rows
+    from ..stages.agg import keyed_topk
 
-    return topk_rows(
-        grid_cell_agg(sf_dir), ["n_pages", "grid_cell"], [True, False], k
-    )
+    order = [("n_pages", "descending"), ("grid_cell", "ascending")]
+    return keyed_topk(grid_cell_agg(sf_dir), [], order, k).select_columns(["grid_cell", "n_pages"])
 
 
 def cell_agg_salted(sf_dir, key="h3_r8"):
@@ -127,10 +128,7 @@ def cell_agg_salted(sf_dir, key="h3_r8"):
 
     def add_salt(batch: pa.Table) -> pa.Table:
         urls = batch.column("url")
-        h = np.asarray(
-            pd.util.hash_array(np.asarray(urls.to_pylist(), dtype=object)),
-            dtype=np.uint64,
-        )
+        h = np.asarray(pd.util.hash_array(urls.to_numpy(zero_copy_only=False)), dtype=np.uint64)
         return batch.append_column(
             "salt", pa.array((h % N_SALT).astype(np.int64), pa.int64())
         )

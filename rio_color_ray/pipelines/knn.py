@@ -11,10 +11,14 @@ import pyarrow as pa
 
 from ..sources.pages import page_coords_microdeg
 from ..spatial import hex_cell, hex_disk
-from ..stages.agg import hash_bucket_agg
-from ..stages.knn import KNNBruteStage, knn_guarantee_radius, topk_d2, topk_per_query
+from ..stages.agg import keyed_topk
+from ..stages.knn import KNNBruteStage, knn_guarantee_radius
 from ..stages.statecache import make_stage_fn
 from .geo import cellified
+
+# nearest first; the url breaks distance ties, as in the SQL twin
+NEAREST = [("d2", "ascending"), ("url", "ascending")]
+
 
 def _query_side(sf_dir, n_queries):
     """Driver-side query set: (urls, lat_u, lon_u) for doc_id < n_queries.
@@ -39,7 +43,8 @@ def _query_side(sf_dir, n_queries):
 
 
 def knn(sf_dir, k=5, n_queries=100):
-    """Exact kNN via broadcast queries + per-batch partial top-k.
+    """Exact kNN via broadcast queries: a per-batch partial top-k, merged
+    and ranked per query by ``stages.agg.keyed_topk``.
 
     Returns (query_id, url, rank); query_id is the query page's doc_id.
     The queries are a few KB, so they ride in the stage function's closure.
@@ -49,7 +54,7 @@ def knn(sf_dir, k=5, n_queries=100):
     partial = pts.map_batches(
         make_stage_fn(KNNBruteStage, urls, lat_u, lon_u, k), batch_format="pyarrow"
     )
-    ranked = hash_bucket_agg(partial, "query_id", lambda b: topk_per_query(b, k))
+    ranked = keyed_topk(partial, "query_id", NEAREST, k).select_columns(["query_id", "url", "rank"])
 
     # map positional query index back to doc_id
     def relabel(batch: pa.Table) -> pa.Table:
@@ -92,8 +97,8 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
 
     Every block of points merges with the broadcast candidate cells of
     the queries on the hex cell id (vectorized pandas merge) and emits
-    local (query, url, d2) pairs; a reduce per exchange block ranks the
-    pairs of every query in it. Queries whose k-th distance violates the
+    local (query, url, d2) pairs; a keyed top-k per query keeps and
+    ranks the k nearest. Queries whose k-th distance violates the
     ring guarantee escalate with doubled radius; the provably-exact
     invariant is asserted in tests against the brute path.
     """
@@ -138,52 +143,35 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
         )
 
         # broadcast the candidate table (small: queries x disk size)
-        empty = pa.table(
-            {
-                "query_id": pa.array([], pa.int64()),
-                "url": pa.array([], pa.string()),
-                "d2": pa.array([], pa.int64()),
-            }
-        )
-
         def local_pairs(batch: pd.DataFrame, cand=cand):
             m = batch.merge(cand, on="cell", how="inner")
-            if m.empty:
-                return empty
             qp = m["qpos"].to_numpy()
             d2 = (m["lat_u"].to_numpy() - lat_u[qp]) ** 2 + (
                 m["lon_u"].to_numpy() - lon_u[qp]
             ) ** 2
-            out = pd.DataFrame(
-                {"query_id": qp.astype(np.int64), "url": m["url"], "d2": d2}
-            )
-            # self-exclusion, then the local top-k per query
-            out = topk_d2(out[out["url"].to_numpy() != urls[qp]], k)
-            if out.empty:
-                return empty
+            url = m["url"].to_numpy()
+            keep = url != urls[qp]  # self-exclusion
             # emit Arrow so Ray never size-estimates an object column
             return pa.table(
                 {
-                    "query_id": pa.array(out["query_id"].to_numpy(), pa.int64()),
-                    "url": pa.array(out["url"].tolist(), pa.string()),
-                    "d2": pa.array(out["d2"].to_numpy(), pa.int64()),
+                    "query_id": pa.array(qp[keep].astype(np.int64), pa.int64()),
+                    "url": pa.array(url[keep], pa.string()),
+                    "d2": pa.array(d2[keep], pa.int64()),
                 }
             )
 
-        # reduce per query INSIDE the dataset (keyed on query_id), so
-        # the driver only ever collects <= k rows per query — independent
-        # of the input's block count (the per-batch partials never land
-        # on the driver)
-        pdf = hash_bucket_agg(
-            cell_pts.map_batches(local_pairs, batch_format="pandas"),
-            "query_id",
-            lambda b: topk_d2(b, k),
-        ).to_pandas()
-        if len(pdf) == 0 or "query_id" not in pdf.columns:
+        # rank per query INSIDE the dataset (keyed on query_id; its
+        # combiner keeps <= k rows per query per block), so the driver
+        # only ever collects <= k rows per query — independent of the
+        # input's block count
+        pdf = (
+            keyed_topk(cell_pts.map_batches(local_pairs, batch_format="pandas"), "query_id", NEAREST, k)
+            .select_columns(["query_id", "url", "d2", "rank"])
+            .to_pandas()
+        )
+        if len(pdf) == 0:
             r *= 2
             continue
-        pdf = pdf.sort_values(["query_id", "d2", "url"], kind="mergesort")
-        pdf["rank"] = pdf.groupby("query_id").cumcount() + 1
 
         # guarantee check: k found AND k-th distance within the proven radius
         stats = pdf.groupby("query_id").agg(n=("d2", "size"), dk=("d2", "max"))
@@ -199,7 +187,7 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
             make_stage_fn(KNNBruteStage, urls[remaining], lat_u[remaining], lon_u[remaining], k),
             batch_format="pyarrow",
         )
-        ranked = hash_bucket_agg(sub, "query_id", lambda b: topk_per_query(b, k)).to_pandas()
+        ranked = keyed_topk(sub, "query_id", NEAREST, k).select_columns(["query_id", "url", "rank"]).to_pandas()
         ranked["query_id"] = remaining[ranked["query_id"].to_numpy()]
         results.append(ranked)
 

@@ -20,7 +20,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..stages.agg import hash_bucket_agg, keyed_agg
+from ..stages.agg import hash_bucket_agg, keyed_agg, keyed_topk
 from ..stages.join import BroadcastJoinStage, broadcast_semi_filter, bucketed_hash_join
 
 Q1_CUTOFF = "1998-09-02"
@@ -142,9 +142,8 @@ def q3_top_orders(sf_dir, k=10):
     joined = bucketed_hash_join(orders, li, "o_orderkey")
 
     per_order = keyed_agg(joined, "o_orderkey", {"revenue_micros": "sum"})
-    from ..stages.topk import topk_rows
-
-    return topk_rows(per_order, ["revenue_micros", "o_orderkey"], [True, False], k)
+    order = [("revenue_micros", "descending"), ("o_orderkey", "ascending")]
+    return keyed_topk(per_order, [], order, k).select_columns(["o_orderkey", "revenue_micros"])
 
 
 Q3_SQL = f"""
@@ -257,10 +256,9 @@ def top_users_by_value(sf_dir, k=10):
             {"user_id": batch.column("user_id"), "value_cents": _int_cents(batch.column("value"))}
         )
 
-    from ..stages.topk import topk_rows
-
     out = keyed_agg(ds.map_batches(rows, batch_format="pyarrow"), "user_id", {"value_cents": "sum"})
-    return topk_rows(out, ["value_cents", "user_id"], [True, False], k)
+    order = [("value_cents", "descending"), ("user_id", "ascending")]
+    return keyed_topk(out, [], order, k).select_columns(["user_id", "value_cents"])
 
 
 TOP_USERS_SQL = """
@@ -604,9 +602,8 @@ FROM filled WHERE event_type = 'purchase' AND click_ts IS NOT NULL
 
 
 # ---------------------------------------------------------------------------
-# Top-k per group (window-rank analog) — partial top-k per batch, then the
-# same top-k over each exchange block; the shuffle moves at most k rows
-# per (batch, group), never the full table.
+# Top-k per group (window-rank analog) — a keyed top-k whose combiner
+# moves at most k rows per (batch, group), never the full table.
 # ---------------------------------------------------------------------------
 
 def topk_orders_per_priority(sf_dir, k=3):
@@ -615,29 +612,19 @@ def topk_orders_per_priority(sf_dir, k=3):
         sf_dir, "orders", columns=["o_orderpriority", "o_orderkey", "o_totalprice"]
     )
 
-    def head(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.sort_values(
-            ["o_orderpriority", "price_cents", "o_orderkey"],
-            ascending=[True, False, True],
-            kind="mergesort",
+    def price_cents(batch: pa.Table) -> pa.Table:
+        cents = np.rint(batch.column("o_totalprice").to_numpy(zero_copy_only=False) * 100)
+        return batch.drop_columns(["o_totalprice"]).append_column(
+            "price_cents", pa.array(cents.astype(np.int64), pa.int64())
         )
-        return b.groupby("o_orderpriority", as_index=False).head(k)
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.copy()
-        b["price_cents"] = np.rint(b.pop("o_totalprice").to_numpy() * 100).astype(
-            np.int64
-        )
-        return head(b)
-
-    def final(block: pd.DataFrame) -> pd.DataFrame:
-        g = head(block)
-        g = g.assign(rank=g.groupby("o_orderpriority").cumcount().to_numpy(np.int64) + 1)
-        return g[["o_orderpriority", "rank", "o_orderkey", "price_cents"]]
-
-    return hash_bucket_agg(
-        ds.map_batches(partial, batch_format="pandas"), "o_orderpriority", final
+    ranked = keyed_topk(
+        ds.map_batches(price_cents, batch_format="pyarrow"),
+        "o_orderpriority",
+        [("price_cents", "descending"), ("o_orderkey", "ascending")],
+        k,
     )
+    return ranked.select_columns(["o_orderpriority", "rank", "o_orderkey", "price_cents"])
 
 
 TOPK_PRIORITY_SQL = """
@@ -798,14 +785,12 @@ def q10_returned_revenue(sf_dir, k=20):
     li = li.map_batches(returned_revenue, batch_format="pyarrow")
     joined = bucketed_hash_join(orders, li, "o_orderkey")
 
-    from ..stages.topk import topk_rows
-
-    per_cust = topk_rows(
+    per_cust = keyed_topk(
         keyed_agg(joined, "o_custkey", {"revenue_micros": "sum"}),
-        ["revenue_micros", "o_custkey"],
-        [True, False],
+        [],
+        [("revenue_micros", "descending"), ("o_custkey", "ascending")],
         k,
-    )
+    ).select_columns(["o_custkey", "revenue_micros"])
 
     # the result is k rows by construction — collect it, then read ONLY
     # those k customers' names (predicate pushed into the Parquet scan:

@@ -30,7 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.pages import LINK_FANOUT as _LINK_FANOUT
-from ..stages.agg import hash_bucket_agg, keyed_agg
+from ..stages.agg import hash_bucket_agg, keyed_agg, keyed_topk
 from .geo import pages
 
 # anchored to the document tail so embedded tags inside text can't
@@ -121,30 +121,25 @@ def latest_page_snapshot(sf_dir, group=4, replicate=1):
     """One page per canonical group, most recent crawl (max warc_ts) wins.
 
     Models re-crawl snapshot dedup: ``group`` consecutive doc_ids stand
-    in for crawls of the same canonical page. Argmax-per-key: each batch
-    pre-reduces to one candidate row per canon_id (sort + keep-last), the
-    bucketed reduce repeats the same argmax on co-located candidates —
-    the exchange carries at most one (canon_id, url, warc_ts) triple per
-    key per batch, never page payloads.
+    in for crawls of the same canonical page. Argmax-per-key as a keyed
+    top-1 (stages/agg.py): its combiner cuts each batch to one candidate
+    row per canon_id, so the exchange carries at most one (canon_id,
+    url, warc_ts) triple per key per batch, never page payloads.
     """
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
+    def candidates(batch: pa.Table) -> pa.Table:
         did = _doc_ids(batch.column("url"))
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "canon_id": did - did % group,
-                "url": batch.column("url").to_pandas(),
-                "warc_ts": batch.column("warc_ts").to_pandas(),
+                "canon_id": pa.array(did - did % group, pa.int64()),
+                "url": batch.column("url"),
+                "warc_ts": batch.column("warc_ts"),
             }
         )
-        return df.sort_values("warc_ts").drop_duplicates("canon_id", keep="last")
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.sort_values("warc_ts").drop_duplicates("canon_id", keep="last")
-        return out[["canon_id", "url", "warc_ts"]]
-
-    ds = pages(sf_dir, replicate=replicate).map_batches(partial, batch_format="pyarrow")
-    return hash_bucket_agg(ds, "canon_id", final)
+    ds = pages(sf_dir, replicate=replicate).map_batches(candidates, batch_format="pyarrow")
+    latest = [("warc_ts", "descending"), ("url", "ascending")]
+    return keyed_topk(ds, "canon_id", latest, 1).select_columns(["canon_id", "url", "warc_ts"])
 
 
 def latest_page_snapshot_sql(pages_cte: str, group=4) -> str:

@@ -1,4 +1,4 @@
-"""Keyed reduce: the engine's two entries to its one keyed exchange.
+"""Keyed reduce: the engine's three entries to its one keyed exchange.
 
 Every keyed reduce the engine defines runs through the keyed exchange
 (:func:`rio_color_ray.ctx.bucket_exchange`, which buckets rows by the key:
@@ -18,13 +18,18 @@ round-2 notes). Neither runs in the engine.
   block and again as the reduce; the two are the same function, which is
   idempotent on partials, so the exchange moves at most one row per key
   per block: a hot key cannot pile raw rows on one reduce task.
+* :func:`keyed_topk` — the first ``k`` rows of every key under a total
+  order, ranked: nearest neighbours, argmin/argmax, per-group samples
+  and caps, and (with no key) a global top-k. ONE Arrow sort and
+  run-start compare, again as the combiner and as the reduce, so the
+  exchange moves at most ``k`` rows per key per block.
 * :func:`hash_bucket_agg` — a caller-written pandas reduce, for the
-  reduces a combiner cannot express: distinct counts, argmax, top-k,
-  running sums, window joins. Such callers either shrink their input
-  per batch first or ship raw rows (the window family: sessionize,
-  as-of, range join — their per-row outputs can't pre-reduce) and must
-  size the cluster so that one bucket, about 1/``shuffle_partitions()``
-  of the rows, fits a worker's heap.
+  reduces neither combiner expresses: distinct counts, running sums,
+  window joins. Such callers either shrink their input per batch first
+  or ship raw rows (the window family: sessionize, as-of, range join —
+  their per-row outputs can't pre-reduce) and must size the cluster so
+  that one bucket, about 1/``shuffle_partitions()`` of the rows, fits a
+  worker's heap.
 
 The same exchange carries the bucketed hash join, the LSH pair stages,
 the min-label CC passes, the checkpoint writers and the tile reduce.
@@ -32,7 +37,9 @@ For adversarial key skew in a raw-row exchange, salt upstream and key
 on the list ``[key, salt]``, as pipelines/geo.py does.
 """
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..ctx import bucket_exchange
 
@@ -61,6 +68,46 @@ def keyed_agg(ds, key, aggs):
     return bucket_exchange(partial, key, per_bucket, "pyarrow")
 
 
+def keyed_topk(ds, key, order, k):
+    """The first ``k`` rows of every key of ``ds`` under ``order``.
+
+    ``key`` is a column or a list of columns, as in ``bucket_exchange``;
+    ``[]`` makes the whole Dataset one group. ``order`` is a list of
+    ``(column, "ascending" | "descending")`` pairs, which the caller
+    makes total with a tie-break column. Every input column is kept, a
+    1-based int64 ``rank`` is appended (replacing any ``rank`` column of
+    the input), and each output block is sorted by the key, then
+    ``order``. A null key is its own group, as in SQL's ``PARTITION
+    BY``; every group of the same rows gets the ranks DuckDB's
+    ``row_number()`` gives it.
+    """
+    keys = [key] if isinstance(key, str) else list(key)
+    by = [(c, "ascending") for c in keys] + list(order)
+
+    # the combiner and the reduce; the operator takes this name, which
+    # perfbench's trace folds into op.stages.agg
+    def per_bucket(block: pa.Table) -> pa.Table:
+        if "rank" in block.column_names:
+            block = block.drop_columns(["rank"])
+        block = block.sort_by(by)  # stable
+        n = block.num_rows
+        # a key's run starts where any key column differs from the row
+        # before it; two nulls are equal, a null and a value are not
+        start = np.arange(n) == 0
+        for col in block.select(keys).columns:
+            prev, cur = col.slice(0, n - 1), col.slice(1)
+            differs = pc.fill_null(pc.not_equal(cur, prev), False)
+            differs = pc.or_(differs, pc.not_equal(pc.is_valid(cur), pc.is_valid(prev)))
+            start[1:] |= differs.to_numpy(zero_copy_only=False)
+        pos = np.arange(n)
+        pos -= np.maximum.accumulate(np.where(start, pos, 0))
+        keep = pos < k
+        return block.filter(pa.array(keep)).append_column("rank", pa.array(pos[keep] + 1, pa.int64()))
+
+    partial = ds.map_batches(per_bucket, batch_format="pyarrow")
+    return bucket_exchange(partial, key, per_bucket, "pyarrow")
+
+
 def hash_bucket_agg(ds, key, agg_fn):
     """Group ``ds`` (a Dataset, or a list of Datasets to co-group) by
     ``key``: a column (int, string or datetime) or a list of columns.
@@ -69,8 +116,9 @@ def hash_bucket_agg(ds, key, agg_fn):
     block's rows (all rows of any given key, many keys) and must perform
     its own ``groupby(key)`` reduction vectorized. Returns the concatenated
     per-block results as a Dataset. A reduce that only sums, mins or
-    maxes belongs in :func:`keyed_agg`, which needs no hand-written
-    per-batch partial.
+    maxes belongs in :func:`keyed_agg`, and one that keeps the first
+    rows of every key in :func:`keyed_topk`; neither needs a
+    hand-written per-batch partial.
     """
 
     # the operator takes this name; perfbench's trace folds it into

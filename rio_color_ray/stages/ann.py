@@ -2,7 +2,8 @@
 
 Baseline: brute-force cosine top-k — the query matrix is BROADCAST once
 per worker process; every batch does one (batch x dim) @ (dim x queries) float64
-matmul and emits only per-query local top-k rows. Scale path:
+matmul and emits only per-query local top-k rows, which
+``stages.agg.keyed_topk`` merges and ranks per query. Scale path:
 LSH-bucketed search (stages.dedup.EmbeddingLSHStage buckets + probing).
 
 Ranking is by (round(score, 6) DESC, vec_id ASC) — rounding absorbs
@@ -11,7 +12,6 @@ summation-order float differences vs the SQL oracle
 """
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 
@@ -129,30 +129,6 @@ class AnnBruteStage:
                 ),
             }
         )
-
-
-def ann_topk_reduce(block: pd.DataFrame, k: int) -> pd.DataFrame:
-    """Final reduce over one exchange block holding many queries: rank
-    each query's candidates by (rounded score desc, vec_id asc)."""
-    if len(block) == 0 or "query_id" not in block.columns:
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series([], dtype=np.int64),
-                "vec_id": pd.Series([], dtype=np.int64),
-                "rank": pd.Series([], dtype=np.int64),
-            }
-        )
-    g = block.sort_values(
-        ["query_id", "score_r6", "vec_id"], ascending=[True, False, True], kind="mergesort"
-    )
-    g = g.groupby("query_id", sort=False).head(k)
-    return pd.DataFrame(
-        {
-            "query_id": g["query_id"].to_numpy(),
-            "vec_id": g["vec_id"].to_numpy(),
-            "rank": g.groupby("query_id").cumcount().to_numpy(np.int64) + 1,
-        }
-    )
 
 
 def sample_embeddings_spread(path, sample_n, seed=2024, max_row_groups=16,

@@ -1,4 +1,4 @@
-"""kNN neighbor lookup — distributed partial top-k + cell-ring expansion.
+"""kNN neighbor lookup — per-batch partial top-k + keyed top-k + cell-ring expansion.
 
 Metric: squared planar distance in integer MICRODEGREES
 (``d2 = dlat_u^2 + dlon_u^2``, exact int64 — deterministic across numpy
@@ -10,8 +10,8 @@ Two strategies:
 
 * ``KNNBruteStage`` — the exact path: queries are BROADCAST (small side);
   each batch computes its local (points x queries) distance matrix and
-  emits only its per-query top-k rows. A final reduce per exchange
-  block merges the partials of every query in it. Work is proportional
+  emits only its per-query top-k rows, which ``stages.agg.keyed_topk``
+  merges and ranks per query. Work is proportional
   to |points| x |queries| but fully data-parallel with no shuffle of
   the big side — correct at any scale where |queries| is bounded (and
   the oracle for the cell path).
@@ -19,7 +19,7 @@ Two strategies:
 * cell-ring expansion (``knn_cells_plan``) — the scale path for large
   query sets: points and query-candidate cells are co-partitioned by hex
   cell (one shuffle on the cell key); each cell group emits local pairs;
-  a per-query top-k follows. A query's result is PROVABLY exact when its
+  a keyed per-query top-k follows. A query's result is PROVABLY exact when its
   k-th neighbor distance D_k satisfies ``D_k <= (1.5*r - 2) * edge`` for
   ring radius r (hex centers at hex-distance h are >= 1.5*e*h apart and
   any point is within e of its center) — queries failing the guarantee
@@ -28,7 +28,6 @@ Two strategies:
 """
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -82,28 +81,6 @@ class KNNBruteStage:
                 "d2": pa.array(d2[flat_idx, flat_qid], pa.int64()),
             }
         )
-
-
-def topk_d2(block: pd.DataFrame, k: int) -> pd.DataFrame:
-    """Each query's k nearest rows of ``block`` by (d2, url), sorted."""
-    block = block.sort_values(["query_id", "d2", "url"], kind="mergesort")
-    return block.groupby("query_id", sort=False).head(k)
-
-
-def topk_per_query(block: pd.DataFrame, k: int) -> pd.DataFrame:
-    """Final reduce over one exchange block holding many queries: merge
-    their partial candidates and rank each query's by (d2, url)."""
-    if len(block) == 0 or "query_id" not in block.columns:
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series([], dtype=np.int64),
-                "url": pd.Series([], dtype=object),
-                "rank": pd.Series([], dtype=np.int64),
-            }
-        )
-    g = topk_d2(block, k)
-    g = g.assign(rank=g.groupby("query_id").cumcount().to_numpy(np.int64) + 1)
-    return g[["query_id", "url", "rank"]]
 
 
 def knn_guarantee_radius(res, d2_k):

@@ -5,7 +5,7 @@ hashed strings, datetimes and column lists, nulls) must bring all of a
 key's rows to one reduce call, whatever block they start in, and give a
 key the same bucket from a pandas block as from an Arrow block.
 ``stages.agg.keyed_agg`` over the same key kinds must match DuckDB's
-``GROUP BY``.
+``GROUP BY``, and ``stages.agg.keyed_topk`` its ``row_number()``.
 """
 
 import os
@@ -172,6 +172,40 @@ def test_keyed_agg_matches_duckdb_group_by(ray_session, kind):
     distinct = _arrow(keyed_agg(ds, key, {}))
     want = con.sql(f"SELECT DISTINCT {k_sql} FROM t").arrow().cast(distinct.schema)
     assert distinct.sort_by(order).equals(want.sort_by(order))
+
+
+@pytest.mark.parametrize("kind", KEY_KINDS)
+def test_keyed_topk_matches_duckdb_row_number(ray_session, kind):
+    import duckdb
+    import ray.data
+
+    from rio_color_ray.stages.agg import keyed_topk
+
+    table = _key_table(kind)
+    # a few distinct values, so the order has ties the unique ``v`` breaks
+    table = table.append_column("s", pa.array(np.arange(table.num_rows) * 7 % 5, pa.int64()))
+    keys = [c for c in table.column_names if c.startswith("k")]
+    key = keys[0] if len(keys) == 1 else keys
+    # every key spread over several blocks, plus an empty block
+    ds = _blocks(table, keys).union(ray.data.from_arrow(table.slice(0, 0)))
+    con = duckdb.connect()
+    con.register("t", table)
+    by = [(k, "ascending") for k in keys] + [("rank", "ascending")]
+    for direction in ("ascending", "descending"):
+        sql_dir = "DESC" if direction == "descending" else "ASC"
+        for k in (1, 3, table.num_rows + 1):  # the last keeps every row
+            got = _arrow(keyed_topk(ds, key, [("s", direction), ("v", "ascending")], k))
+            assert got.column_names == table.column_names + ["rank"]
+            want = con.sql(
+                f"SELECT * FROM (SELECT *, row_number() OVER (PARTITION BY {', '.join(keys)} "
+                f"ORDER BY s {sql_dir}, v) AS rank FROM t) WHERE rank <= {k}"
+            ).arrow()
+            assert want.schema.field("rank").type == pa.int64()
+            assert got.schema.equals(want.schema)
+            # a null key is one group, as in SQL's PARTITION BY
+            assert got.column(keys[0]).null_count == (kind == "int_with_null")
+            assert got.sort_by(by).equals(want.sort_by(by)), (direction, k)
+    assert got.num_rows == table.num_rows
 
 
 @pytest.mark.parametrize("n_keys", [2, 3, 16, 64])

@@ -351,11 +351,11 @@ def test_events_pivot(ray_session, con):
 
 
 def test_topk_rows_equals_sort_limit(ray_session):
-    """topk_rows == sort().limit() row-for-row, including tie order and
-    k larger than the input."""
+    """The global ``keyed_topk`` (no key) == sort().limit() row-for-row,
+    including tie order and k larger than the input."""
     import ray.data
 
-    from rio_color_ray.stages.topk import topk_rows
+    from rio_color_ray.stages.agg import keyed_topk
 
     rng = np.random.default_rng(7)
     df = pd.DataFrame(
@@ -364,7 +364,8 @@ def test_topk_rows_equals_sort_limit(ray_session):
     ds = ray.data.from_pandas(df).repartition(13)
     for k in (1, 10, 1000):
         a = (
-            topk_rows(ds, ["v", "id"], [True, False], k)
+            keyed_topk(ds, [], [("v", "descending"), ("id", "ascending")], k)
+            .select_columns(["v", "id"])
             .to_pandas()
             .reset_index(drop=True)
         )

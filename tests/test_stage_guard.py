@@ -18,6 +18,12 @@ maxes run as ``stages.agg.keyed_agg``, so Ray's builtin
 may not come back either; Arrow's ``Table.group_by(...).aggregate``, the
 kernel inside ``keyed_agg``, is not Ray's and stays allowed.
 
+The first k rows per key under a total order run as
+``stages.agg.keyed_topk``, with no key for a global top-k; so no pandas
+``groupby(...).head``, ``idxmin``/``idxmax`` or keep-first/last
+``drop_duplicates`` may hand-write one again, and the old global
+``stages.topk`` module may not come back.
+
 The exchange owns the bucket: callers pass a key, and ``bucket_exchange``
 alone maps it to one bucket per reduce task. So no function may take a
 bucket count (``n_buckets``) again.
@@ -107,6 +113,53 @@ def test_no_builtin_aggregate_in_the_engine():
             ):
                 bad.append(f"{where}:{node.lineno} import ray.data.aggregate")
     assert not bad, "Ray builtin aggregates:\n" + "\n".join(bad)
+
+
+# (module, top-level function) -> why its hand-written top-k stays
+TOPK_ALLOWED = {
+    ("pipelines/relational.py", "approx_distinct_users_kmv"): (
+        "KMV's bottom-k must hold k DISTINCT hashes per type; a row-level "
+        "top-k would keep a user's hash once per row"
+    ),
+}
+
+
+def _hand_written_topk(node):
+    """What top-k idiom ``node`` is, or None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        attr, recv = node.func.attr, node.func.value
+        if attr == "head" and isinstance(recv, ast.Call) and _name(recv.func) == "groupby":
+            return "groupby(...).head("
+        if attr in ("idxmin", "idxmax"):
+            return f".{attr}("
+        if attr == "drop_duplicates" and any(k.arg == "keep" for k in node.keywords):
+            return "drop_duplicates(..., keep=...)"
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+    else:
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+    if any(".stages.topk." in f".{n}." for n in names):
+        return "import of stages.topk"
+    return None
+
+
+def test_no_hand_written_topk_in_the_engine():
+    bad, allowed_seen = [], set()
+    for path, tree in _modules().items():
+        rel = path.relative_to(PKG).as_posix()
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                what = _hand_written_topk(node)
+                if what is None:
+                    continue
+                if (rel, owner) in TOPK_ALLOWED:
+                    allowed_seen.add((rel, owner))
+                else:
+                    bad.append(f"{rel}:{node.lineno} {what}")
+    # the scan still sees the one allowed site, so it is not blind
+    assert allowed_seen == set(TOPK_ALLOWED)
+    assert not bad, "hand-written top-k (use stages.agg.keyed_topk):\n" + "\n".join(bad)
 
 
 def test_no_n_buckets_parameter():
