@@ -22,9 +22,11 @@ which alone decides each key's bucket: sums, mins and maxes as
 ``stages.agg.keyed_agg`` (one Arrow group_by as the map-side combiner
 and as the reduce), the first k rows per key (or overall) as
 ``stages.agg.keyed_topk`` (one Arrow sort as the combiner and as the
-reduce), every other reduce as a caller's vectorized function. Ray's
-builtin ``groupby(key).aggregate`` runs nowhere, nor does a second
-exchange for a global top-k.
+reduce), windows as ``stages.agg.keyed_scan`` (the same Arrow sort and
+run-start mask, then the caller's numpy over it, no combiner), every
+other reduce as a caller's vectorized function. Ray's builtin
+``groupby(key).aggregate`` runs nowhere, nor does a second exchange for
+a global top-k.
 """
 
 import functools

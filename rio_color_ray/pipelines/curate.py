@@ -19,7 +19,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..stages.agg import hash_bucket_agg, keyed_agg, keyed_topk
+from ..stages.agg import hash_bucket_agg, keyed_agg, keyed_scan, keyed_topk, run_cumsum
 from ..stages.sampling import (
     split_assign_batch,
     split_sql,
@@ -507,8 +507,9 @@ def pack_sequences(sf_dir, budget=PACK_BUDGET, n_parts=PACK_PARTS):
        scan), split into ``n_parts`` contiguous ranges;
     2. pass 1: per-range token totals (a keyed sum -> ``n_parts`` rows
        to the driver -> exclusive scan -> broadcast);
-    3. pass 2: each range sorts its own docs and adds its base offset —
-       every doc's global stream offset, with no cross-range exchange.
+    3. pass 2: a keyed scan on the range (stages/agg.py) sorts its docs
+       and adds its base offset to their running token sum — every
+       doc's global stream offset, with no cross-range dependency.
 
     Token counting runs in both passes (vectorized RE2); re-scanning
     beats pinning a doc-level table at corpus scale.
@@ -546,10 +547,9 @@ def pack_sequences(sf_dir, budget=PACK_BUDGET, n_parts=PACK_PARTS):
         lo, hi = bounds["lo"], bounds["hi"]
     span = (hi - lo + n_parts) // n_parts  # ceil
 
-    def tc(batch: pa.Table) -> pd.DataFrame:
-        t = token_count_batch(batch).to_pandas()
-        t["part"] = (t["doc_id"].to_numpy() - lo) // span
-        return t
+    def tc(batch: pa.Table) -> pa.Table:
+        t = token_count_batch(batch)
+        return t.append_column("part", pa.array((t.column("doc_id").to_numpy() - lo) // span))
 
     docs = documents(sf_dir, columns=["doc_id", "text"])
     counted = docs.map_batches(tc, batch_format="pyarrow")
@@ -565,20 +565,13 @@ def pack_sequences(sf_dir, budget=PACK_BUDGET, n_parts=PACK_PARTS):
     run[present + 1] = cum
     base = np.maximum.accumulate(run)[:-1]  # exclusive base per part
 
-    def offsets(block: pd.DataFrame) -> pd.DataFrame:
-        g = block.sort_values(["part", "doc_id"], kind="mergesort")
-        n = g["n_tokens"].to_numpy()
-        off = base[g["part"].to_numpy()] + g.groupby("part")["n_tokens"].cumsum().to_numpy() - n
-        return pd.DataFrame(
-            {
-                "doc_id": g["doc_id"].to_numpy(),
-                "n_tokens": n,
-                "pack_id": off // budget,
-                "pack_offset": off % budget,
-            }
-        )
+    def offsets(g: pa.Table, start: np.ndarray) -> pa.Table:
+        n = g.column("n_tokens").to_numpy()
+        off = base[g.column("part").to_numpy()] + run_cumsum(n, start) - n
+        pack, at = np.divmod(off, budget)
+        return pa.table({"doc_id": g.column("doc_id"), "n_tokens": n, "pack_id": pack, "pack_offset": at})
 
-    return hash_bucket_agg(counted, "part", offsets)
+    return keyed_scan(counted, "part", [("doc_id", "ascending")], offsets)
 
 
 def pack_sequences_sql(budget=PACK_BUDGET):

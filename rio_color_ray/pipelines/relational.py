@@ -20,7 +20,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..stages.agg import hash_bucket_agg, keyed_agg, keyed_topk
+from ..stages.agg import keyed_agg, keyed_scan, keyed_topk, run_cumsum, run_position
 from ..stages.join import BroadcastJoinStage, broadcast_semi_filter, bucketed_hash_join
 
 Q1_CUTOFF = "1998-09-02"
@@ -35,6 +35,31 @@ def _read(sf_dir, name, columns=None):
 
 def _int_cents(col):
     return np.rint(col.to_numpy(zero_copy_only=False) * 100).astype(np.int64)
+
+
+def _epoch_us(col):
+    """A ``timestamp[us]`` column as int64 microseconds."""
+    return col.cast(pa.int64()).to_numpy()
+
+
+def _run_rank_keys(start, *values):
+    """Every row's (run, dense rank of its value) as one int64
+    ``run * n_distinct + rank``, for each of the equal-length ``values``
+    arrays of a keyed-scan block, and the distinct values.
+
+    Ranks are dense over all ``values``, so within a run keys compare as
+    values do, and every later run's keys are larger: a block-wide
+    searchsorted or running max never crosses a run, and
+    ``distinct[key % n_distinct]`` reads a key's value back. The key fits
+    int64 while ``n_runs * n_distinct < 2**63``; both are at most the
+    rows times ``len(values)``, so any block under 2 * 10^9 rows fits.
+    """
+    distinct, rank = np.unique(np.concatenate(values), return_inverse=True)
+    n_runs = int(start.sum())
+    if n_runs * len(distinct) >= 2**63:
+        raise OverflowError(f"(run, rank) key of {n_runs} runs x {len(distinct)} values overflows int64")
+    run = np.cumsum(start) - 1
+    return run * len(distinct) + rank.reshape(len(values), -1), distinct
 
 
 def q1_pricing_summary(sf_dir):
@@ -415,49 +440,32 @@ SESSION_GAP_US = 30 * 60 * 1_000_000  # 30 min inactivity closes a session
 def sessionize(sf_dir):
     """Gap-based session windows per user (classic streaming op).
 
-    Shuffle key = hash bucket of user_id (stages/agg.py); inside each
-    bucket ONE vectorized pass over all users: sort by (user, ts),
-    session breaks at user boundaries or >30min gaps, session ids via a
-    cumsum rebased per user segment (cumsum decomposes), then one pandas
-    groupby((user, sid)).agg — no per-user Python. Output: one row per
-    session with start/end/n_events/value_cents.
+    One keyed scan on the user, ordered by ts (stages/agg.py): session
+    breaks at user starts or >30min gaps, 1-based session ids as a
+    running count of breaks restarted per user, and every session's
+    bounds and sums read at its first and last row — no per-user Python.
+    Output: one row per session with start/end/n_events/value_cents.
     """
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
 
-    def sessions(bucket: pd.DataFrame) -> pd.DataFrame:
-        g = bucket.sort_values(["user_id", "ts"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        cents = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
-        new_user = np.ones(len(g), dtype=bool)
-        new_user[1:] = u[1:] != u[:-1]
-        new_session = new_user.copy()
-        new_session[1:] |= (ts[1:] - ts[:-1]) > SESSION_GAP_US
-        cum = np.cumsum(new_session)
-        starts = np.flatnonzero(new_user)
-        seg_len = np.diff(np.append(starts, len(g)))
-        base = np.where(starts > 0, cum[starts - 1], 0)
-        sid = cum - np.repeat(base, seg_len)  # 1-based per user
-        df = pd.DataFrame({"user_id": u, "sid": sid, "ts": ts, "cents": cents})
-        agg = df.groupby(["user_id", "sid"], as_index=False).agg(
-            session_start=("ts", "min"),
-            session_end=("ts", "max"),
-            n_events=("ts", "size"),
-            value_cents=("cents", "sum"),
-        )
-        out = pd.DataFrame(
+    def sessions(g: pa.Table, start: np.ndarray) -> pa.Table:
+        ts = _epoch_us(g.column("ts"))
+        new = start.copy()
+        new[1:] |= np.diff(ts) > SESSION_GAP_US
+        first = np.flatnonzero(new)
+        last = np.append(first[1:], len(new)) - 1
+        return pa.table(
             {
-                "user_id": agg["user_id"],
-                "session_id": agg["sid"].astype(np.int64),
-                "session_start": agg["session_start"].astype("datetime64[us]"),
-                "session_end": agg["session_end"].astype("datetime64[us]"),
-                "n_events": agg["n_events"],
-                "value_cents": agg["value_cents"],
+                "user_id": g.column("user_id").take(first),
+                "session_id": run_cumsum(new.astype(np.int64), start)[first],
+                "session_start": ts[first].astype("datetime64[us]"),
+                "session_end": ts[last].astype("datetime64[us]"),
+                "n_events": last - first + 1,
+                "value_cents": run_cumsum(_int_cents(g.column("value")), new)[last],
             }
         )
-        return out
 
-    return hash_bucket_agg(ds, "user_id", sessions)
+    return keyed_scan(ds, "user_id", [("ts", "ascending")], sessions)
 
 
 SESSIONIZE_SQL = """
@@ -540,13 +548,13 @@ def asof_join_clicks(sf_dir):
     """For every purchase, the latest click by the same user at-or-before
     the purchase (ordered by (ts, event_id) — fully deterministic ties).
 
-    Ray-Data-first shape: ONE shuffle on hash buckets of user_id
-    (stages/agg.py), then a vectorized whole-bucket as-of: sort the
-    merged click+purchase stream by (user, ts) once, forward-fill the
-    last-click row index with a pandas Cython groupby.cummax over user
-    segments, gather. No pandas merge_asof per pair of frames, no
-    per-user Python, no driver collection. At 10^12 rows the user
-    exchange is the same one sessionize pays.
+    Ray-Data-first shape: ONE keyed scan on the user (stages/agg.py)
+    over the merged click+purchase stream, ordered by (ts, event_id):
+    a block-wide running max of the click row index, discarded where it
+    falls before the user's first row, gives every purchase its last
+    click. No pandas merge_asof per pair of frames, no per-user Python,
+    no driver collection. At 10^12 rows the user exchange is the same
+    one sessionize pays.
     """
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
     ds = ds.map_batches(
@@ -556,21 +564,19 @@ def asof_join_clicks(sf_dir):
         batch_format="pyarrow",
     )
 
-    def asof(bucket: pd.DataFrame) -> pd.DataFrame:
-        g = bucket.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        eid = g["event_id"].to_numpy()
-        is_click = (g["event_type"] == "click").to_numpy()
-        # index of the most recent same-user click at-or-before each row
-        idx = np.where(is_click, np.arange(len(g)), -1)
-        last_click = pd.Series(idx).groupby(u).cummax().to_numpy()
-        take = ~is_click & (last_click >= 0)
+    def asof(g: pa.Table, start: np.ndarray) -> pa.Table:
+        ts = _epoch_us(g.column("ts"))
+        eid = g.column("event_id").to_numpy()
+        is_click = pc.equal(g.column("event_type"), "click").to_numpy(zero_copy_only=False)
+        pos = np.arange(len(ts))
+        # the most recent click at-or-before each row, if it is the user's
+        last_click = np.maximum.accumulate(np.where(is_click, pos, -1))
+        take = ~is_click & (last_click >= pos - run_position(start))
         src = last_click[take]
-        return pd.DataFrame(
+        return pa.table(
             {
                 "event_id": eid[take],
-                "user_id": u[take],
+                "user_id": g.column("user_id").to_numpy()[take],
                 "purchase_ts": ts[take].astype("datetime64[us]"),
                 "click_event_id": eid[src],
                 "click_ts": ts[src].astype("datetime64[us]"),
@@ -578,7 +584,7 @@ def asof_join_clicks(sf_dir):
             }
         )
 
-    return hash_bucket_agg(ds, "user_id", asof)
+    return keyed_scan(ds, "user_id", [("ts", "ascending"), ("event_id", "ascending")], asof)
 
 
 ASOF_SQL = """
@@ -648,32 +654,23 @@ Q18_MIN_QTY = 200
 def q18_large_orders(sf_dir, min_qty=Q18_MIN_QTY):
     """Orders whose total lineitem quantity exceeds ``min_qty``.
 
-    Two-level aggregate (per-batch partial sums -> small groupby), the
-    HAVING filter applied post-aggregate, and the survivors joined back
-    to orders INSIDE the dataset with the bucketed hash join — no
-    driver-side keyset materialization (the HAVING tail is "tiny" only
-    probabilistically; at 10^12 rows a driver dict is a bet, a bucketed
-    exchange is not). The customer-name dimension ships once via
+    A keyed sum over the high-cardinality orders (its combiner sums in
+    every map block), HAVING as a filter over its complete groups, and
+    the survivors joined back to orders INSIDE the dataset with the
+    bucketed hash join — no driver-side keyset materialization (the
+    HAVING tail is "tiny" only probabilistically; at 10^12 rows a
+    driver dict is a bet, a bucketed exchange is not). The customer-name dimension ships once via
     ray.put, per the engine's dimension-broadcast convention.
     """
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.copy()
-        b["sum_qty"] = np.rint(b.pop("l_quantity").to_numpy()).astype(np.int64)
-        return b.groupby("l_orderkey", as_index=False)["sum_qty"].sum()
+    def qty(batch: pa.Table) -> pa.Table:
+        q = np.rint(batch.column("l_quantity").to_numpy(zero_copy_only=False)).astype(np.int64)
+        return pa.table({"o_orderkey": batch.column("l_orderkey"), "sum_qty": q})
 
-    def sum_and_filter(df: pd.DataFrame) -> pd.DataFrame:
-        # per-order keys are high-cardinality -> hash-bucket reduce
-        # (stages/agg.py); groups are complete within a bucket, so the
-        # HAVING filter and the key rename apply right here
-        out = df.groupby("l_orderkey", as_index=False)["sum_qty"].sum()
-        out = out[out["sum_qty"] > min_qty]
-        return out.rename(columns={"l_orderkey": "o_orderkey"})
-
-    per_order = hash_bucket_agg(
-        li.map_batches(partial, batch_format="pandas"), "l_orderkey", sum_and_filter
-    )
+    per_order = keyed_agg(
+        li.map_batches(qty, batch_format="pyarrow"), "o_orderkey", {"sum_qty": "sum"}
+    ).map_batches(lambda b: b.filter(pc.greater(b.column("sum_qty"), min_qty)), batch_format="pyarrow")
 
     orders = _read(
         sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
@@ -863,18 +860,21 @@ def value_quantiles_per_type(sf_dir):
         ds.map_batches(rows, batch_format="pyarrow"), ["event_type", "cents"], {"n": "sum"}
     )
 
-    def quantiles(block: pd.DataFrame) -> pd.DataFrame:
-        g = block.sort_values(["event_type", "cents"], kind="mergesort")
-        per = g.groupby("event_type")["n"]
-        cum, total = per.cumsum(), per.transform("sum")
-        cols = {}
+    def quantiles(g: pa.Table, start: np.ndarray) -> pa.Table:
+        cents = g.column("cents").to_numpy()
+        cum = run_cumsum(g.column("n").to_numpy(), start)
+        first = np.flatnonzero(start)
+        last = np.append(first[1:], len(cum)) - 1
+        total = np.repeat(cum[last], last - first + 1)
+        cols = {"event_type": g.column("event_type").take(first)}
         for q in QUANTILES:
-            # quantile_disc: smallest value with cum >= ceil(q * total)
-            hit = g[(cum >= np.ceil(q * total)).to_numpy()]
-            cols[f"p{int(q * 100)}_cents"] = hit.groupby("event_type")["cents"].first()
-        return pd.DataFrame(cols).rename_axis("event_type").reset_index()
+            # quantile_disc: smallest value with cum >= ceil(q * total);
+            # the rows below it are a prefix of their run
+            below = cum < np.ceil(q * total)
+            cols[f"p{int(q * 100)}_cents"] = cents[first + run_cumsum(below, start)[last]]
+        return pa.table(cols)
 
-    return hash_bucket_agg(counts, "event_type", quantiles)
+    return keyed_scan(counts, "event_type", [("cents", "ascending")], quantiles)
 
 
 QUANTILES_SQL = """
@@ -900,14 +900,14 @@ def range_join_clicks(sf_dir, window_us=RANGE_JOIN_WINDOW_US):
     ``[ts - window, ts)``.
 
     Ray Data has no interval join; the scale-sane composition is ONE
-    shuffle on hash buckets of user_id (the natural partitioning key —
-    intervals never cross users; stages/agg.py) and an in-bucket range
-    count: per user segment, the sorted click array + two np.searchsorted
-    calls give every purchase's [lo, hi) click window (numpy slicing per
-    segment costs ~us, vs the ~0.6 ms/group of one Ray group per user).
-    The exchange moves only (user_id, ts, event_id, type) — no pairwise
-    expansion ever materializes, unlike the naive theta-join which is
-    O(clicks x purchases) per user.
+    keyed scan on the user (the natural partitioning key — intervals
+    never cross users; stages/agg.py), ordered by ts, and an in-block
+    range count: every row's (user run, ts) as one int key, so the
+    clicks' keys are sorted and two np.searchsorted calls over the whole
+    block give every purchase its [lo, hi) click window — no per-user
+    Python. The exchange moves only (user_id, ts, event_id, type) — no
+    pairwise expansion ever materializes, unlike the naive theta-join
+    which is O(clicks x purchases) per user.
     """
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
     ds = ds.map_batches(
@@ -917,47 +917,22 @@ def range_join_clicks(sf_dir, window_us=RANGE_JOIN_WINDOW_US):
         batch_format="pyarrow",
     )
 
-    def count_range(bucket: pd.DataFrame) -> pd.DataFrame:
-        g = bucket.sort_values(["user_id", "ts"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        eid = g["event_id"].to_numpy()
-        is_click = (g["event_type"] == "click").to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        if len(g):
-            new[1:] = u[1:] != u[:-1]
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], len(g))
-        frames = []
-        for s, e in zip(starts, ends):
-            seg_click = is_click[s:e]
-            click_ts = ts[s:e][seg_click]  # already ts-sorted
-            pmask = ~seg_click
-            pts = ts[s:e][pmask]
-            lo = np.searchsorted(click_ts, pts - window_us, side="left")
-            hi = np.searchsorted(click_ts, pts, side="left")
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "event_id": eid[s:e][pmask],
-                        "user_id": u[s:e][pmask],
-                        "ts": pts.astype("datetime64[us]"),
-                        "n_clicks_1h": (hi - lo).astype(np.int64),
-                    }
-                )
-            )
-        if not frames:
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series([], dtype=np.int64),
-                    "user_id": pd.Series([], dtype=np.int64),
-                    "ts": pd.Series([], dtype="datetime64[us]"),
-                    "n_clicks_1h": pd.Series([], dtype=np.int64),
-                }
-            )
-        return pd.concat(frames, ignore_index=True)
+    def count_range(g: pa.Table, start: np.ndarray) -> pa.Table:
+        ts = _epoch_us(g.column("ts"))
+        is_click = pc.equal(g.column("event_type"), "click").to_numpy(zero_copy_only=False)
+        (at, since), _ = _run_rank_keys(start, ts, ts - window_us)
+        clicks, p = at[is_click], ~is_click
+        n = np.searchsorted(clicks, at[p]) - np.searchsorted(clicks, since[p])
+        return pa.table(
+            {
+                "event_id": g.column("event_id").to_numpy()[p],
+                "user_id": g.column("user_id").to_numpy()[p],
+                "ts": ts[p].astype("datetime64[us]"),
+                "n_clicks_1h": n,
+            }
+        )
 
-    return hash_bucket_agg(ds, "user_id", count_range)
+    return keyed_scan(ds, "user_id", [("ts", "ascending")], count_range)
 
 
 RANGE_JOIN_SQL = f"""
@@ -1051,24 +1026,18 @@ def event_gaps(sf_dir):
     """
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
 
-    def gaps(bucket: pd.DataFrame) -> pd.DataFrame:
-        g = bucket.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        same = np.zeros(len(g), dtype=bool)
-        same[1:] = u[1:] == u[:-1]
-        gap = np.empty(len(g), dtype=np.int64)
-        if len(g) > 1:
-            gap[1:] = ts[1:] - ts[:-1]
-        return pd.DataFrame(
+    def gaps(g: pa.Table, start: np.ndarray) -> pa.Table:
+        ts = _epoch_us(g.column("ts"))
+        same = ~start
+        return pa.table(
             {
-                "event_id": g["event_id"].to_numpy()[same],
-                "user_id": u[same],
-                "gap_us": gap[same],
+                "event_id": g.column("event_id").to_numpy()[same],
+                "user_id": g.column("user_id").to_numpy()[same],
+                "gap_us": np.diff(ts, prepend=0)[same],
             }
         )
 
-    return hash_bucket_agg(ds, "user_id", gaps)
+    return keyed_scan(ds, "user_id", [("ts", "ascending"), ("event_id", "ascending")], gaps)
 
 
 EVENT_GAPS_SQL = """
@@ -1089,11 +1058,10 @@ SELECT event_id, user_id, gap_us FROM (
 def users_click_and_purchase(sf_dir):
     """user_ids present in BOTH the click and the purchase event sets.
 
-    Distributed INTERSECT: distinct (user, type) pairs collapse in ONE
-    user-bucketed exchange (per-batch drop_duplicates first; a user's
-    rows are complete within their bucket, so the count==2 filter runs
-    right there, vectorized) — no side ever materializes as a driver
-    set, and the exchange moves at most one row per (batch, user, type).
+    Distributed INTERSECT: a keyed min and max of a click flag per user
+    (stages/agg.py; the combiner sends at most one row per user per
+    block), then a filter: a user has both types where they differ — no
+    side ever materializes as a driver set.
     """
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
     ds = ds.map_batches(
@@ -1103,16 +1071,14 @@ def users_click_and_purchase(sf_dir):
         batch_format="pyarrow",
     )
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.drop_duplicates()
+    def flags(batch: pa.Table) -> pa.Table:
+        click = pc.cast(pc.equal(batch.column("event_type"), "click"), pa.int8())
+        return pa.table({"user_id": batch.column("user_id"), "lo": click, "hi": click})
 
-    def both_types(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.drop_duplicates()
-        g = d.groupby("user_id", as_index=False).size()
-        return g.loc[g["size"] == 2, ["user_id"]]
-
-    return hash_bucket_agg(
-        ds.map_batches(partial, batch_format="pandas"), "user_id", both_types
+    per_user = keyed_agg(ds.map_batches(flags, batch_format="pyarrow"), "user_id", {"lo": "min", "hi": "max"})
+    return per_user.map_batches(
+        lambda b: b.filter(pc.less(b.column("lo"), b.column("hi"))).select(["user_id"]),
+        batch_format="pyarrow",
     )
 
 
@@ -1133,32 +1099,22 @@ PIVOT_TYPES = ("click", "purchase", "signup", "view", "error")
 def events_pivot(sf_dir):
     """One row per day with a count column per event type.
 
-    Per-batch (day, type) partial counts, then ONE exchange on the day:
-    each block sums its partials per (day, type) and reshapes them wide.
-    The exchange moves at most one row per (batch, day, type). Fixed
-    column set (schema is static), unknown types counted into none.
+    Every event becomes one-hot ``n_<type>`` columns on its day, and ONE
+    keyed sum on the day (stages/agg.py) adds them up; the combiner
+    moves at most one row per (batch, day). Fixed column set (schema is
+    static), unknown types counted into none.
     """
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        b = pd.DataFrame(
-            {
-                "day": batch["ts"].to_numpy().astype("datetime64[D]").astype("datetime64[us]"),
-                "event_type": batch["event_type"],
-            }
-        )
-        out = b.groupby(["day", "event_type"], as_index=False).size()
-        return out.rename(columns={"size": "n"})
+    def one_hot(batch: pa.Table) -> pa.Table:
+        cols = {"day": pc.floor_temporal(batch.column("ts"), unit="day")}
+        for t in PIVOT_TYPES:
+            cols[f"n_{t}"] = pc.cast(pc.equal(batch.column("event_type"), t), pa.int64())
+        return pa.table(cols)
 
-    def widen(block: pd.DataFrame) -> pd.DataFrame:
-        # unknown types fall out of the reindex: counted into no column
-        wide = block.groupby(["day", "event_type"])["n"].sum().unstack(fill_value=0)
-        wide = wide.reindex(columns=list(PIVOT_TYPES), fill_value=0).add_prefix("n_")
-        out = wide.rename_axis(columns=None).reset_index()
-        out["day"] = out["day"].astype("datetime64[us]")  # the oracle's type
-        return out
-
-    return hash_bucket_agg(ds.map_batches(partial, batch_format="pandas"), "day", widen)
+    return keyed_agg(
+        ds.map_batches(one_hot, batch_format="pyarrow"), "day", {f"n_{t}": "sum" for t in PIVOT_TYPES}
+    )
 
 
 PIVOT_SQL = (
@@ -1193,40 +1149,39 @@ def late_events(sf_dir):
     running max event time of the user's earlier-arriving events, where
     arrival order is the deterministic jittered sequence above (real
     deployments pass an ingestion-sequence column instead). One
-    user-bucketed shuffle (stages/agg.py) + a whole-bucket running max
-    (pandas Cython groupby.cummax over user segments) — no per-user
-    Python.
+    keyed scan on the user in arrival order (stages/agg.py) + a
+    block-wide running max of every row's (user run, ts) key, which
+    never crosses into another user's run — no per-user Python.
     """
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
 
-    def late(bucket: pd.DataFrame) -> pd.DataFrame:
-        eid = bucket["event_id"].to_numpy()
-        u = bucket["user_id"].to_numpy()
+    def with_arrival(batch: pa.Table) -> pa.Table:
+        eid = batch.column("event_id").to_numpy()
         # (eid % J) * (K % J) % J == (eid * K) % J — the reduced form
         # keeps every intermediate < J^2, so the BIGINT SQL twin cannot
         # overflow at any event_id (int64 numpy wrap gave the same value
         # here because J divides 2^64, but DuckDB raises instead of
         # wrapping)
-        arrival = eid + ((eid % _ARRIVAL_JITTER) * (_ARRIVAL_KNUTH % _ARRIVAL_JITTER)) % _ARRIVAL_JITTER
-        order = np.lexsort((eid, arrival, u))
-        eid, u = eid[order], u[order]
-        ts = bucket["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)[order]
-        cummax = pd.Series(ts).groupby(u).cummax().to_numpy()
-        run_max_prev = np.empty(len(ts), dtype=np.int64)
-        if len(ts):
-            run_max_prev[0] = np.iinfo(np.int64).min
-            same = u[1:] == u[:-1]
-            run_max_prev[1:] = np.where(same, cummax[:-1], np.iinfo(np.int64).min)
-        is_late = ts < run_max_prev
-        return pd.DataFrame(
+        jitter = ((eid % _ARRIVAL_JITTER) * (_ARRIVAL_KNUTH % _ARRIVAL_JITTER)) % _ARRIVAL_JITTER
+        return batch.append_column("arrival", pa.array(eid + jitter))
+
+    def late(g: pa.Table, start: np.ndarray) -> pa.Table:
+        ts = _epoch_us(g.column("ts"))
+        (key,), distinct = _run_rank_keys(start, ts)
+        # the max over the user's earlier arrivals: the running max up
+        # to the row before, except at the user's first row
+        prev = np.roll(np.maximum.accumulate(key), 1)
+        is_late = ~start & (key < prev)
+        return pa.table(
             {
-                "event_id": eid[is_late],
-                "user_id": u[is_late],
-                "lateness_us": (run_max_prev - ts)[is_late],
+                "event_id": g.column("event_id").to_numpy()[is_late],
+                "user_id": g.column("user_id").to_numpy()[is_late],
+                "lateness_us": distinct[prev[is_late] % len(distinct)] - ts[is_late],
             }
         )
 
-    return hash_bucket_agg(ds, "user_id", late)
+    order = [("arrival", "ascending"), ("event_id", "ascending")]
+    return keyed_scan(ds.map_batches(with_arrival, batch_format="pyarrow"), "user_id", order, late)
 
 
 LATE_EVENTS_SQL = f"""
@@ -1326,33 +1281,24 @@ def user_running_value(sf_dir):
     """(event_id, user_id, cum_value_cents): each user's running total of
     event value in exact integer cents, ordered by (ts, event_id).
 
-    One user-bucketed exchange (stages/agg.py) + a whole-bucket cumsum
-    rebased per user segment (cumsum decomposes: global running sum
-    minus the segment-start base) — no per-user Python. Integer cents
+    One keyed scan on the user (stages/agg.py) + a block-wide cumsum
+    rebased per user run (cumsum decomposes: global running sum
+    minus the run-start base) — no per-user Python. Integer cents
     keep the running sum order-independent and bit-exact vs the SQL
     window twin.
     """
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
 
-    def running(bucket: pd.DataFrame) -> pd.DataFrame:
-        g = bucket.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        cents = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
-        cum = np.cumsum(cents)
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = u[1:] != u[:-1]
-        starts = np.flatnonzero(new)
-        seg_len = np.diff(np.append(starts, len(g)))
-        base = np.where(starts > 0, cum[starts - 1], 0)
-        return pd.DataFrame(
+    def running(g: pa.Table, start: np.ndarray) -> pa.Table:
+        return pa.table(
             {
-                "event_id": g["event_id"].to_numpy(),
-                "user_id": u,
-                "cum_value_cents": cum - np.repeat(base, seg_len),
+                "event_id": g.column("event_id"),
+                "user_id": g.column("user_id"),
+                "cum_value_cents": run_cumsum(_int_cents(g.column("value")), start),
             }
         )
 
-    return hash_bucket_agg(ds, "user_id", running)
+    return keyed_scan(ds, "user_id", [("ts", "ascending"), ("event_id", "ascending")], running)
 
 
 USER_RUNNING_VALUE_SQL = """
@@ -1409,23 +1355,29 @@ def approx_distinct_users_kmv(sf_dir, k=KMV_K):
         out = out.sort_values(["event_type", "h"], kind="mergesort")
         return out.groupby("event_type", as_index=False).head(k)
 
-    def final(block: pd.DataFrame) -> pd.DataFrame:
-        # each type's distinct hashes, consecutive and in u64 order
-        d = block.drop_duplicates().sort_values(["event_type", "h"], kind="mergesort")
-        n = d.groupby("event_type", sort=False).size()
-        hs = d["h"].to_numpy()
+    def final(g: pa.Table, start: np.ndarray) -> pa.Table:
+        # each type's distinct hashes: the first row of every (type, h)
+        h = g.column("h").to_numpy()
+        new = start.copy()
+        new[1:] |= h[1:] != h[:-1]
+        first = np.flatnonzero(new)
+        runs = np.flatnonzero(start[first])
+        n = np.diff(np.append(runs, len(first)))
+        hs = h[first]
         est = [
             # k-th smallest hash back to its unsigned value
             c if c < k else (k - 1) * (1 << 64) // (int(hs[i + k - 1]) + (1 << 63))
-            for i, c in zip((np.cumsum(n) - n).tolist(), n.tolist())
+            for i, c in zip(runs.tolist(), n.tolist())
         ]
-        return pd.DataFrame(
-            {"event_type": n.index.to_numpy(), "n_users_approx": np.array(est, dtype=np.int64)}
+        return pa.table(
+            {
+                "event_type": g.column("event_type").take(first[runs]),
+                "n_users_approx": pa.array(est, pa.int64()),
+            }
         )
 
-    return hash_bucket_agg(
-        ds.map_batches(partial, batch_format="pandas"), "event_type", final
-    )
+    partials = ds.map_batches(partial, batch_format="pandas")
+    return keyed_scan(partials, "event_type", [("h", "ascending")], final)
 
 
 def approx_distinct_users_kmv_sql(k=KMV_K):
@@ -1522,35 +1474,28 @@ def users_click_no_purchase(sf_dir, cutoff=EXCEPT_VALUE_CUTOFF):
     """user_ids who clicked but never made a high-value purchase
     (value > cutoff) — distributed EXCEPT.
 
-    Same single user-bucketed exchange as the INTERSECT twin
-    (users_click_and_purchase): each side collapses to distinct
-    (user, side) rows per batch, a user's rows are complete within
-    their bucket, and the set difference runs there vectorized.
+    Same keyed aggregate as the INTERSECT twin
+    (users_click_and_purchase): a max per user of each side's flag (the
+    combiner sends at most one row per user per block), then a filter
+    keeps the users with a click and no high-value purchase.
     """
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "value"])
 
-    def sides(batch: pd.DataFrame) -> pd.DataFrame:
-        is_a = (batch["event_type"] == "click").to_numpy()
-        is_b = (
-            (batch["event_type"] == "purchase") & (batch["value"] > cutoff)
-        ).to_numpy()
-        out = pd.DataFrame(
+    def sides(batch: pa.Table) -> pa.Table:
+        kind = batch.column("event_type")
+        bought = pc.and_(pc.equal(kind, "purchase"), pc.greater(batch.column("value"), cutoff))
+        return pa.table(
             {
-                "user_id": batch["user_id"].to_numpy()[is_a | is_b],
-                "side": np.where(is_a[is_a | is_b], 0, 1).astype(np.int8),
+                "user_id": batch.column("user_id"),
+                "a": pc.cast(pc.equal(kind, "click"), pa.int8()),
+                "b": pc.cast(bought, pa.int8()),
             }
         )
-        return out.drop_duplicates()
 
-    def except_filter(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.drop_duplicates()
-        a = d.loc[d["side"] == 0, "user_id"]
-        b = d.loc[d["side"] == 1, "user_id"]
-        keep = a[~a.isin(b)].to_numpy()
-        return pd.DataFrame({"user_id": np.sort(keep)})
-
-    return hash_bucket_agg(
-        ds.map_batches(sides, batch_format="pandas"), "user_id", except_filter
+    per_user = keyed_agg(ds.map_batches(sides, batch_format="pyarrow"), "user_id", {"a": "max", "b": "max"})
+    return per_user.map_batches(
+        lambda b: b.filter(pc.greater(b.column("a"), b.column("b"))).select(["user_id"]),
+        batch_format="pyarrow",
     )
 
 

@@ -1,4 +1,4 @@
-"""Keyed reduce: the engine's three entries to its one keyed exchange.
+"""Keyed reduce: the engine's four entries to its one keyed exchange.
 
 Every keyed reduce the engine defines runs through the keyed exchange
 (:func:`rio_color_ray.ctx.bucket_exchange`, which buckets rows by the key:
@@ -13,7 +13,8 @@ the reduce (92 s for a 147k-group max over 600k rows, BASELINE.md
 round-2 notes). Neither runs in the engine.
 
 * :func:`keyed_agg` — sums, mins and maxes (a count is a sum of ones,
-  no aggregate at all gives the distinct keys). ONE Arrow
+  no aggregate at all gives the distinct keys; a min and a max of a
+  flag, or one-hot sums, give set operations and pivots). ONE Arrow
   ``group_by().aggregate`` runs as the map-side combiner on every input
   block and again as the reduce; the two are the same function, which is
   idempotent on partials, so the exchange moves at most one row per key
@@ -23,13 +24,13 @@ round-2 notes). Neither runs in the engine.
   and caps, and (with no key) a global top-k. ONE Arrow sort and
   run-start compare, again as the combiner and as the reduce, so the
   exchange moves at most ``k`` rows per key per block.
-* :func:`hash_bucket_agg` — a caller-written pandas reduce, for the
-  reduces neither combiner expresses: distinct counts, running sums,
-  window joins. Such callers either shrink their input per batch first
-  or ship raw rows (the window family: sessionize, as-of, range join —
-  their per-row outputs can't pre-reduce) and must size the cluster so
-  that one bucket, about 1/``shuffle_partitions()`` of the rows, fits a
-  worker's heap.
+* :func:`keyed_scan` — windows (lags, running sums and maxes, sessions,
+  as-of and range joins, quantiles): a caller's numpy over each sorted
+  Arrow block and the mask of every key's first row, the same sort and
+  run-start compare. A per-row output cannot pre-reduce, so the exchange
+  moves raw rows, and one bucket must fit a worker's heap.
+* :func:`hash_bucket_agg` — a caller-written pandas reduce for the rest;
+  ``tests/test_stage_guard.py`` pins its callers, a list that only shrinks.
 
 The same exchange carries the bucketed hash join, the LSH pair stages,
 the min-label CC passes, the checkpoint writers and the tile reduce.
@@ -89,23 +90,68 @@ def keyed_topk(ds, key, order, k):
     def per_bucket(block: pa.Table) -> pa.Table:
         if "rank" in block.column_names:
             block = block.drop_columns(["rank"])
-        block = block.sort_by(by)  # stable
-        n = block.num_rows
-        # a key's run starts where any key column differs from the row
-        # before it; two nulls are equal, a null and a value are not
-        start = np.arange(n) == 0
-        for col in block.select(keys).columns:
-            prev, cur = col.slice(0, n - 1), col.slice(1)
-            differs = pc.fill_null(pc.not_equal(cur, prev), False)
-            differs = pc.or_(differs, pc.not_equal(pc.is_valid(cur), pc.is_valid(prev)))
-            start[1:] |= differs.to_numpy(zero_copy_only=False)
-        pos = np.arange(n)
-        pos -= np.maximum.accumulate(np.where(start, pos, 0))
+        block, start = _sorted_runs(block, keys, by)
+        pos = run_position(start)
         keep = pos < k
         return block.filter(pa.array(keep)).append_column("rank", pa.array(pos[keep] + 1, pa.int64()))
 
     partial = ds.map_batches(per_bucket, batch_format="pyarrow")
     return bucket_exchange(partial, key, per_bucket, "pyarrow")
+
+
+def keyed_scan(ds, key, order, fn):
+    """``fn`` over every key's rows of ``ds``, in ``order``: a window.
+
+    ``key`` is a column or a list of columns, as in ``bucket_exchange``;
+    ``order`` is a list of ``(column, "ascending" | "descending")``
+    pairs. ``fn(block, start)`` gets one exchange block stably sorted by
+    the key, then ``order``, and the bool numpy mask of the rows that
+    start a key's run (a null key is its own run), and returns an Arrow
+    table. Every key's rows are one run of one call, so a lag, running
+    sum or gap rule is a few numpy lines over the mask for all keys at
+    once (``run_position``, ``run_cumsum``). There is no combiner.
+    """
+    keys = [key] if isinstance(key, str) else list(key)
+    by = [(c, "ascending") for c in keys] + list(order)
+
+    # the reduce; the operator takes this name, which perfbench's trace
+    # folds into op.stages.agg
+    def per_bucket(block: pa.Table) -> pa.Table:
+        return fn(*_sorted_runs(block, keys, by))
+
+    return bucket_exchange(ds, key, per_bucket, "pyarrow")
+
+
+def _sorted_runs(block, keys, by):
+    """``block`` stably sorted by ``by``, and the mask of the rows where
+    a run of equal ``keys`` starts. Two nulls are equal, a null and a
+    value are not."""
+    block = block.sort_by(by)
+    n = block.num_rows
+    start = np.arange(n) == 0
+    for col in block.select(keys).columns:
+        prev, cur = col.slice(0, n - 1), col.slice(1)
+        differs = pc.fill_null(pc.not_equal(cur, prev), False)
+        differs = pc.or_(differs, pc.not_equal(pc.is_valid(cur), pc.is_valid(prev)))
+        start[1:] |= differs.to_numpy(zero_copy_only=False)
+    return block, start
+
+
+def run_position(start):
+    """Every row's 0-based position in its run; ``start`` marks the
+    first row of each run (and must mark row 0)."""
+    pos = np.arange(len(start))
+    return pos - np.maximum.accumulate(np.where(start, pos, 0))
+
+
+def run_cumsum(x, start):
+    """The running sum of ``x`` (inclusive) restarted at every run start.
+
+    One block-wide cumsum minus each run's base; an int64 wrap cancels
+    in the difference, so only a run's own sum must fit."""
+    cum = np.cumsum(x)
+    first = np.arange(len(x)) - run_position(start)
+    return cum - (cum - x)[first]
 
 
 def hash_bucket_agg(ds, key, agg_fn):
@@ -115,10 +161,9 @@ def hash_bucket_agg(ds, key, agg_fn):
     ``agg_fn: pd.DataFrame -> pd.DataFrame`` receives one exchange
     block's rows (all rows of any given key, many keys) and must perform
     its own ``groupby(key)`` reduction vectorized. Returns the concatenated
-    per-block results as a Dataset. A reduce that only sums, mins or
-    maxes belongs in :func:`keyed_agg`, and one that keeps the first
-    rows of every key in :func:`keyed_topk`; neither needs a
-    hand-written per-batch partial.
+    per-block results as a Dataset. Sums, mins and maxes belong in
+    :func:`keyed_agg`, the first rows of every key in :func:`keyed_topk`
+    and windows in :func:`keyed_scan`.
     """
 
     # the operator takes this name; perfbench's trace folds it into

@@ -21,7 +21,7 @@ Scale notes (100 TB):
   exist here).
 * Each half-iteration is ONE keyed exchange (``ctx.bucket_exchange``)
   of the (node, key, label) triple table on the grouping column, with
-  a vectorized pandas ``transform('min')`` over each exchange block
+  a vectorized group minimum (``np.minimum.at``) over each exchange block
   (one bucket of keys) — no per-group Python call, no skew sensitivity
   beyond the bucket.
 * Iteration count is O(log diameter), not one hop per round: the
@@ -105,9 +105,9 @@ def min_label_components(
             out = bucket.copy()
             before = out["label"].to_numpy().copy()
             while True:
-                lab = out.groupby(group_col)["label"].transform("min").to_numpy()
+                lab = _group_min(out[group_col], out["label"].to_numpy())
                 out["label"] = lab
-                lab2 = out.groupby(other_col)["label"].transform("min").to_numpy()
+                lab2 = _group_min(out[other_col], lab)
                 stable = (lab2 == lab).all()
                 out["label"] = lab2
                 if stable:
@@ -177,3 +177,11 @@ def min_label_components(
         return out.rename(columns={"label": "cluster_id"})
 
     return bucket_exchange(ds, node_col, finish, "pandas")
+
+
+def _group_min(keys, values):
+    """Every row's minimum of the int64 ``values`` over its key's rows."""
+    codes, uniq = pd.factorize(keys)
+    out = np.full(len(uniq), np.iinfo(np.int64).max)
+    np.minimum.at(out, codes, values)
+    return out[codes]

@@ -5,7 +5,9 @@ hashed strings, datetimes and column lists, nulls) must bring all of a
 key's rows to one reduce call, whatever block they start in, and give a
 key the same bucket from a pandas block as from an Arrow block.
 ``stages.agg.keyed_agg`` over the same key kinds must match DuckDB's
-``GROUP BY``, and ``stages.agg.keyed_topk`` its ``row_number()``.
+``GROUP BY``, ``stages.agg.keyed_topk`` its ``row_number()``, and
+``stages.agg.keyed_scan`` its running ``sum()``, ``lag()`` and
+``row_number()`` windows.
 """
 
 import os
@@ -206,6 +208,66 @@ def test_keyed_topk_matches_duckdb_row_number(ray_session, kind):
             assert got.column(keys[0]).null_count == (kind == "int_with_null")
             assert got.sort_by(by).equals(want.sort_by(by)), (direction, k)
     assert got.num_rows == table.num_rows
+
+
+def _single_row_keys(table, n=5):
+    """``n`` rows of ``table``'s schema, each with a key no other row has."""
+    cols = {}
+    for field in table.schema:
+        if field.name == "v":
+            cols["v"] = pa.array(10_000 + np.arange(n), pa.int64())
+        elif pa.types.is_integer(field.type):
+            cols[field.name] = pa.array(10_000 + np.arange(n), field.type)
+        elif pa.types.is_timestamp(field.type):
+            cols[field.name] = pa.array(np.datetime64("2030-01-01", "us") + np.arange(n), field.type)
+        else:
+            cols[field.name] = pa.array([f"solo{i}" for i in range(n)], field.type)
+    return pa.table(cols, schema=table.schema)
+
+
+@pytest.mark.parametrize("kind", KEY_KINDS)
+def test_keyed_scan_matches_duckdb_window(ray_session, kind):
+    import duckdb
+    import ray.data
+
+    from rio_color_ray.stages.agg import keyed_scan, run_cumsum, run_position
+
+    table = _key_table(kind)
+    # a few distinct values, so the order has ties the unique ``v`` breaks
+    table = table.append_column("s", pa.array(np.arange(table.num_rows) * 7 % 5, pa.int64()))
+    keys = [c for c in table.column_names if c.startswith("k")]
+    key = keys[0] if len(keys) == 1 else keys
+    singles = _single_row_keys(table)
+    # every key spread over several blocks, single-row keys, an empty block
+    ds = _blocks(table, keys).union(
+        ray.data.from_arrow(singles), ray.data.from_arrow(table.slice(0, 0))
+    )
+
+    def window(block: pa.Table, start: np.ndarray) -> pa.Table:
+        v = block.column("v").to_numpy()
+        return (
+            block.append_column("cum", pa.array(run_cumsum(v, start)))
+            .append_column("prev", pa.array(np.roll(v, 1), mask=start))
+            .append_column("rn", pa.array(run_position(start) + 1))
+        )
+
+    got = _arrow(keyed_scan(ds, key, [("s", "descending"), ("v", "ascending")], window))
+    con = duckdb.connect()
+    con.register("t", pa.concat_tables([table, singles]))
+    want = con.sql(
+        "SELECT *, CAST(sum(v) OVER w AS BIGINT) AS cum, lag(v) OVER w AS prev, "
+        f"row_number() OVER w AS rn FROM t WINDOW w AS (PARTITION BY {', '.join(keys)} "
+        "ORDER BY s DESC, v ROWS UNBOUNDED PRECEDING)"
+    ).arrow()
+    assert got.schema.equals(want.schema)
+    assert got.num_rows == table.num_rows + singles.num_rows
+    # single-row runs: no lag, rank 1; a null key is one run, as in SQL
+    solo = pc.is_in(got.column("v"), singles.column("v"))
+    assert pc.all(pc.equal(got.filter(solo).column("rn"), 1)).as_py()
+    assert got.filter(solo).column("prev").null_count == singles.num_rows
+    assert got.column(keys[0]).null_count == (kind == "int_with_null")
+    by = [("v", "ascending")]
+    assert got.sort_by(by).equals(want.sort_by(by))
 
 
 @pytest.mark.parametrize("n_keys", [2, 3, 16, 64])

@@ -8,9 +8,12 @@ statecache module docstring), so no ``map_batches`` call in the package
 may start one again: no class as the function, no
 ``fn_constructor_args`` and no ``(min, max)`` tuple ``concurrency``.
 
-Every keyed reduce the engine defines runs through ``ctx.bucket_exchange``
-(mostly via ``stages.agg.hash_bucket_agg``), which reduces a whole
-exchange block per call. Ray's ``groupby(key).map_groups`` calls Python
+Every keyed reduce the engine defines runs through ``ctx.bucket_exchange``,
+which reduces a whole exchange block per call: mostly via
+``stages.agg.keyed_agg``, ``keyed_topk`` and ``keyed_scan``; the
+pandas reduces still written by hand go through
+``stages.agg.hash_bucket_agg``, whose callers are pinned to a list that
+may only shrink. Ray's ``groupby(key).map_groups`` calls Python
 once per group and ignores ``num_partitions`` under the sort shuffle, so
 no ``map_groups`` call may come back into the package. Sums, mins and
 maxes run as ``stages.agg.keyed_agg``, so Ray's builtin
@@ -23,6 +26,11 @@ The first k rows per key under a total order run as
 ``groupby(...).head``, ``idxmin``/``idxmax`` or keep-first/last
 ``drop_duplicates`` may hand-write one again, and the old global
 ``stages.topk`` module may not come back.
+
+Windows (a lag, a running sum or max, a gap rule per key) run as
+``stages.agg.keyed_scan``: numpy over an Arrow block sorted by the key
+and its run-start mask. So no pandas ``groupby(...)`` may hand-write
+one again with ``cumsum``, ``cummax``, ``cummin`` or ``transform``.
 
 The exchange owns the bucket: callers pass a key, and ``bucket_exchange``
 alone maps it to one bucket per reduce task. So no function may take a
@@ -160,6 +168,75 @@ def test_no_hand_written_topk_in_the_engine():
     # the scan still sees the one allowed site, so it is not blind
     assert allowed_seen == set(TOPK_ALLOWED)
     assert not bad, "hand-written top-k (use stages.agg.keyed_topk):\n" + "\n".join(bad)
+
+
+# (module, top-level function) -> its hash_bucket_agg calls. The list
+# only shrinks: a port to keyed_agg, keyed_topk or keyed_scan deletes an
+# entry, and no new caller joins it.
+HASH_BUCKET_AGG_CALLERS = {
+    ("pipelines/corpus.py", "dedup_incremental"): 1,  # the anti-join
+    ("pipelines/curate.py", "shuffle_shards"): 1,
+    ("pipelines/geo.py", "cell_agg_h8"): 1,
+    ("pipelines/graph.py", "pagerank"): 1,
+    ("pipelines/graph.py", "pagerank_edges"): 1,
+    ("pipelines/web.py", "host_stats"): 1,
+}
+
+
+def _top_level_calls(name):
+    """(module, top-level function) -> the number of calls to ``name``."""
+    found = {}
+    for path, tree in _modules().items():
+        rel = path.relative_to(PKG).as_posix()
+        for stmt in tree.body:
+            n = sum(
+                isinstance(node, ast.Call) and _name(node.func) == name for node in ast.walk(stmt)
+            )
+            if n:
+                found[(rel, getattr(stmt, "name", None))] = n
+    return found
+
+
+def test_hash_bucket_agg_callers_only_shrink():
+    assert _top_level_calls("hash_bucket_agg") == HASH_BUCKET_AGG_CALLERS, (
+        "a new hash_bucket_agg caller belongs in keyed_agg, keyed_topk or keyed_scan; "
+        "a ported one leaves HASH_BUCKET_AGG_CALLERS"
+    )
+
+
+PANDAS_SCANS = {"cumsum", "cummax", "cummin", "transform"}
+
+
+def _from_groupby(node, grouped):
+    """Whether ``node`` is a pandas groupby, a column of one, or a name
+    bound to either."""
+    while True:
+        if isinstance(node, ast.Call):
+            if _name(node.func) == "groupby":
+                return True
+            node = node.func
+        elif isinstance(node, (ast.Attribute, ast.Subscript)):
+            node = node.value
+        else:
+            return isinstance(node, ast.Name) and node.id in grouped
+
+
+def test_no_pandas_groupby_scan_in_the_engine():
+    bad = []
+    for path, tree in _modules().items():
+        grouped = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and _from_groupby(node.value, set()):
+                grouped |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in PANDAS_SCANS
+                and _from_groupby(node.func.value, grouped)
+            ):
+                bad.append(f"{path.relative_to(PKG.parent)}:{node.lineno} .{node.func.attr}(")
+    assert not bad, "pandas groupby scans (use stages.agg.keyed_scan):\n" + "\n".join(bad)
 
 
 def test_no_n_buckets_parameter():
