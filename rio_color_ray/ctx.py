@@ -23,10 +23,10 @@ which alone decides each key's bucket: sums, mins and maxes as
 and as the reduce), the first k rows per key (or overall) as
 ``stages.agg.keyed_topk`` (one Arrow sort as the combiner and as the
 reduce), windows as ``stages.agg.keyed_scan`` (the same Arrow sort and
-run-start mask, then the caller's numpy over it, no combiner), every
-other reduce as a caller's vectorized function. Ray's builtin
-``groupby(key).aggregate`` runs nowhere, nor does a second exchange for
-a global top-k.
+run-start mask, then the caller's numpy over it, no combiner). The
+exchange speaks Arrow only: every reduce gets an Arrow table and returns
+one. Ray's builtin ``groupby(key).aggregate`` runs nowhere, nor does a
+second exchange for a global top-k.
 """
 
 import functools
@@ -69,7 +69,7 @@ def shuffle_partitions(cap=64, floor=8):
     return max(floor, min(cap, 32))
 
 
-def bucket_exchange(ds, key, reduce_block, batch_format, schema=None):
+def bucket_exchange(ds, key, reduce_block, *, schema=None):
     """Co-locate every key's rows and reduce each exchange block once.
 
     ``ds`` is a Dataset, or a list of Datasets whose rows the exchange
@@ -91,15 +91,18 @@ def bucket_exchange(ds, key, reduce_block, batch_format, schema=None):
 
     A null key lands in one fixed bucket (an int null reads as 0). The
     bucket is computed from the key columns alone, appended to the block
-    without copying it, moved by ONE ``sort(bucket, boundaries=1..n-1)``
-    and dropped again before ``reduce_block`` runs, once per output
-    block, via ``map_batches(batch_size=None)``. A block holds every row
-    of each of its keys and many keys, so ``reduce_block`` must reduce
-    per key vectorized. Ray skips the call for an empty bucket. The Ray
-    operator is named after ``reduce_block`` (after its function, for a
-    ``functools.partial``). A mega-key still meets in one call: a cap or
-    salt belongs in the bucket rule here (callers salt today with a list
-    key, as ``pipelines/geo.py:cell_agg_salted`` does).
+    without copying it (a pandas block from an upstream pandas map is
+    converted to Arrow once, there), moved by ONE ``sort(bucket,
+    boundaries=1..n-1)`` and dropped again before ``reduce_block`` runs,
+    once per output block, via ``map_batches(batch_size=None)``.
+    ``reduce_block`` takes that block as a ``pyarrow.Table`` and returns a
+    ``pyarrow.Table``. A block holds every row of each of its keys and many
+    keys, so ``reduce_block`` must reduce per key vectorized. Ray skips the
+    call for an empty bucket. The Ray operator is named after
+    ``reduce_block`` (after its function, for a ``functools.partial``). A
+    mega-key still meets in one call: a cap or salt belongs in the bucket
+    rule here (callers salt today with a list key, as
+    ``pipelines/geo.py:cell_agg_salted`` does).
 
     Why not ``groupby(key).map_groups`` (round-5 profile, sf0.1 / 32
     CPUs, z10 tiles): under the pinned sort shuffle it ignores
@@ -132,29 +135,25 @@ def bucket_exchange(ds, key, reduce_block, batch_format, schema=None):
     keys = [key] if isinstance(key, str) else list(key)
     n = shuffle_partitions() if keys else 1
 
-    def add_bucket(block):
-        if isinstance(block, pa.Table):
-            return block.append_column(BUCKET, pa.array(_bucket_of(block, keys, n)))
-        out = block.copy(deep=False)  # a new column, not a copy of the data
-        out[BUCKET] = _bucket_of(block, keys, n)
-        return out
+    def add_bucket(block: pa.Table) -> pa.Table:
+        # a converted pandas block carries pandas metadata, which Ray cannot
+        # hash when it concatenates a reduce range's blocks
+        block = block.replace_schema_metadata(None)
+        return block.append_column(BUCKET, pa.array(_bucket_of(block, keys, n)))
 
     @functools.wraps(getattr(reduce_block, "func", reduce_block))
-    def reduce(block):
-        if isinstance(block, pa.Table):
-            return reduce_block(block.drop_columns([BUCKET]))
-        block = block.copy(deep=False)
-        del block[BUCKET]
-        return reduce_block(block)
+    def reduce(block: pa.Table) -> pa.Table:
+        return reduce_block(block.drop_columns([BUCKET]))
 
     sides = [
-        d.map_batches(add_bucket, batch_format=None) for d in (ds if isinstance(ds, list) else [ds])
+        d.map_batches(add_bucket, batch_format="pyarrow")
+        for d in (ds if isinstance(ds, list) else [ds])
     ]
     bucketed = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
     # Ray samples boundaries when given none, so one bucket is the range
     # below 1, beside an empty one
     out = bucketed.sort(BUCKET, boundaries=list(range(1, max(n, 2)))).map_batches(
-        reduce, batch_format=batch_format, batch_size=None
+        reduce, batch_format="pyarrow", batch_size=None
     )
     if schema is not None:
         out._plan.cache_schema(schema)
@@ -162,28 +161,20 @@ def bucket_exchange(ds, key, reduce_block, batch_format, schema=None):
 
 
 def _bucket_of(block, keys, n):
-    """The bucket in ``[0, n)`` of every row of ``block``'s ``keys``.
+    """The bucket in ``[0, n)`` of every row of the Arrow ``block``'s
+    ``keys``.
 
-    An Arrow and a pandas block give a key the same bucket: an integer
-    column is read as its numpy ints, a null as 0 (so an int column
-    hashes as ints whether or not its block holds a null), and any other
-    column is hashed as its pandas values. No key at all puts every row
-    in bucket 0.
+    An integer column is read as its numpy ints, a null as 0 (so an int
+    column hashes as ints whether or not its block holds a null), and any
+    other column is hashed as its pandas values. No key at all puts every
+    row in bucket 0.
     """
     if not keys:
         return np.zeros(len(block), np.int64)
-    if isinstance(block, pa.Table):
-        cols = [
-            c.fill_null(0).to_numpy() if pa.types.is_integer(c.type) else c.to_pandas()
-            for c in block.select(keys).columns
-        ]
-    else:
-        cols = [
-            c.to_numpy(getattr(c.dtype, "numpy_dtype", c.dtype), na_value=0)
-            if pd.api.types.is_integer_dtype(c.dtype)
-            else c
-            for c in (block[k] for k in keys)
-        ]
+    cols = [
+        c.fill_null(0).to_numpy() if pa.types.is_integer(c.type) else c.to_pandas()
+        for c in block.select(keys).columns
+    ]
     if len(cols) == 1 and isinstance(cols[0], np.ndarray):
         k = cols[0]
         return (k % k.dtype.type(n)).astype(np.int64)

@@ -7,12 +7,13 @@ driver-side reduces); oracle SQL lives in __ray_entry__.
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
 from ..ctx import bucket_exchange
 from ..sources.pages import REP_STRIDE
-from ..stages.agg import hash_bucket_agg, keyed_agg, keyed_topk
+from ..stages.agg import keyed_agg, keyed_scan, keyed_topk, run_position
 from ..stages.ann import AnnBruteStage, list_col_to_matrix
 from ..stages.dedup import (
     EmbeddingLSHStage,
@@ -209,10 +210,11 @@ def dedup_incremental(sf_dir):
 
     The shard is derived deterministically from the base: even doc_ids
     re-crawl unchanged (pure duplicates, dropped), odd doc_ids carry
-    edited text (kept). One exchange moves (h64, h64b, side, id) rows
-    into hash buckets; inside each bucket a vectorized anti-join drops
-    shard rows whose hash PAIR exists on the base side. The second,
-    independently-keyed 64-bit hash makes the drop decision effectively
+    edited text (kept). One keyed scan (``stages.agg.keyed_scan``) moves
+    (h64, h64b, side, id) rows on the hash PAIR, sorted by side, and
+    keeps the shard rows of every pair whose run does not start with a
+    base row. The second, independently-keyed 64-bit hash makes the drop
+    decision effectively
     128-bit (ADVICE r04): a single-hash collision would silently lose a
     genuinely new document at corpus scale, and carrying 8 more bytes
     per row through the exchange is far cheaper than carrying the text.
@@ -249,18 +251,14 @@ def dedup_incremental(sf_dir):
         base.map_batches(shard_hashes, batch_format="pyarrow"),
     ]
 
-    def anti(df: pd.DataFrame) -> pd.DataFrame:
-        base_side = df[df["side"] == 0]
-        new = df[df["side"] == 1]
-        merged = new.merge(
-            base_side[["h64", "h64b"]].drop_duplicates(),
-            on=["h64", "h64b"],
-            how="left",
-            indicator=True,
-        )
-        return merged.loc[merged["_merge"] == "left_only", ["new_id"]]
+    def anti(block: pa.Table, start: np.ndarray) -> pa.Table:
+        # each hash pair's run is sorted by side: a base row, if any, is first
+        side = block.column("side").to_numpy()
+        first = np.arange(len(side)) - run_position(start)
+        keep = (side == 1) & (side[first] != 0)
+        return block.filter(pa.array(keep)).select(["new_id"])
 
-    return hash_bucket_agg(rows, "h64", anti)
+    return keyed_scan(rows, ["h64", "h64b"], [("side", "ascending")], anti)
 
 
 def dedup_incremental_sql() -> str:
@@ -343,74 +341,42 @@ def _verify_pairs_jaccard(cand_ds, docs_ds, threshold):
         )
         return pa.concat_tables([one, two])
 
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
+    def attach(g: pa.Table) -> pa.Table:
         """Per block of routed ids: dedup pair sides and attach the local
         side's grams for exchange 2."""
-        side = g["side"].to_numpy()
-        docs = g[side == 0]
-        prs = g[side != 0].drop_duplicates(["id_a", "id_b", "side"])
-        if not len(prs):
-            return pd.DataFrame(
-                {
-                    "side": pd.Series([], dtype=np.int8),
-                    "id_a": pd.Series([], dtype=object),
-                    "id_b": pd.Series([], dtype=object),
-                    "grams": pd.Series([], dtype=object),
-                }
-            )
-        ps = prs["side"].to_numpy()
-        local_id = np.where(
-            ps == 1, prs["id_a"].to_numpy(), prs["id_b"].to_numpy()
+        side = g.column("side")
+        docs = g.filter(pc.equal(side, 0))
+        prs = (
+            g.filter(pc.not_equal(side, 0))
+            .group_by(["side", "id_a", "id_b"], use_threads=False)
+            .aggregate([])
         )
-        lookup = pd.Series(docs["grams"].to_numpy(), index=docs["id_a"].to_numpy())
-        grams = lookup.reindex(local_id).to_numpy()
-        missing = pd.isna(grams)
-        if missing.any():
-            raise ValueError(
-                f"{int(missing.sum())} candidate ids have no document row"
-            )
-        return pd.DataFrame(
-            {
-                "side": ps,
-                "id_a": prs["id_a"].to_numpy(),
-                "id_b": prs["id_b"].to_numpy(),
-                "grams": grams,
-            }
-        )
+        ps = prs.column("side")
+        local_id = pc.if_else(pc.equal(ps, 1), prs.column("id_a"), prs.column("id_b"))
+        at = pc.index_in(local_id, value_set=docs.column("id_a").combine_chunks())
+        if at.null_count:
+            raise ValueError(f"{at.null_count} candidate ids have no document row")
+        return prs.append_column("grams", docs.column("grams").take(at))
 
-    def verify(bucket: pd.DataFrame) -> pd.DataFrame:
+    def verify(bucket: pa.Table) -> pa.Table:
         """Per block of pairs: align the two gram-carrying sides
         of each pair and run ONE vectorized distinct-intersection pass."""
-        empty = pd.DataFrame(
-            {"url_a": pd.Series([], dtype=str), "url_b": pd.Series([], dtype=str)}
-        )
-        if not len(bucket):
-            return empty
-        d = bucket.sort_values(["id_a", "id_b", "side"], kind="mergesort")
-        side = d["side"].to_numpy()
-        a_rows, b_rows = d[side == 1], d[side == 2]
-        n = len(a_rows)
-        if (
-            n != len(b_rows)
-            or not np.array_equal(
-                a_rows["id_a"].to_numpy(), b_rows["id_a"].to_numpy()
-            )
-            or not np.array_equal(
-                a_rows["id_b"].to_numpy(), b_rows["id_b"].to_numpy()
-            )
+        d = bucket.sort_by([("id_a", "ascending"), ("id_b", "ascending"), ("side", "ascending")])
+        side = d.column("side")
+        a_rows, b_rows = d.filter(pc.equal(side, 1)), d.filter(pc.equal(side, 2))
+        n = a_rows.num_rows
+        if n != b_rows.num_rows or not (
+            a_rows.column("id_a").equals(b_rows.column("id_a"))
+            and a_rows.column("id_b").equals(b_rows.column("id_b"))
         ):
             raise ValueError("pair sides misaligned in verify bucket")
-        if n == 0:
-            return empty
-        ga, gb = a_rows["grams"].to_numpy(), b_rows["grams"].to_numpy()
-        na = np.fromiter((len(x) for x in ga), np.int64, n)
-        nb = np.fromiter((len(x) for x in gb), np.int64, n)
+        ga, gb = a_rows.column("grams"), b_rows.column("grams")
+        na = pc.list_value_length(ga).to_numpy().astype(np.int64)
+        nb = pc.list_value_length(gb).to_numpy().astype(np.int64)
         # each side is distinct, so a value seen twice within one pair
         # is exactly one intersection hit
-        allg = np.concatenate([np.concatenate(ga), np.concatenate(gb)])
-        alls = np.concatenate(
-            [np.repeat(np.arange(n), na), np.repeat(np.arange(n), nb)]
-        )
+        allg = np.concatenate([pc.list_flatten(ga).to_numpy(), pc.list_flatten(gb).to_numpy()])
+        alls = np.concatenate([np.repeat(np.arange(n), na), np.repeat(np.arange(n), nb)])
         order = np.lexsort((allg, alls))
         gs, ss = allg[order], alls[order]
         dup = (gs[1:] == gs[:-1]) & (ss[1:] == ss[:-1])
@@ -418,17 +384,16 @@ def _verify_pairs_jaccard(cand_ds, docs_ds, threshold):
         union = na + nb - inter
         # divide (not inter >= t*union): float rounding at the threshold
         # boundary must match the oracle's division exactly
-        ok = inter / union >= threshold  # union >= 1 always (counts >= 1)
-        return pd.DataFrame(
-            {"url_a": a_rows["id_a"].to_numpy()[ok], "url_b": a_rows["id_b"].to_numpy()[ok]}
-        )
+        ok = pa.array(inter / union >= threshold)  # union >= 1 always (counts >= 1)
+        pairs = a_rows.select(["id_a", "id_b"]).filter(ok)
+        return pairs.rename_columns(["url_a", "url_b"])
 
     sides = [
         docs_ds.map_batches(doc_gram_rows, batch_format="pyarrow"),
         cand_ds.map_batches(pair_side_rows, batch_format="pyarrow"),
     ]
-    attached = bucket_exchange(sides, "route", attach, "pandas")
-    return bucket_exchange(attached, ["id_a", "id_b"], verify, "pandas")
+    attached = bucket_exchange(sides, "route", attach)
+    return bucket_exchange(attached, ["id_a", "id_b"], verify)
 
 
 def near_dup_pairs_minhash(sf_dir, replicate=2, threshold=0.8):
@@ -516,11 +481,8 @@ def near_dup_pairs_simhash(sf_dir, replicate=2, max_hamming=3):
     bands = ds.map_batches(
         simhash_batch(id_col="url", text_col="text"), batch_format="pyarrow"
     )
-    # rename via map_batches: Dataset.rename_columns assumes Arrow blocks
-    # and these are pandas (the exchange reduce output)
-    return simhash_candidate_pairs(bands, max_hamming).map_batches(
-        lambda df: df.rename(columns={"id_a": "url_a", "id_b": "url_b"}),
-        batch_format="pandas",
+    return simhash_candidate_pairs(bands, max_hamming).rename_columns(
+        {"id_a": "url_a", "id_b": "url_b"}
     )
 
 
@@ -924,8 +886,6 @@ def media_resize(sf_dir, out_size=(8, 8)):
     )
 
     def meta(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         from ..stages.multimodal import binary_col_byte_sums
 
         return pa.table(

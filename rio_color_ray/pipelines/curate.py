@@ -19,7 +19,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..stages.agg import hash_bucket_agg, keyed_agg, keyed_scan, keyed_topk, run_cumsum
+from ..stages.agg import keyed_agg, keyed_scan, keyed_topk, run_cumsum, run_position
 from ..stages.sampling import (
     split_assign_batch,
     split_sql,
@@ -796,18 +796,19 @@ def shuffle_shards(sf_dir, n_shards=SHUFFLE_N_SHARDS):
             }
         )
 
-    def in_shard(block: pd.DataFrame) -> pd.DataFrame:
+    def in_shard(block: pa.Table, start: np.ndarray) -> pa.Table:
         # splitmix64 is a bijection and doc_ids are unique -> no ties
-        g = block.sort_values(["shard", "h"], kind="mergesort")
-        return pd.DataFrame(
+        return pa.table(
             {
-                "shard": g["shard"].to_numpy(),
-                "shard_pos": g.groupby("shard").cumcount().to_numpy(np.int64),
-                "doc_id": g["doc_id"].to_numpy(),
+                "shard": block.column("shard"),
+                "shard_pos": pa.array(run_position(start), pa.int64()),
+                "doc_id": block.column("doc_id"),
             }
         )
 
-    return hash_bucket_agg(ds.map_batches(with_key, batch_format="pyarrow"), "shard", in_shard)
+    return keyed_scan(
+        ds.map_batches(with_key, batch_format="pyarrow"), "shard", [("h", "ascending")], in_shard
+    )
 
 
 def shuffle_shards_sql(n_shards=SHUFFLE_N_SHARDS) -> str:

@@ -15,7 +15,9 @@ Scale notes (the 100 TB design, exercised at sf scale):
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from ..ctx import bucket_exchange
 from ..sources.pages import REP_STRIDE, synth_pages_batch
 from ..sources.polygons import make_admin_polygons, make_admin_rects
 from ..stages.cellify import CELL_COLUMNS, cellify_batch
@@ -167,33 +169,41 @@ def cell_agg_h8(sf_dir):
 
     ds = cellified(sf_dir, keep_columns=["url", "lang", "h3_r8"])
 
-    def combos_and_final(df: pd.DataFrame) -> pd.DataFrame:
+    def combos_and_final(block: pa.Table) -> pa.Table:
         # all partials of a cell are co-located in this bucket: collapse
         # to TRUE distinct (cell, domain, lang) combos, then build every
         # cell's aggregate vectorized — one exchange, no per-cell Python
-        d = df.groupby(["h3_r8", "domain", "lang"], as_index=False)["n"].sum()
+        d = block.group_by(["h3_r8", "domain", "lang"], use_threads=False).aggregate([("n", "sum")])
+        base = (
+            d.group_by("h3_r8", use_threads=False)
+            .aggregate([("n_sum", "sum"), ("domain", "count_distinct")])
+            .sort_by("h3_r8")
+        )
         lh = (
-            d.groupby(["h3_r8", "lang"], as_index=False)["n"]
-            .sum()
-            .sort_values(["h3_r8", "lang"], kind="mergesort")
+            d.group_by(["h3_r8", "lang"], use_threads=False)
+            .aggregate([("n_sum", "sum")])
+            .sort_by([("h3_r8", "ascending"), ("lang", "ascending")])
         )
-        kv = lh["lang"] + ":" + lh["n"].astype(str)
-        hist = kv.groupby(lh["h3_r8"].to_numpy()).agg("|".join)
-        base = d.groupby("h3_r8").agg(
-            n_pages=("n", "sum"), n_domains=("domain", "nunique")
+        kv = pc.binary_join_element_wise(lh["lang"], lh["n_sum_sum"].cast(pa.string()), ":")
+        # single-threaded, a list aggregate keeps its input order, so each
+        # cell's "lang:n" entries stay sorted by lang
+        hist = (
+            pa.table({"h3_r8": lh["h3_r8"], "kv": kv})
+            .group_by("h3_r8", use_threads=False)
+            .aggregate([("kv", "list")])
+            .sort_by("h3_r8")
         )
-        out = base.join(hist.rename("lang_hist")).reset_index(
-            names="h3_r8"
+        return pa.table(
+            {
+                "h3_r8": base["h3_r8"],
+                "n_pages": base["n_sum_sum"],
+                "n_domains": base["domain_count_distinct"],
+                "lang_hist": pc.binary_join(hist["kv_list"], "|"),
+            }
         )
-        out["n_pages"] = out["n_pages"].astype(np.int64)
-        out["n_domains"] = out["n_domains"].astype(np.int64)
-        return out[["h3_r8", "n_pages", "n_domains", "lang_hist"]]
 
-    from ..stages.agg import hash_bucket_agg
-
-    return hash_bucket_agg(
-        ds.map_batches(partial, batch_format="pandas"), "h3_r8", combos_and_final
-    )
+    partials = ds.map_batches(partial, batch_format="pandas")
+    return bucket_exchange(partials, "h3_r8", combos_and_final)
 
 
 def rect_join(sf_dir, mode="inner"):

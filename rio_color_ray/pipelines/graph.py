@@ -35,12 +35,11 @@ emitted per node.
 """
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..io import read_table
 from ..sources.pages import LINK_FANOUT, link_dsts
-from ..stages.agg import hash_bucket_agg
+from ..stages.agg import keyed_agg
 
 RANK_UNIT = 1_000_000
 DAMP_NUM, DAMP_DEN = 85, 100
@@ -72,6 +71,17 @@ def _n_docs(sf_dir) -> int:
     from ..io import table_num_rows
 
     return table_num_rows(sf_dir, "documents")
+
+
+def _damped(batch: pa.Table) -> pa.Table:
+    """A node's summed in-flow ``c`` -> its damped rank."""
+    c = batch.column("c").to_numpy()
+    return pa.table({"doc_id": batch.column("doc_id"), "rank": BASE + DAMP_NUM * c // DAMP_DEN})
+
+
+def _next_rank(contribs):
+    """(doc_id, c) contributions -> (doc_id, rank): one keyed sum."""
+    return keyed_agg(contribs, "doc_id", {"c": "sum"}).map_batches(_damped, batch_format="pyarrow")
 
 
 def pagerank(sf_dir, n_iter=N_ITER):
@@ -109,17 +119,8 @@ def pagerank(sf_dir, n_iter=N_ITER):
             }
         )
 
-    def reduce_rank(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("doc_id", as_index=False)["c"].sum()
-        out["rank"] = BASE + (DAMP_NUM * out["c"].to_numpy()) // DAMP_DEN
-        return out[["doc_id", "rank"]]
-
     for _ in range(n_iter):
-        ds = hash_bucket_agg(
-            ds.map_batches(contribs, batch_format="pyarrow"),
-            "doc_id",
-            reduce_rank,
-        )
+        ds = _next_rank(ds.map_batches(contribs, batch_format="pyarrow"))
     return ds
 
 
@@ -191,11 +192,6 @@ def pagerank_edges(sf_dir, n_iter=N_ITER):
             {"doc_id": pa.array(uniq, i64), "c": pa.array(sums, i64)}
         )
 
-    def reduce_rank(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("doc_id", as_index=False)["c"].sum()
-        out["rank"] = BASE + (DAMP_NUM * out["c"].to_numpy()) // DAMP_DEN
-        return out[["doc_id", "rank"]]
-
     for _ in range(n_iter):
         joined = bucketed_hash_join(
             links,
@@ -204,11 +200,7 @@ def pagerank_edges(sf_dir, n_iter=N_ITER):
             left_schema=links_schema,
             right_schema=rank_schema,
         )
-        rank = hash_bucket_agg(
-            joined.map_batches(contribs, batch_format="pyarrow"),
-            "doc_id",
-            reduce_rank,
-        )
+        rank = _next_rank(joined.map_batches(contribs, batch_format="pyarrow"))
     return rank
 
 

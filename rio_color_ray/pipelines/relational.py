@@ -33,6 +33,12 @@ def _read(sf_dir, name, columns=None):
     return read_table(sf_dir, name, columns=columns)
 
 
+# the lineitem side every orders |><| lineitem join here declares, so the
+# join runs no schema probe of its own (stages/join.py)
+_REVENUE_SCHEMA = {"o_orderkey": pa.int64(), "revenue_micros": pa.int64()}
+_ORDER_KEYS_SCHEMA = {"o_orderkey": pa.int64(), "o_custkey": pa.int64()}
+
+
 def _int_cents(col):
     return np.rint(col.to_numpy(zero_copy_only=False) * 100).astype(np.int64)
 
@@ -164,7 +170,13 @@ def q3_top_orders(sf_dir, k=10):
         )
 
     li = li.map_batches(revenue, batch_format="pyarrow")
-    joined = bucketed_hash_join(orders, li, "o_orderkey")
+    joined = bucketed_hash_join(
+        orders,
+        li,
+        "o_orderkey",
+        left_schema={**_ORDER_KEYS_SCHEMA, "o_orderdate": pa.timestamp("us")},
+        right_schema=_REVENUE_SCHEMA,
+    )
 
     per_order = keyed_agg(joined, "o_orderkey", {"revenue_micros": "sum"})
     order = [("revenue_micros", "descending"), ("o_orderkey", "ascending")]
@@ -209,7 +221,9 @@ def q5_nation_revenue(sf_dir):
         )
 
     li = li.map_batches(revenue, batch_format="pyarrow")
-    joined = bucketed_hash_join(orders, li, key="o_orderkey")
+    joined = bucketed_hash_join(
+        orders, li, key="o_orderkey", left_schema=_ORDER_KEYS_SCHEMA, right_schema=_REVENUE_SCHEMA
+    )
 
     # customer |><| nation is small but NOT tiny (150k x sf rows): ship it
     # once through the object store (ray.put; BroadcastJoinStage resolves
@@ -780,7 +794,9 @@ def q10_returned_revenue(sf_dir, k=20):
         )
 
     li = li.map_batches(returned_revenue, batch_format="pyarrow")
-    joined = bucketed_hash_join(orders, li, "o_orderkey")
+    joined = bucketed_hash_join(
+        orders, li, "o_orderkey", left_schema=_ORDER_KEYS_SCHEMA, right_schema=_REVENUE_SCHEMA
+    )
 
     per_cust = keyed_topk(
         keyed_agg(joined, "o_custkey", {"revenue_micros": "sum"}),

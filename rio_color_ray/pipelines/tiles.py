@@ -201,7 +201,7 @@ def render_tiles_from(points_ds, z=DEFAULT_ZOOM, ops=None):
     )
     reduce_block = partial(_assemble_bucket, ops=ops)
     schema = reduce_block(_PARTIALS_SCHEMA.empty_table()).schema
-    return bucket_exchange(parts, "tile_hash", reduce_block, "pyarrow", schema)
+    return bucket_exchange(parts, "tile_hash", reduce_block, schema=schema)
 
 
 def render_tiles(sf_dir, z=DEFAULT_ZOOM, replicate=1, ops=None):

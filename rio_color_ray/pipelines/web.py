@@ -25,12 +25,12 @@ Scale notes (the 100 TB shapes):
 """
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..ctx import bucket_exchange
 from ..sources.pages import LINK_FANOUT as _LINK_FANOUT
-from ..stages.agg import hash_bucket_agg, keyed_agg, keyed_topk
+from ..stages.agg import keyed_agg, keyed_topk
 from .geo import pages
 
 # anchored to the document tail so embedded tags inside text can't
@@ -83,29 +83,29 @@ def host_stats(sf_dir, replicate=1):
     partial keys on the pair, not the host alone.
     """
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
+    def partial(batch: pa.Table) -> pa.Table:
         host = pc.struct_field(
             pc.extract_regex(batch.column("url"), r"^https://(?P<host>[^/]+)/"), "host"
         )
-        df = pd.DataFrame(
-            {
-                "host": host.to_pandas(),
-                "lang": batch.column("lang").to_pandas(),
-                "chars": pc.utf8_length(batch.column("text")).to_numpy(),
-            }
+        chars = pc.utf8_length(batch.column("text"))
+        rows = pa.table({"host": host, "lang": batch.column("lang"), "chars": chars})
+        out = rows.group_by(["host", "lang"], use_threads=False).aggregate(
+            [("chars", "count", pc.CountOptions(mode="all")), ("chars", "sum")]
         )
-        out = df.groupby(["host", "lang"], as_index=False).agg(
-            n=("chars", "size"), chars=("chars", "sum")
+        return out.select(["host", "lang", "chars_count", "chars_sum"]).rename_columns(
+            ["host", "lang", "n", "chars"]
         )
-        return out
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("host", as_index=False).agg(
-            n_pages=("n", "sum"), total_chars=("chars", "sum"), n_langs=("lang", "nunique")
+    def final(block: pa.Table) -> pa.Table:
+        out = block.group_by("host", use_threads=False).aggregate(
+            [("n", "sum"), ("chars", "sum"), ("lang", "count_distinct")]
+        )
+        return out.select(["host", "n_sum", "chars_sum", "lang_count_distinct"]).rename_columns(
+            ["host", "n_pages", "total_chars", "n_langs"]
         )
 
     ds = pages(sf_dir, replicate=replicate).map_batches(partial, batch_format="pyarrow")
-    return hash_bucket_agg(ds, "host", final)
+    return bucket_exchange(ds, "host", final)
 
 
 def host_stats_sql(pages_cte: str) -> str:

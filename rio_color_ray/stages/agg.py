@@ -1,4 +1,4 @@
-"""Keyed reduce: the engine's four entries to its one keyed exchange.
+"""Keyed reduce: the engine's three entries to its one keyed exchange.
 
 Every keyed reduce the engine defines runs through the keyed exchange
 (:func:`rio_color_ray.ctx.bucket_exchange`, which buckets rows by the key:
@@ -29,8 +29,8 @@ round-2 notes). Neither runs in the engine.
   Arrow block and the mask of every key's first row, the same sort and
   run-start compare. A per-row output cannot pre-reduce, so the exchange
   moves raw rows, and one bucket must fit a worker's heap.
-* :func:`hash_bucket_agg` — a caller-written pandas reduce for the rest;
-  ``tests/test_stage_guard.py`` pins its callers, a list that only shrinks.
+
+Any other reduce calls the exchange directly with its own Arrow function.
 
 The same exchange carries the bucketed hash join, the LSH pair stages,
 the min-label CC passes, the checkpoint writers and the tile reduce.
@@ -66,7 +66,7 @@ def keyed_agg(ds, key, aggs):
         return out.select(keys + [f"{c}_{f}" for c, f in spec]).rename_columns(keys + list(aggs))
 
     partial = ds.map_batches(per_bucket, batch_format="pyarrow")
-    return bucket_exchange(partial, key, per_bucket, "pyarrow")
+    return bucket_exchange(partial, key, per_bucket)
 
 
 def keyed_topk(ds, key, order, k):
@@ -96,7 +96,7 @@ def keyed_topk(ds, key, order, k):
         return block.filter(pa.array(keep)).append_column("rank", pa.array(pos[keep] + 1, pa.int64()))
 
     partial = ds.map_batches(per_bucket, batch_format="pyarrow")
-    return bucket_exchange(partial, key, per_bucket, "pyarrow")
+    return bucket_exchange(partial, key, per_bucket)
 
 
 def keyed_scan(ds, key, order, fn):
@@ -119,7 +119,7 @@ def keyed_scan(ds, key, order, fn):
     def per_bucket(block: pa.Table) -> pa.Table:
         return fn(*_sorted_runs(block, keys, by))
 
-    return bucket_exchange(ds, key, per_bucket, "pyarrow")
+    return bucket_exchange(ds, key, per_bucket)
 
 
 def _sorted_runs(block, keys, by):
@@ -153,22 +153,3 @@ def run_cumsum(x, start):
     first = np.arange(len(x)) - run_position(start)
     return cum - (cum - x)[first]
 
-
-def hash_bucket_agg(ds, key, agg_fn):
-    """Group ``ds`` (a Dataset, or a list of Datasets to co-group) by
-    ``key``: a column (int, string or datetime) or a list of columns.
-
-    ``agg_fn: pd.DataFrame -> pd.DataFrame`` receives one exchange
-    block's rows (all rows of any given key, many keys) and must perform
-    its own ``groupby(key)`` reduction vectorized. Returns the concatenated
-    per-block results as a Dataset. Sums, mins and maxes belong in
-    :func:`keyed_agg`, the first rows of every key in :func:`keyed_topk`
-    and windows in :func:`keyed_scan`.
-    """
-
-    # the operator takes this name; perfbench's trace folds it into
-    # op.stages.agg
-    def per_bucket(bucket):
-        return agg_fn(bucket)
-
-    return bucket_exchange(ds, key, per_bucket, "pandas")

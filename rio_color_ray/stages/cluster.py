@@ -42,9 +42,11 @@ Scale notes (100 TB):
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data
 
 from ..ctx import bucket_exchange
+from .agg import keyed_agg
 
 
 def min_label_components(
@@ -62,7 +64,7 @@ def min_label_components(
 
     ``local_finish_rows``: once the path-compressed working set has
     contracted to at most this many rows (int64 triples — the default
-    2M is ~50 MB in one pandas task), the remaining propagation runs in
+    2M is ~50 MB in one task), the remaining propagation runs in
     ONE single-partition task instead of more global rounds. Alternating
     the two group-min transforms over the FULL edge set until stable IS
     global convergence, so this replaces every remaining all-to-all with
@@ -101,49 +103,42 @@ def min_label_components(
         key's former members connected.
         """
 
-        def fn(bucket: pd.DataFrame) -> pd.DataFrame:
-            out = bucket.copy()
-            before = out["label"].to_numpy().copy()
+        def fn(block: pa.Table) -> pa.Table:
+            group = block.column(group_col).to_numpy()
+            other = block.column(other_col).to_numpy()
+            before = block.column("label").to_numpy()
+            lab = before
             while True:
-                lab = _group_min(out[group_col], out["label"].to_numpy())
-                out["label"] = lab
-                lab2 = _group_min(out[other_col], lab)
+                lab = _group_min(group, lab)
+                lab2 = _group_min(other, lab)
                 stable = (lab2 == lab).all()
-                out["label"] = lab2
+                lab = lab2
                 if stable:
                     break
-            out["__changed"] = (out["label"].to_numpy() != before).astype(np.int64)
+            changed = (lab != before).astype(np.int64)
             if rewrite:
-                out[group_col] = out["label"]
-                labs = np.unique(out["label"].to_numpy())
-                extra = pd.DataFrame(
-                    {
-                        other_col: labs,
-                        group_col: labs,
-                        "label": labs,
-                        "__changed": np.zeros(len(labs), dtype=np.int64),
-                    }
-                )
-                out = pd.concat(
-                    [out[[other_col, group_col, "label", "__changed"]], extra],
-                    ignore_index=True,
-                )
-                out = out.groupby([other_col, group_col], as_index=False).agg(
-                    label=("label", "min"), __changed=("__changed", "max")
-                )
-            return out
+                labs = np.unique(lab)
+                zeros = np.zeros(len(labs), np.int64)
+                group, other = np.concatenate([lab, labs]), np.concatenate([other, labs])
+                lab, changed = group, np.concatenate([changed, zeros])
+            out = pa.table({other_col: other, group_col: group, "label": lab, "__changed": changed})
+            if not rewrite:
+                return out
+            return (
+                out.group_by([other_col, group_col], use_threads=False)
+                .aggregate([("label", "min"), ("__changed", "max")])
+                .select([other_col, group_col, "label_min", "__changed_max"])
+                .rename_columns([other_col, group_col, "label", "__changed"])
+            )
 
         return fn
 
     ds = keys_ds.map_batches(
-        lambda df: df.assign(label=df[node_col].to_numpy()),
-        batch_format="pandas",
+        lambda b: b.append_column("label", b.column(node_col)), batch_format="pyarrow"
     )
     for it in range(max_iters):
-        ds = bucket_exchange(
-            ds, key_col, _spread_min(key_col, node_col, rewrite=True), "pandas"
-        )
-        ds = bucket_exchange(ds, node_col, _spread_min(node_col, key_col), "pandas")
+        ds = bucket_exchange(ds, key_col, _spread_min(key_col, node_col, rewrite=True))
+        ds = bucket_exchange(ds, node_col, _spread_min(node_col, key_col))
         ds = ds.materialize()
         if ds.sum("__changed") == 0:
             import logging
@@ -158,7 +153,7 @@ def min_label_components(
             # point — no further exchanges needed
             ds = ds.repartition(1).map_batches(
                 _spread_min(key_col, node_col),
-                batch_format="pandas",
+                batch_format="pyarrow",
                 batch_size=None,
             )
             import logging
@@ -172,11 +167,8 @@ def min_label_components(
             f"min_label_components: not converged after {max_iters} iterations"
         )
 
-    def finish(bucket: pd.DataFrame) -> pd.DataFrame:
-        out = bucket.groupby(node_col, as_index=False)["label"].min()
-        return out.rename(columns={"label": "cluster_id"})
-
-    return bucket_exchange(ds, node_col, finish, "pandas")
+    # the operator is keyed_agg's, which perfbench's trace folds into op.stages.agg
+    return keyed_agg(ds, node_col, {"label": "min"}).rename_columns({"label": "cluster_id"})
 
 
 def _group_min(keys, values):

@@ -15,8 +15,9 @@ test scale (verified against a GROUP BY text oracle).
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..ctx import bucket_exchange
+from .agg import keyed_agg, keyed_scan
 
 # --- exact dedup ------------------------------------------------------------
 
@@ -186,37 +187,35 @@ def _bucketed_segment_pairs(band_ds, emit, extra_cols=(), what="LSH", dedup=True
     """Shared scaffolding for banded candidate-pair stages.
 
     The LSH group count grows with the corpus (bands x distinct hashes),
-    so the keyed exchange (``ctx.bucket_exchange``) moves the rows on the
-    key ``[band, band_hash]`` — one reduce call per exchange block, not
-    one per LSH bucket (~0.6 ms/group measured, see stages/agg.py).
-    Inside a block, segments are found with one lexsort + boundary mask
-    and handed to ``emit(ids, extras) -> (id_a, id_b, degraded)`` per
-    segment (numpy slices, ~us each). The cross-band duplicate collapse
-    is an exchange keyed on the pair with one drop_duplicates per block
-    (:func:`dedup_pairs`) — never a pair-cardinality groupby.
+    so the rows move through a keyed scan (``stages.agg.keyed_scan``) on
+    ``[band, band_hash]`` ordered by ``id`` — one reduce call per exchange
+    block, not one per LSH bucket (~0.6 ms/group measured, see
+    stages/agg.py). Inside a block, each run of one LSH bucket (a repeated
+    id counted once) is handed to ``emit(ids, extras) -> (id_a, id_b,
+    degraded)`` (numpy slices, ~us each). The cross-band duplicate
+    collapse is a keyed distinct on the pair (:func:`dedup_pairs`) —
+    never a pair-cardinality groupby.
     """
 
-    def pairs_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        d = bucket.drop_duplicates(["band", "band_hash", "id"]).sort_values(
-            ["band", "band_hash", "id"], kind="mergesort"
-        )
-        ids = d["id"].to_numpy()
-        extras = {c: d[c].to_numpy() for c in extra_cols}
-        bd, bh = d["band"].to_numpy(), d["band_hash"].to_numpy()
-        new = np.ones(len(d), dtype=bool)
-        if len(d):
-            new[1:] = (bd[1:] != bd[:-1]) | (bh[1:] != bh[:-1])
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], len(d))
+    def pairs_bucket(block: pa.Table, start: np.ndarray) -> pa.Table:
+        # an id repeated inside its run counts once
+        id_col = block.column("id")
+        keep = start.copy()
+        new_id = pc.not_equal(id_col.slice(1), id_col.slice(0, len(keep) - 1))
+        keep[1:] |= new_id.to_numpy(zero_copy_only=False)
+        kept = block.filter(pa.array(keep))
+        ids = kept.column("id").to_numpy(zero_copy_only=False)
+        extras = {c: kept.column(c).to_numpy() for c in extra_cols}
+        starts = np.flatnonzero(start[keep])
+        ends = np.append(starts[1:], len(ids))
         outs_a, outs_b, degraded = [], [], 0
         for s, e in zip(starts, ends):
             if e - s < 2:
                 continue
             a, b, deg = emit(ids[s:e], {c: v[s:e] for c, v in extras.items()})
             degraded += deg
-            if len(a):
-                outs_a.append(a)
-                outs_b.append(b)
+            outs_a.append(a)
+            outs_b.append(b)
         if degraded:
             import logging
 
@@ -226,18 +225,10 @@ def _bucketed_segment_pairs(band_ds, emit, extra_cols=(), what="LSH", dedup=True
                 what,
                 MAX_BUCKET_PAIRS_IDS,
             )
-        if not outs_a:
-            return pd.DataFrame(
-                {
-                    "id_a": pd.Series([], dtype=ids.dtype if len(ids) else object),
-                    "id_b": pd.Series([], dtype=ids.dtype if len(ids) else object),
-                }
-            )
-        return pd.DataFrame(
-            {"id_a": np.concatenate(outs_a), "id_b": np.concatenate(outs_b)}
-        )
+        a, b = (np.concatenate(outs) if outs else ids[:0] for outs in (outs_a, outs_b))
+        return pa.table({"id_a": pa.array(a, id_col.type), "id_b": pa.array(b, id_col.type)})
 
-    cand = bucket_exchange(band_ds, ["band", "band_hash"], pairs_bucket, "pandas")
+    cand = keyed_scan(band_ds, ["band", "band_hash"], [("id", "ascending")], pairs_bucket)
     if not dedup:
         # caller collapses cross-band duplicates itself (e.g. inside the
         # verify exchange) — skip the dedicated pair-dedup exchange
@@ -263,13 +254,11 @@ def candidate_pairs_from_bands(band_ds, dedup=True):
 
 
 def dedup_pairs(cand):
-    """Distinct (id_a, id_b) rows via an exchange keyed on the pair.
-
-    Pair cardinality grows with the corpus, so the collapse must not be
-    one Ray group per pair — the exchange keys on ``[id_a, id_b]`` and
-    each exchange block runs one vectorized drop_duplicates.
-    """
-    return bucket_exchange(cand, ["id_a", "id_b"], lambda g: g.drop_duplicates(), "pandas")
+    """Distinct (id_a, id_b) rows: a keyed aggregate on the pair with no
+    aggregate (``stages.agg.keyed_agg``), so each block collapses its
+    duplicates before the exchange and again after it — never one Ray
+    group per pair."""
+    return keyed_agg(cand, ["id_a", "id_b"], {})
 
 
 def simhash_candidate_pairs(band_ds, max_hamming, cap=MAX_BUCKET_PAIRS_IDS):

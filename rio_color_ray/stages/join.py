@@ -10,7 +10,7 @@ Two large-large strategies, both shuffle-aware:
   common nullable schema, moved by the engine's keyed exchange on the
   key (``ctx.bucket_exchange``, which buckets it: one bucket per reduce
   task, one task per CPU), and each exchange block does ONE vectorized
-  pandas merge.
+  pandas merge, returned as an Arrow table.
 
 Broadcast joins ship the small side as a ``ray.put`` ref, resolve it once
 per worker process (``make_stage_fn``) and merge per batch — no shuffle.
@@ -144,15 +144,15 @@ def bucketed_hash_join(
     lnames = [lmap[c] for c in lcols]
     rnames = [rmap[c] for c in rcols]
 
-    def merge_bucket(group: pa.Table) -> pd.DataFrame:
+    def merge_bucket(group: pa.Table) -> pa.Table:
         if group.num_rows == 0 or "__side" not in group.schema.names:
-            return pd.DataFrame({key: pd.Series([], dtype=np.int64)})
+            return pa.table({key: pa.array([], pa.int64())})
         # Slice sides in Arrow FIRST: each side's own columns are null-free
         # there, so the pandas conversion keeps exact dtypes (int64 stays
         # int64 — no float64 upcast that would corrupt keys above 2^53).
         side = group.column("__side")
         lg = group.filter(pc.equal(side, 0)).select([key] + lnames).to_pandas()
         rg = group.filter(pc.equal(side, 1)).select([key] + rnames).to_pandas()
-        return lg.merge(rg, on=key, how=how)
+        return pa.Table.from_pandas(lg.merge(rg, on=key, how=how), preserve_index=False)
 
-    return bucket_exchange([lt, rt], key, merge_bucket, "pyarrow")
+    return bucket_exchange([lt, rt], key, merge_bucket)

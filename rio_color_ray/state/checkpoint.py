@@ -212,7 +212,7 @@ def resumable_flagship(
             add_part, batch_format="pyarrow"
         )
         # lineage is tiny (one row per partition)
-        return bucket_exchange(parts, "part", render_and_write, "pyarrow").to_pandas()
+        return bucket_exchange(parts, "part", render_and_write).to_pandas()
 
     return _resume(
         out_dir, n_parts, max_partitions, "flagship", "tile_id", lambda p: _x_range(p, z, n_parts), run
@@ -251,7 +251,7 @@ def resumable_curate(sf_dir, out_dir, n_parts=16, max_partitions=None, **curate_
 
     def run(pending, write):
         ds = curate_corpus(sf_dir, parts=pending, n_parts=n_parts, **curate_kw)
-        return bucket_exchange(ds, "part", write, "pyarrow").to_pandas()  # tiny
+        return bucket_exchange(ds, "part", write).to_pandas()  # tiny
 
     # cell_lo/cell_hi carry the content-hash bucket id (the lineage
     # schema's range fields; a hash bucket is a degenerate range)

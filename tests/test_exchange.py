@@ -3,7 +3,8 @@
 The exchange owns the bucket: every key kind it buckets (int modulo,
 hashed strings, datetimes and column lists, nulls) must bring all of a
 key's rows to one reduce call, whatever block they start in, and give a
-key the same bucket from a pandas block as from an Arrow block.
+key the same bucket from a pandas block as from an Arrow block. Every
+reduce gets an Arrow table, and every output block is one.
 ``stages.agg.keyed_agg`` over the same key kinds must match DuckDB's
 ``GROUP BY``, ``stages.agg.keyed_topk`` its ``row_number()``, and
 ``stages.agg.keyed_scan`` its running ``sum()``, ``lag()`` and
@@ -86,7 +87,7 @@ def test_every_key_meets_in_one_reduce_call(ray_session, kind):
         )
 
     key = keys[0] if len(keys) == 1 else keys
-    got = bucket_exchange(_blocks(table, keys), key, census, "pyarrow").to_pandas()
+    got = bucket_exchange(_blocks(table, keys), key, census).to_pandas()
     assert not got["saw_bucket"].any()
     # a key split over two calls would appear twice
     assert not got.duplicated(keys).any()
@@ -100,20 +101,35 @@ def test_every_key_meets_in_one_reduce_call(ray_session, kind):
 
 
 @pytest.mark.parametrize("kind", KEY_KINDS)
-def test_pandas_and_arrow_blocks_give_every_key_one_bucket(kind):
-    """A pandas block buckets its key columns without an Arrow round
-    trip; every key must still get the bucket its Arrow block gives it
-    (a nullable ``Int64`` column reads its null as 0, as Arrow does)."""
-    from rio_color_ray.ctx import _bucket_of
+def test_pandas_and_arrow_blocks_give_every_key_one_bucket(ray_session, kind):
+    """A pandas block is converted to Arrow once, before its bucket is
+    computed; every key must still land in the bucket its Arrow table
+    gives it (a nullable ``Int64`` null reads as 0, as Arrow's does)."""
+    import ray.data
+
+    from rio_color_ray.ctx import _bucket_of, bucket_exchange, shuffle_partitions
 
     table = _key_table(kind)
     keys = [c for c in table.column_names if c != "v"]
     nullable = {pa.int64(): pd.Int64Dtype()}.get if kind == "int_with_null" else None
     frame = table.to_pandas(types_mapper=nullable)
-    for n in (3, 8):
-        want = _bucket_of(table, keys, n)
-        assert ((want >= 0) & (want < n)).all()
-        np.testing.assert_array_equal(_bucket_of(frame, keys, n), want)
+    cut = np.linspace(0, len(frame), N_BLOCKS + 1).astype(int)
+    ds = ray.data.from_pandas([frame.iloc[a:b] for a, b in zip(cut[:-1], cut[1:])])
+
+    def census(block: pa.Table) -> pa.Table:
+        """Every row's ``v``, tagged with this call's id."""
+        call = pa.array([uuid.uuid4().hex] * block.num_rows)
+        return block.select(["v"]).append_column("call", call)
+
+    key = keys[0] if len(keys) == 1 else keys
+    got = bucket_exchange(ds, key, census).to_pandas().sort_values("v")
+    assert got["v"].tolist() == list(range(table.num_rows))
+    want = _bucket_of(table, keys, shuffle_partitions())
+    # one reduce call per bucket: the calls and the Arrow buckets split
+    # the rows the same way
+    pairs = pd.DataFrame({"call": got["call"].to_numpy(), "bucket": want})
+    assert (pairs.groupby("call")["bucket"].nunique() == 1).all()
+    assert (pairs.groupby("bucket")["call"].nunique() == 1).all()
 
 
 def _keyed_agg_table(kind):
@@ -132,10 +148,13 @@ def _keyed_agg_table(kind):
 
 
 def _arrow(ds):
+    """``ds``'s blocks as one table; every block must be an Arrow table."""
     import ray
 
-    # an empty exchange range comes back as a block without columns
-    return pa.concat_tables(ray.get(ds.to_arrow_refs()), promote_options="default")
+    refs = ray.get(ds.to_arrow_refs())
+    assert all(isinstance(r, pa.Table) for r in refs), {type(r).__name__ for r in refs}
+    # an empty exchange range comes back as a table without columns
+    return pa.concat_tables(refs, promote_options="default")
 
 
 @pytest.mark.parametrize("kind", KEY_KINDS + ["big_sums"])
@@ -279,17 +298,17 @@ def test_every_bucket_reaches_exactly_one_reduce_call(ray_session, n_keys):
 
     from rio_color_ray.ctx import bucket_exchange, shuffle_partitions
 
-    def census(block: pd.DataFrame) -> pd.DataFrame:
-        out = block.groupby("b", as_index=False).agg(rows=("v", "size"), vsum=("v", "sum"))
-        out["call"] = uuid.uuid4().hex
-        return out
+    def census(block: pa.Table) -> pa.Table:
+        out = block.group_by("b").aggregate([("v", "count"), ("v", "sum")])
+        out = out.select(["b", "v_count", "v_sum"]).rename_columns(["b", "rows", "vsum"])
+        return out.append_column("call", pa.array([uuid.uuid4().hex] * out.num_rows))
 
     rng = np.random.default_rng(3)
     df = pd.DataFrame(
         {"b": rng.permutation(np.resize(np.arange(n_keys), 2000)), "v": np.arange(2000)}
     )
     ds = ray.data.from_pandas(df).repartition(5)
-    got = bucket_exchange(ds, "b", census, "pandas").to_pandas()
+    got = bucket_exchange(ds, "b", census).to_pandas()
     assert got["b"].is_unique
     exp = df.groupby("b", as_index=False).agg(rows=("v", "size"), vsum=("v", "sum"))
     pd.testing.assert_frame_equal(
@@ -308,18 +327,29 @@ def test_empty_ranges_leave_a_usable_dataset(ray_session):
 
     from rio_color_ray.ctx import bucket_exchange
 
-    def per_block(block: pd.DataFrame) -> pd.DataFrame:
-        return block.assign(v2=block["v"] * 2)
+    def per_block(block: pa.Table) -> pa.Table:
+        return block.append_column("v2", pc.multiply(block.column("v"), 2))
 
     df = pd.DataFrame({"b": np.full(50, 5, np.int64), "v": np.arange(50, dtype=np.int64)})
     # one key, so one occupied bucket: every other reduce range is empty
-    out = bucket_exchange(ray.data.from_pandas(df), "b", per_block, "pandas")
+    out = bucket_exchange(ray.data.from_pandas(df), "b", per_block)
     got = out.to_pandas().sort_values("v").reset_index(drop=True)
     pd.testing.assert_frame_equal(got, df.assign(v2=df["v"] * 2))
     assert out.schema().names == ["b", "v", "v2"]
     assert out.sum("v2") == 2 * int(df["v"].sum())
     both = out.union(ray.data.from_pandas(df.assign(v2=np.int64(0))))
     assert both.count() == 100
+    assert _arrow(out).num_rows == 50
+
+
+def test_kmv_output_blocks_are_arrow(ray_session):
+    """KMV's partial is a pandas map; its exchange still returns Arrow
+    blocks only, empty ranges included (fewer event types than buckets)."""
+    from conftest import SF_SMOKE
+    from rio_color_ray.pipelines.relational import approx_distinct_users_kmv
+
+    got = _arrow(approx_distinct_users_kmv(SF_SMOKE))
+    assert got.num_rows > 0
 
 
 def test_reduce_name_is_the_operator_name(ray_session):
@@ -327,14 +357,15 @@ def test_reduce_name_is_the_operator_name(ray_session):
 
     from rio_color_ray.ctx import bucket_exchange
 
-    def my_reduce(block: pd.DataFrame, scale=1) -> pd.DataFrame:
-        return block.assign(v=block["v"] * scale)
+    def my_reduce(block: pa.Table, scale=1) -> pa.Table:
+        i = block.schema.get_field_index("v")
+        return block.set_column(i, "v", pc.multiply(block.column("v"), scale))
 
     df = pd.DataFrame({"b": np.arange(100) % 8, "v": np.arange(100)})
     ds = ray.data.from_pandas(df)
-    plain = bucket_exchange(ds, "b", my_reduce, "pandas").materialize()
+    plain = bucket_exchange(ds, "b", my_reduce).materialize()
     assert "MapBatches(my_reduce)" in plain.stats()
-    bound = bucket_exchange(ds, "b", partial(my_reduce, scale=3), "pandas")
+    bound = bucket_exchange(ds, "b", partial(my_reduce, scale=3))
     bound = bound.materialize()
     assert "MapBatches(my_reduce)" in bound.stats()
     assert bound.sum("v") == 3 * plain.sum("v")

@@ -48,6 +48,27 @@ def test_q5_bucketed_join(ray_session, con):
     assert out["n_name"].is_unique
 
 
+@pytest.mark.parametrize("query", ["q3_top_orders", "q5_nation_revenue", "q10_returned_revenue"])
+def test_orders_lineitem_join_runs_no_schema_probe(ray_session, monkeypatch, query):
+    """Both sides of the orders |><| lineitem join declare their schema.
+    A ``Dataset.schema()`` probe would re-run a side's plan under
+    ``limit(1)`` and cancel its map tasks mid-flight."""
+    import ray.data
+
+    from rio_color_ray.pipelines import relational as R
+
+    calls = []
+    schema = ray.data.Dataset.schema
+
+    def counting(self, *args, **kwargs):
+        calls.append(query)
+        return schema(self, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "schema", counting)
+    getattr(R, query)(SF)
+    assert not calls
+
+
 def test_events_windows_and_topk(ray_session, con):
     from rio_color_ray.pipelines import relational as R
 

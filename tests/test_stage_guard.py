@@ -9,11 +9,10 @@ may start one again: no class as the function, no
 ``fn_constructor_args`` and no ``(min, max)`` tuple ``concurrency``.
 
 Every keyed reduce the engine defines runs through ``ctx.bucket_exchange``,
-which reduces a whole exchange block per call: mostly via
-``stages.agg.keyed_agg``, ``keyed_topk`` and ``keyed_scan``; the
-pandas reduces still written by hand go through
-``stages.agg.hash_bucket_agg``, whose callers are pinned to a list that
-may only shrink. Ray's ``groupby(key).map_groups`` calls Python
+which reduces a whole exchange block per call, an Arrow table in and an
+Arrow table out: mostly via ``stages.agg.keyed_agg``, ``keyed_topk`` and
+``keyed_scan``, otherwise as a caller's own Arrow function; no reduce
+takes a pandas frame. Ray's ``groupby(key).map_groups`` calls Python
 once per group and ignores ``num_partitions`` under the sort shuffle, so
 no ``map_groups`` call may come back into the package. Sums, mins and
 maxes run as ``stages.agg.keyed_agg``, so Ray's builtin
@@ -168,40 +167,6 @@ def test_no_hand_written_topk_in_the_engine():
     # the scan still sees the one allowed site, so it is not blind
     assert allowed_seen == set(TOPK_ALLOWED)
     assert not bad, "hand-written top-k (use stages.agg.keyed_topk):\n" + "\n".join(bad)
-
-
-# (module, top-level function) -> its hash_bucket_agg calls. The list
-# only shrinks: a port to keyed_agg, keyed_topk or keyed_scan deletes an
-# entry, and no new caller joins it.
-HASH_BUCKET_AGG_CALLERS = {
-    ("pipelines/corpus.py", "dedup_incremental"): 1,  # the anti-join
-    ("pipelines/curate.py", "shuffle_shards"): 1,
-    ("pipelines/geo.py", "cell_agg_h8"): 1,
-    ("pipelines/graph.py", "pagerank"): 1,
-    ("pipelines/graph.py", "pagerank_edges"): 1,
-    ("pipelines/web.py", "host_stats"): 1,
-}
-
-
-def _top_level_calls(name):
-    """(module, top-level function) -> the number of calls to ``name``."""
-    found = {}
-    for path, tree in _modules().items():
-        rel = path.relative_to(PKG).as_posix()
-        for stmt in tree.body:
-            n = sum(
-                isinstance(node, ast.Call) and _name(node.func) == name for node in ast.walk(stmt)
-            )
-            if n:
-                found[(rel, getattr(stmt, "name", None))] = n
-    return found
-
-
-def test_hash_bucket_agg_callers_only_shrink():
-    assert _top_level_calls("hash_bucket_agg") == HASH_BUCKET_AGG_CALLERS, (
-        "a new hash_bucket_agg caller belongs in keyed_agg, keyed_topk or keyed_scan; "
-        "a ported one leaves HASH_BUCKET_AGG_CALLERS"
-    )
 
 
 PANDAS_SCANS = {"cumsum", "cummax", "cummin", "transform"}
