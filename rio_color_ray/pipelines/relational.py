@@ -6,7 +6,7 @@ construction), so every aggregate is an int64 sum that matches the DuckDB
 oracle bit-for-bit — no float summation-order hazards.
 
 Join strategy per query (the explicit scale decisions):
-* dimension tables (nation/region/customer-subset) -> BROADCAST merge
+* dimension tables (nation/region/customer-subset) -> ``broadcast_join``
 * orders |><| lineitem (both large) -> our explicit ``bucketed_hash_join``
   (q3 and q5, both oracle-checked)
 * aggregates -> one keyed aggregate (stages/agg.py): an Arrow group_by
@@ -14,14 +14,13 @@ Join strategy per query (the explicit scale decisions):
 """
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
-from ..stages.agg import keyed_agg, keyed_scan, keyed_topk, run_cumsum, run_position
-from ..stages.join import BroadcastJoinStage, broadcast_semi_filter, bucketed_hash_join
+from ..stages.agg import _sorted_runs, keyed_agg, keyed_scan, keyed_topk, run_cumsum, run_position
+from ..stages.join import broadcast_join, bucketed_hash_join
 
 Q1_CUTOFF = "1998-09-02"
 Q3_DATE = "1997-01-01"
@@ -131,7 +130,7 @@ GROUP BY l_returnflag, l_linestatus
 def q3_top_orders(sf_dir, k=10):
     """BUILDING-segment orders before the cutoff, ranked by revenue.
 
-    customer -> broadcast semi-filter; orders |><| lineitem -> the
+    customer -> broadcast semi-join; orders |><| lineitem -> the
     engine's bucketed hash join (task-based sort-shuffle exchange, not
     Ray's ``Dataset.join``, whose per-execution hash-aggregator actor
     pools cost ~2s of spawn and can wedge small nodes — ctx.py); exact
@@ -142,14 +141,11 @@ def q3_top_orders(sf_dir, k=10):
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     )
-    building = set(
-        pa.table(cust).filter(pc.equal(cust.column("c_mktsegment"), "BUILDING"))
-        .column("c_custkey")
-        .to_pylist()
-    )
+    building = cust.filter(pc.equal(cust.column("c_mktsegment"), "BUILDING"))
+    building = pa.table({"o_custkey": building.column("c_custkey")})
 
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
-    orders = broadcast_semi_filter(orders, building, "o_custkey")
+    orders = broadcast_join(orders, building, "o_custkey", "right semi")
     orders = orders.map_batches(
         lambda b: b.filter(
             pc.less(b.column("o_orderdate"), pa.scalar(np.datetime64(Q3_DATE, "us")))
@@ -199,13 +195,11 @@ SELECT o_orderkey, revenue_micros FROM (
 
 def q5_nation_revenue(sf_dir):
     """Revenue by customer nation — explicit bucketed hash join for the
-    large-large side, broadcast merges for the dimensions."""
+    large-large side, a broadcast join for the dimensions."""
     import pyarrow.parquet as pq
 
-    nation = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
-    cust = pq.read_table(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-    ).to_pandas()
+    nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
+    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
 
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"])
@@ -225,24 +219,14 @@ def q5_nation_revenue(sf_dir):
         orders, li, key="o_orderkey", left_schema=_ORDER_KEYS_SCHEMA, right_schema=_REVENUE_SCHEMA
     )
 
-    # customer |><| nation is small but NOT tiny (150k x sf rows): ship it
-    # once through the object store (ray.put; BroadcastJoinStage resolves
-    # the ref per worker) instead of re-pickling it into every task
-    import ray
+    # customer |><| nation is small but NOT tiny (150k x sf rows): it
+    # ships once through the object store (broadcast_join), not pickled
+    # into every task
+    cust_nation = cust.join(nation, "c_nationkey", "n_nationkey", join_type="inner", use_threads=False)
+    cust_nation = cust_nation.select(["c_custkey", "n_name"]).rename_columns(["o_custkey", "n_name"])
 
-    from ..stages.join import BroadcastJoinStage
-    from ..stages.statecache import make_stage_fn
-
-    cust_nation = cust.merge(
-        nation[["n_nationkey", "n_name"]],
-        left_on="c_nationkey",
-        right_on="n_nationkey",
-    )[["c_custkey", "n_name"]].rename(columns={"c_custkey": "o_custkey"})
-
-    with_nation = joined.map_batches(
-        make_stage_fn(BroadcastJoinStage, ray.put(cust_nation), "o_custkey"),
-        batch_format="pandas",
-    ).select_columns(["n_name", "revenue_micros"])
+    with_nation = broadcast_join(joined, cust_nation, "o_custkey")
+    with_nation = with_nation.select_columns(["n_name", "revenue_micros"])
 
     return keyed_agg(with_nation, "n_name", {"revenue_micros": "sum"})
 
@@ -704,34 +688,21 @@ def q18_large_orders(sf_dir, min_qty=Q18_MIN_QTY):
 
     import pyarrow.parquet as pq
 
-    from ..stages.join import BroadcastJoinStage
-    from ..stages.statecache import make_stage_fn
+    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"])
+    with_name = broadcast_join(joined, cust.rename_columns(["o_custkey", "c_name"]), "o_custkey")
 
-    cust = (
-        pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"])
-        .to_pandas()
-        .rename(columns={"c_custkey": "o_custkey"})
-    )
-
-    with_name = joined.map_batches(
-        make_stage_fn(BroadcastJoinStage, ray.put(cust), "o_custkey"),
-        batch_format="pandas",
-    )
-
-    def finish(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
+    def finish(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
-                "c_name": batch["c_name"],
-                "o_orderkey": batch["o_orderkey"],
-                "o_orderdate": batch["o_orderdate"].astype("datetime64[us]"),
-                "price_cents": np.rint(
-                    batch["o_totalprice"].to_numpy() * 100
-                ).astype(np.int64),
-                "sum_qty": batch["sum_qty"].astype(np.int64),
+                "c_name": batch.column("c_name"),
+                "o_orderkey": batch.column("o_orderkey"),
+                "o_orderdate": pc.cast(batch.column("o_orderdate"), pa.timestamp("us")),
+                "price_cents": _int_cents(batch.column("o_totalprice")),
+                "sum_qty": pc.cast(batch.column("sum_qty"), pa.int64()),
             }
         )
 
-    return with_name.map_batches(finish, batch_format="pandas")
+    return with_name.map_batches(finish, batch_format="pyarrow")
 
 
 Q18_SQL = f"""
@@ -759,7 +730,7 @@ def q10_returned_revenue(sf_dir, k=20):
 
     orders (quarter filter pushed to the scan) |><| lineitem(R) through
     the engine's bucketed hash join; a keyed per-customer sum; customer
-    names broadcast-merged at the end.
+    names joined on the driver at the end.
     """
     lo = np.datetime64(Q10_QTR[0], "us")
     hi = np.datetime64(Q10_QTR[1], "us")
@@ -798,11 +769,9 @@ def q10_returned_revenue(sf_dir, k=20):
         orders, li, "o_orderkey", left_schema=_ORDER_KEYS_SCHEMA, right_schema=_REVENUE_SCHEMA
     )
 
+    order = [("revenue_micros", "descending"), ("o_custkey", "ascending")]
     per_cust = keyed_topk(
-        keyed_agg(joined, "o_custkey", {"revenue_micros": "sum"}),
-        [],
-        [("revenue_micros", "descending"), ("o_custkey", "ascending")],
-        k,
+        keyed_agg(joined, "o_custkey", {"revenue_micros": "sum"}), [], order, k
     ).select_columns(["o_custkey", "revenue_micros"])
 
     # the result is k rows by construction — collect it, then read ONLY
@@ -811,21 +780,19 @@ def q10_returned_revenue(sf_dir, k=20):
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
-    top = per_cust.to_pandas()
-    keys = top["o_custkey"].tolist()
-    cust = (
-        pq.read_table(
-            f"{sf_dir}/customer.parquet",
-            columns=["c_custkey", "c_name"],
-            filters=pads.field("c_custkey").isin(keys),
-        )
-        .to_pandas()
-        .rename(columns={"c_custkey": "o_custkey"})
+    top = pa.concat_tables(
+        per_cust.iter_batches(batch_format="pyarrow", batch_size=None), promote_options="default"
     )
-    out = top.merge(cust, on="o_custkey", how="left")
+    cust = pq.read_table(
+        f"{sf_dir}/customer.parquet",
+        columns=["c_custkey", "c_name"],
+        filters=pads.field("c_custkey").isin(top.column("o_custkey")),
+    ).rename_columns(["o_custkey", "c_name"])
+    # Arrow's join keeps no row order; the top-k's order is the output's
+    out = top.join(cust, "o_custkey", join_type="left outer", use_threads=False).sort_by(order)
     # hand back a Dataset like every other queries() entry (uniform
-    # consumer contract); 20 rows, so from_pandas is free
-    return ray.data.from_pandas(out[["o_custkey", "c_name", "revenue_micros"]])
+    # consumer contract); 20 rows, so from_arrow is free
+    return ray.data.from_arrow(out.select(["o_custkey", "c_name", "revenue_micros"]))
 
 
 Q10_SQL = f"""
@@ -973,7 +940,7 @@ def customer_order_counts(sf_dir):
 
     The orders side collapses to a keyed per-customer sum BEFORE the join
     (the aggregate is at most |customers| rows), then the engine's
-    bucketed hash join runs with ``how='left'`` so customers without
+    bucketed hash join runs as a ``"left outer"`` join so customers without
     orders survive with zeros. Both sides shuffle once on the customer
     key; no driver-side materialization.
     """
@@ -998,7 +965,7 @@ def customer_order_counts(sf_dir):
         cust,
         per_cust,
         key="c_custkey",
-        how="left",
+        join_type="left outer",
         left_schema={"c_custkey": pa.int64(), "c_name": pa.string()},
         right_schema={
             "c_custkey": pa.int64(),
@@ -1007,13 +974,13 @@ def customer_order_counts(sf_dir):
         },
     )
 
-    def fill_zero(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
+    def fill_zero(batch: pa.Table) -> pa.Table:
         for c in ("n_orders", "spend_cents"):
-            batch[c] = batch[c].fillna(0).astype(np.int64)
+            i = batch.schema.get_field_index(c)
+            batch = batch.set_column(i, c, pc.fill_null(batch.column(c), 0))
         return batch
 
-    return joined.map_batches(fill_zero, batch_format="pandas")
+    return joined.map_batches(fill_zero, batch_format="pyarrow")
 
 
 CUSTOMER_ORDER_COUNTS_SQL = """
@@ -1263,18 +1230,18 @@ def q4_late_shipments(sf_dir):
     )
     late_us = Q4_LATE_DAYS * 86_400_000_000
 
-    def late_rows(batch: pd.DataFrame) -> pa.Table:
-        od_us = batch["o_orderdate"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        is_late = batch["ship_us"].to_numpy() > od_us + late_us
+    def late_rows(batch: pa.Table) -> pa.Table:
+        od_us = pc.cast(batch.column("o_orderdate"), pa.timestamp("us")).cast(pa.int64())
+        late = batch.filter(pc.greater(batch.column("ship_us"), pc.add(od_us, late_us)))
         return pa.table(
             {
-                "o_orderpriority": pa.array(batch["o_orderpriority"].to_numpy()[is_late], pa.string()),
-                "n_late": np.ones(int(is_late.sum()), dtype=np.int64),
+                "o_orderpriority": late.column("o_orderpriority"),
+                "n_late": np.ones(late.num_rows, dtype=np.int64),
             }
         )
 
     return keyed_agg(
-        joined.map_batches(late_rows, batch_format="pandas"), "o_orderpriority", {"n_late": "sum"}
+        joined.map_batches(late_rows, batch_format="pyarrow"), "o_orderpriority", {"n_late": "sum"}
     )
 
 
@@ -1358,18 +1325,16 @@ def approx_distinct_users_kmv(sf_dir, k=KMV_K):
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
     salt = np.uint64(KMV_SALT)
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.drop_duplicates()
-        h = splitmix64(b["user_id"].to_numpy().astype(np.uint64) ^ salt)
+    def partial(batch: pa.Table) -> pa.Table:
+        h = splitmix64(batch.column("user_id").to_numpy().astype(np.uint64) ^ salt)
         # shift into int64 order-preservingly (uint64 msb -> sign bit)
-        out = pd.DataFrame(
-            {
-                "event_type": b["event_type"].to_numpy(),
-                "h": (h - np.uint64(1 << 63)).view(np.int64),
-            }
-        ).drop_duplicates()
-        out = out.sort_values(["event_type", "h"], kind="mergesort")
-        return out.groupby("event_type", as_index=False).head(k)
+        h = (h - np.uint64(1 << 63)).view(np.int64)
+        pairs = pa.table({"event_type": batch.column("event_type"), "h": h})
+        # each type's k smallest distinct hashes
+        pairs = pairs.group_by(["event_type", "h"]).aggregate([])
+        by = [("event_type", "ascending"), ("h", "ascending")]
+        pairs, start = _sorted_runs(pairs, ["event_type"], by)
+        return pairs.filter(run_position(start) < k)
 
     def final(g: pa.Table, start: np.ndarray) -> pa.Table:
         # each type's distinct hashes: the first row of every (type, h)
@@ -1392,7 +1357,7 @@ def approx_distinct_users_kmv(sf_dir, k=KMV_K):
             }
         )
 
-    partials = ds.map_batches(partial, batch_format="pandas")
+    partials = ds.map_batches(partial, batch_format="pyarrow")
     return keyed_scan(partials, "event_type", [("h", "ascending")], final)
 
 

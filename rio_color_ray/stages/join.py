@@ -1,94 +1,70 @@
-"""Join operators: broadcast small side + explicit bucketed hash join.
+"""Join operators: a bucketed hash join and a broadcast join, one kernel.
 
-Two large-large strategies, both shuffle-aware:
+Both run Arrow's hash join, ``pa.Table.join(..., use_threads=False)``,
+and take its ``join_type`` names (``"inner"``, ``"left outer"``,
+``"right semi"``, ...). Arrow's join is SQL's: a null key matches
+nothing, as in the DuckDB twins (pandas' merge pairs NaN with NaN).
+Acero raises ``ArrowInvalid`` for a list-typed non-key column (no engine
+join carries one) and needs one key type on both sides. Row order
+inside a batch or bucket is Arrow's, so consumers key or sort.
 
-* ``Dataset.join`` (Ray's built-in hash-partitioned join) — the engine
-  runs none; it is the reference the bucketed join is tested against
-  (its ``num_partitions`` is the caller's).
-* ``bucketed_hash_join`` — the portable explicit pattern (ray_guide
-  "Joins and lookups"): both sides get a side tag, are unioned under a
-  common nullable schema, moved by the engine's keyed exchange on the
-  key (``ctx.bucket_exchange``, which buckets it: one bucket per reduce
-  task, one task per CPU), and each exchange block does ONE vectorized
-  pandas merge, returned as an Arrow table.
+* ``bucketed_hash_join`` — both sides large (ray_guide "Joins and
+  lookups"): each side gets a side tag, the two are unioned under a
+  common nullable schema and moved by the engine's keyed exchange on the
+  key (``ctx.bucket_exchange``: one bucket per reduce task, one task per
+  CPU), and each exchange block is split by side and joined once.
+* ``broadcast_join`` — one side small: it ships once as a ``ray.put``
+  Arrow table, is resolved once per worker process
+  (``statecache.process_cached``) and joined against every batch; no
+  shuffle.
 
-Broadcast joins ship the small side as a ``ray.put`` ref, resolve it once
-per worker process (``make_stage_fn``) and merge per batch — no shuffle.
+``Dataset.join`` (Ray's built-in hash-partitioned join) is the reference
+the bucketed join is tested against; the engine runs none.
 """
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..ctx import bucket_exchange
 
 
-class BroadcastJoinStage:
-    """Stateful stage: pandas merge against a broadcast small table."""
+def broadcast_join(ds, small, on, join_type="inner"):
+    """``ds`` joined per batch with the Arrow table ``small`` on ``on``.
 
-    def __init__(self, small_df, on, how="inner", columns=None):
-        try:
-            import ray
-
-            if isinstance(small_df, ray.ObjectRef):
-                small_df = ray.get(small_df)
-        except ImportError:
-            pass
-        self.small = small_df if columns is None else small_df[columns]
-        self.on = on
-        self.how = how
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.merge(self.small, on=self.on, how=self.how)
-
-
-def broadcast_semi_filter(ds, keys, key_col):
-    """Semi-join filter: keep rows whose key is in the broadcast key set.
-
-    The key array ships ONCE via ``ray.put`` (object store, zero-copy
-    numpy reads per worker) — not re-pickled into every task's closure;
-    the per-worker resolve is memoized in the process state cache.
+    ``small`` is the left side of ``small.join(batch, ...)``, so Acero
+    builds its hash table on the batch, not on the dimension every call:
+    ``"right semi"`` keeps the batch rows whose key is in ``small``. The
+    output holds the batch's columns in its order, then ``small``'s
+    other columns.
     """
     import ray
 
     from .statecache import process_cached
 
-    ref = ray.put(np.asarray(sorted(keys)))
+    ref = ray.put(small)
 
     def fn(batch: pa.Table) -> pa.Table:
-        keys = process_cached(("semi_keys", ref.hex()), lambda: ray.get(ref),
-                              group="broadcast_semi_filter")
-        vals = batch.column(key_col).to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, vals)
-        pos = np.clip(pos, 0, len(keys) - 1)
-        mask = keys[pos] == vals
-        return batch.filter(pa.array(mask))
+        table = process_cached(("broadcast_join", ref.hex()), lambda: ray.get(ref),
+                               group="broadcast_join")
+        out = table.join(batch, on, join_type=join_type, use_threads=False)
+        names = batch.column_names
+        return out.select(names + [c for c in out.column_names if c not in names])
 
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
 def _pa_types(schema):
-    # Ray's Schema wrapper: Arrow-backed datasets carry pa.DataType,
-    # pandas-backed ones numpy dtypes — normalize to Arrow. numpy's
-    # object dtype (pandas str columns) has no direct Arrow mapping;
-    # treat it as string, the only object payload our tables carry.
-    out = {}
-    for name, typ in zip(schema.names, schema.types):
-        if isinstance(typ, pa.DataType):
-            out[name] = typ
-        elif typ is object or getattr(np.dtype(typ), "kind", None) == "O":
-            out[name] = pa.string()
-        else:
-            out[name] = pa.from_numpy_dtype(typ)
-    return out
+    # Ray's Schema.types are Arrow types, and ``object`` for a column it
+    # cannot map: a pandas str column, the only such payload our tables carry
+    return {n: pa.string() if t is object else t for n, t in zip(schema.names, schema.types)}
 
 
 def bucketed_hash_join(
     left,
     right,
     key,
-    how="inner",
+    join_type="inner",
     suffixes=("_l", "_r"),
     left_schema=None,
     right_schema=None,
@@ -96,8 +72,8 @@ def bucketed_hash_join(
     """Explicit partitioned hash join of two Datasets on an int64 key.
 
     Schema handling: each side's non-key columns are carried under the
-    union schema with nulls for the other side; the per-bucket merge
-    reconstructs the two frames and joins them vectorized.
+    union schema with nulls for the other side; the per-bucket join
+    slices the two sides back out and joins them in Arrow.
 
     ``left_schema`` / ``right_schema`` (ordered ``{name: pa.DataType}``)
     skip the ``Dataset.schema()`` probe for that side. Pass them when a
@@ -114,7 +90,13 @@ def bucketed_hash_join(
     lmap = {c: c + suffixes[0] if c in overlap else c for c in lcols}
     rmap = {c: c + suffixes[1] if c in overlap else c for c in rcols}
 
-    def tag(side, colmap, other_names):
+    # each side's columns under its declared types; both sides are tagged
+    # into one union schema, so every exchange block has one schema
+    lside = pa.schema([(key, lschema[key])] + [(lmap[c], lschema[c]) for c in lcols])
+    rside = pa.schema([(key, rschema[key])] + [(rmap[c], rschema[c]) for c in rcols])
+    union = pa.unify_schemas([lside, rside]).append(pa.field("__side", pa.int8()))
+
+    def tag(side, colmap):
         def fn(batch: pa.Table) -> pa.Table:
             # explicit-schema callers must declare EVERY upstream column:
             # silently dropping an undeclared one would turn schema drift
@@ -126,33 +108,24 @@ def bucketed_hash_join(
                     f"columns {sorted(extra)}; add them to the declared schema "
                     f"or project them away before the join"
                 )
-            out = {key: batch.column(key)}
-            out["__side"] = pa.array(np.full(batch.num_rows, side, dtype=np.int8), pa.int8())
-            for orig, new in colmap.items():
-                out[new] = batch.column(orig)
-            for name, typ in other_names:
-                out[name] = pa.nulls(batch.num_rows, typ)
-            return pa.table(out)
+            cols = {key: batch.column(key), "__side": pa.array(np.full(batch.num_rows, side, np.int8))}
+            cols.update((new, batch.column(orig)) for orig, new in colmap.items())
+            return pa.table(
+                [cols[f.name] if f.name in cols else pa.nulls(batch.num_rows, f.type) for f in union],
+                names=union.names,
+            )
 
         return fn
 
-    l_other = [(rmap[c], rschema[c]) for c in rcols]
-    r_other = [(lmap[c], lschema[c]) for c in lcols]
-    lt = left.map_batches(tag(0, lmap, l_other), batch_format="pyarrow")
-    rt = right.map_batches(tag(1, rmap, r_other), batch_format="pyarrow")
+    lt = left.map_batches(tag(0, lmap), batch_format="pyarrow")
+    rt = right.map_batches(tag(1, rmap), batch_format="pyarrow")
 
-    lnames = [lmap[c] for c in lcols]
-    rnames = [rmap[c] for c in rcols]
-
+    # Ray never calls a reduce with an empty block. A side's column can
+    # arrive null-typed (an empty pandas block converts so), hence the cast
     def merge_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "__side" not in group.schema.names:
-            return pa.table({key: pa.array([], pa.int64())})
-        # Slice sides in Arrow FIRST: each side's own columns are null-free
-        # there, so the pandas conversion keeps exact dtypes (int64 stays
-        # int64 — no float64 upcast that would corrupt keys above 2^53).
         side = group.column("__side")
-        lg = group.filter(pc.equal(side, 0)).select([key] + lnames).to_pandas()
-        rg = group.filter(pc.equal(side, 1)).select([key] + rnames).to_pandas()
-        return pa.Table.from_pandas(lg.merge(rg, on=key, how=how), preserve_index=False)
+        lg = group.filter(pc.equal(side, 0)).select(lside.names).cast(lside)
+        rg = group.filter(pc.equal(side, 1)).select(rside.names).cast(rside)
+        return lg.join(rg, key, join_type=join_type, use_threads=False)
 
     return bucket_exchange([lt, rt], key, merge_bucket)

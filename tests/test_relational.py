@@ -78,7 +78,8 @@ def test_events_windows_and_topk(ray_session, con):
 
 
 def test_bucketed_join_edge_cases(ray_session):
-    """Empty side, negative keys, duplicate keys — vs a pandas oracle."""
+    """Empty side, negative keys, duplicate keys — vs a pandas oracle;
+    a null key matches nothing, as in SQL."""
     import ray.data
 
     from rio_color_ray.stages.join import bucketed_hash_join
@@ -101,6 +102,14 @@ def test_bucketed_join_edge_cases(ray_session):
         ray.data.from_pandas(ldf), ray.data.from_pandas(empty), key="k"
     )
     assert out2.count() == 0
+
+    # pandas' merge would pair the two NaN keys; DuckDB and Arrow do not
+    lnull = pa.table({"k": pa.array([None, 3], pa.int64()), "lv": [1, 2]})
+    rnull = pa.table({"k": pa.array([None, 3], pa.int64()), "rv": [10, 20]})
+    out3 = bucketed_hash_join(
+        ray.data.from_arrow(lnull), ray.data.from_arrow(rnull), key="k"
+    ).to_pandas()
+    assert out3[["k", "lv", "rv"]].values.tolist() == [[3, 2, 20]]
 
 
 def test_bucketed_join_pandas_backed_strings(ray_session):
@@ -320,25 +329,47 @@ def test_customer_order_counts_left_join(ray_session, con):
 
 
 def test_bucketed_join_left_unmatched(ray_session):
-    """how='left' keeps left rows with no right match (null right cols) —
-    the zero-orders branch sf0.001 happens not to contain."""
+    """join_type='left outer' keeps left rows with no right match (null
+    right cols) — the zero-orders branch sf0.001 happens not to contain."""
     import ray.data
 
     from rio_color_ray.stages.join import bucketed_hash_join
 
     ldf = pd.DataFrame({"k": [1, 2, 3, 4], "name": ["a", "b", "c", "d"]})
     rdf = pd.DataFrame({"k": [2, 4], "n": [10, 20]})
-    out = (
-        bucketed_hash_join(
-            ray.data.from_pandas(ldf), ray.data.from_pandas(rdf), key="k",
-            how="left",
-        )
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
+    joined = bucketed_hash_join(
+        ray.data.from_pandas(ldf), ray.data.from_pandas(rdf), key="k",
+        join_type="left outer",
     )
-    assert len(out) == 4
-    assert out["n"].isna().tolist() == [True, False, True, False]
+    out = pa.concat_tables(
+        joined.iter_batches(batch_format="pyarrow", batch_size=None), promote_options="default"
+    ).sort_by("k")
+    assert out.num_rows == 4
+    # the unmatched right column stays int64, with nulls (pandas gave float64 NaN)
+    assert out.schema.field("n").type == pa.int64()
+    assert out.column("n").to_pylist() == [None, 10, None, 20]
+
+
+@pytest.mark.parametrize("join_type", ["inner", "right semi"])
+def test_broadcast_join(ray_session, join_type):
+    """The broadcast join against a small Arrow table, vs a pandas merge /
+    isin reference; keys 5 and -1 are missing from the small side."""
+    import ray.data
+
+    from rio_color_ray.stages.join import broadcast_join
+
+    big = pd.DataFrame({"k": [1, 2, 2, 3, 5, -1, 4], "v": np.arange(7) * 10})
+    small = pa.table({"k": [1, 2, 3, 4, 6], "name": ["a", "b", "c", "d", "f"]})
+    got = broadcast_join(
+        ray.data.from_pandas(big).repartition(3), small, "k", join_type
+    ).to_pandas()
+    sdf = small.to_pandas()
+    want = big.merge(sdf, on="k") if join_type == "inner" else big[big["k"].isin(sdf["k"])]
+    assert list(got.columns) == list(want.columns)
+    pd.testing.assert_frame_equal(
+        got.sort_values(["k", "v"]).reset_index(drop=True),
+        want.sort_values(["k", "v"]).reset_index(drop=True),
+    )
 
 
 def test_event_gaps(ray_session, con):

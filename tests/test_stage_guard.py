@@ -35,6 +35,11 @@ The exchange owns the bucket: callers pass a key, and ``bucket_exchange``
 alone maps it to one bucket per reduce task. So no function may take a
 bucket count (``n_buckets``) again.
 
+Both joins in ``stages.join`` (bucketed and broadcast) run Arrow's
+``pa.Table.join``, and ``pipelines.relational`` maps Arrow batches only.
+So neither module may import pandas, map ``batch_format="pandas"`` or
+call a ``.merge(``.
+
 The flagship's fused map operator does only work its output needs: it
 computes no cell id (the flagship keeps none), and the PIP join checks
 candidates in one broadcast pass, so the per-edge loop
@@ -122,15 +127,6 @@ def test_no_builtin_aggregate_in_the_engine():
     assert not bad, "Ray builtin aggregates:\n" + "\n".join(bad)
 
 
-# (module, top-level function) -> why its hand-written top-k stays
-TOPK_ALLOWED = {
-    ("pipelines/relational.py", "approx_distinct_users_kmv"): (
-        "KMV's bottom-k must hold k DISTINCT hashes per type; a row-level "
-        "top-k would keep a user's hash once per row"
-    ),
-}
-
-
 def _hand_written_topk(node):
     """What top-k idiom ``node`` is, or None."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -150,22 +146,25 @@ def _hand_written_topk(node):
     return None
 
 
+# a hand-written top-k, which the scan must flag so it is not blind
+TOPK_SNIPPET = """
+def partial(batch):
+    return batch.sort_values(["t", "h"]).groupby("t").head(64)
+"""
+
+
+def _topk_sites(modules):
+    return [
+        f"{rel}:{node.lineno} {what}"
+        for rel, tree in modules.items()
+        for node in ast.walk(tree)
+        if (what := _hand_written_topk(node)) is not None
+    ]
+
+
 def test_no_hand_written_topk_in_the_engine():
-    bad, allowed_seen = [], set()
-    for path, tree in _modules().items():
-        rel = path.relative_to(PKG).as_posix()
-        for stmt in tree.body:
-            owner = getattr(stmt, "name", None)
-            for node in ast.walk(stmt):
-                what = _hand_written_topk(node)
-                if what is None:
-                    continue
-                if (rel, owner) in TOPK_ALLOWED:
-                    allowed_seen.add((rel, owner))
-                else:
-                    bad.append(f"{rel}:{node.lineno} {what}")
-    # the scan still sees the one allowed site, so it is not blind
-    assert allowed_seen == set(TOPK_ALLOWED)
+    assert _topk_sites({"snippet": ast.parse(TOPK_SNIPPET)}) == ["snippet:3 groupby(...).head("]
+    bad = _topk_sites({path.relative_to(PKG).as_posix(): tree for path, tree in _modules().items()})
     assert not bad, "hand-written top-k (use stages.agg.keyed_topk):\n" + "\n".join(bad)
 
 
@@ -214,6 +213,39 @@ def test_no_n_buckets_parameter():
         in [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
     ]
     assert not bad, "functions taking n_buckets:\n" + "\n".join(bad)
+
+
+# modules whose joins and maps run on Arrow only
+PANDAS_FREE = ("stages/join.py", "pipelines/relational.py")
+
+
+def _pandas_uses(tree):
+    """Every ``import pandas``, ``batch_format="pandas"`` and ``.merge(``
+    call in ``tree``, as (line, what)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "pandas" for a in node.names):
+            yield node.lineno, "import pandas"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pandas":
+            yield node.lineno, "from pandas import"
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "merge":
+                yield node.lineno, ".merge("
+            for k in node.keywords:
+                if k.arg == "batch_format" and getattr(k.value, "value", None) == "pandas":
+                    yield node.lineno, 'batch_format="pandas"'
+
+
+def test_joins_and_relational_pipelines_use_no_pandas():
+    snippet = 'import pandas as pd\nds.map_batches(lambda b: b.merge(s, on="k"), batch_format="pandas")\n'
+    assert sorted(_pandas_uses(ast.parse(snippet))) == [
+        (1, "import pandas"), (2, '.merge('), (2, 'batch_format="pandas"')
+    ]
+    bad = [
+        f"{rel}:{line} {what}"
+        for rel in PANDAS_FREE
+        for line, what in _pandas_uses(ast.parse((PKG / rel).read_text()))
+    ]
+    assert not bad, "pandas in an Arrow-only module:\n" + "\n".join(bad)
 
 
 def test_flagship_map_chain_computes_no_cell(ray_session):
