@@ -22,29 +22,6 @@ state      -- lineage records, checkpointed writes, resume
 
 __version__ = "0.1.0"
 
-# Ray 2.49's block concat tries `hash(pa.Schema)` as a dedup fast path
-# (ray/data/_internal/arrow_ops/transform_pyarrow.py:175) and pyarrow
-# raises "unhashable type: 'dict'" for any schema carrying pandas
-# metadata — which every pandas-written parquet (all the driver's
-# testdata) does. Ray catches it and falls back correctly, but logs a
-# WARNING per concat from every worker. Filter THAT message only (not
-# the whole logger: the same module warns on genuinely divergent
-# schemas, which we want to see); io.read_table additionally strips the
-# metadata so most paths never hit it.
-import logging as _logging
-
-
-class _SchemaHashNoiseFilter(_logging.Filter):
-    def filter(self, record):  # noqa: A003 - logging API name
-        return not str(record.getMessage()).startswith(
-            "Failed to hash the schemas"
-        )
-
-
-_logging.getLogger(
-    "ray.data._internal.arrow_ops.transform_pyarrow"
-).addFilter(_SchemaHashNoiseFilter())
-
 # Every exchange in this engine wants hash partitioning (key colocation,
 # no ordering); applied at import so the driver's own `ray.init` +
 # `queries()` calls get the tuned executor too. Measurements: ctx.py.

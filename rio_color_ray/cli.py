@@ -260,8 +260,8 @@ def curate_cmd(sf_dir, out_dir, n_parts, min_quality_ppm, max_partitions):
 def query(list_names, name, sf_dir, dst_path):
     """Run any named pipeline from the registry over SF_DIR.
 
-    Writes the result as Parquet to DST_PATH (streaming write for
-    Dataset results); with no DST_PATH, prints up to 20 rows. Every
+    Writes the result Dataset as Parquet to DST_PATH (a streaming
+    write); with no DST_PATH, prints up to 20 rows. Every
     operator the engine implements is runnable from here — the CLI
     analog of the reference's `rio color` per-operator surface.
     """
@@ -278,29 +278,15 @@ def query(list_names, name, sf_dir, dst_path):
         )
     if not sf_dir:
         raise click.UsageError("SF_DIR is required")
-    ray = _ensure_ray()
+    _ensure_ray()
     res = reg[name](sf_dir)
-    import ray.data as rd
-
     if dst_path:
-        if isinstance(res, rd.Dataset):
-            res.write_parquet(dst_path)
-        else:
-            import pyarrow.parquet as pq
-            import pyarrow as pa
-            import os
-
-            os.makedirs(dst_path, exist_ok=True)
-            pq.write_table(
-                pa.Table.from_pandas(res, preserve_index=False),
-                os.path.join(dst_path, "part-0.parquet"),
-            )
+        res.write_parquet(dst_path)
         click.echo(f"wrote {dst_path}")
     else:
         # preview: limit INSIDE the dataset so the driver never
         # materializes a row-per-event result just to print 20 rows
-        df = res.limit(20).to_pandas() if isinstance(res, rd.Dataset) else res.head(20)
-        click.echo(df.to_string())
+        click.echo(res.limit(20).to_pandas().to_string())
 
 
 if __name__ == "__main__":

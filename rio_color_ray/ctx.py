@@ -32,9 +32,10 @@ second exchange for a global top-k.
 import functools
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 from ray.data.context import DataContext, ShuffleStrategy
+
+from .stages.sampling import combine64, hash64
 
 # the exchange's own column: the key's bucket, never seen by a reduce
 BUCKET = "__bucket"
@@ -85,14 +86,15 @@ def bucket_exchange(ds, key, reduce_block, *, schema=None):
     * a single integer column: ``key % n``. Dense ints spread exactly, so
       the checkpoint's partition ids fill the reduce tasks one each;
     * any other key (strings, datetimes, several columns): the fixed
-      64-bit ``pd.util.hash_pandas_object`` of the key columns, ``% n``;
+      64-bit ``stages.sampling.hash64`` of each key column, combined
+      across columns as pandas' ``hash_pandas_object`` combines a
+      DataFrame's, ``% n``;
     * no key (``[]``): one bucket, so one reduce task sees every row (a
       global top-k, whose combiner already cut each block to ``k`` rows).
 
     A null key lands in one fixed bucket (an int null reads as 0). The
     bucket is computed from the key columns alone, appended to the block
-    without copying it (a pandas block from an upstream pandas map is
-    converted to Arrow once, there), moved by ONE ``sort(bucket,
+    without copying it, moved by ONE ``sort(bucket,
     boundaries=1..n-1)`` and dropped again before ``reduce_block`` runs,
     once per output block, via ``map_batches(batch_size=None)``.
     ``reduce_block`` takes that block as a ``pyarrow.Table`` and returns a
@@ -136,8 +138,8 @@ def bucket_exchange(ds, key, reduce_block, *, schema=None):
     n = shuffle_partitions() if keys else 1
 
     def add_bucket(block: pa.Table) -> pa.Table:
-        # a converted pandas block carries pandas metadata, which Ray cannot
-        # hash when it concatenates a reduce range's blocks
+        # a caller's pandas block converts with pandas metadata, which Ray
+        # cannot hash when it concatenates a reduce range's blocks
         block = block.replace_schema_metadata(None)
         return block.append_column(BUCKET, pa.array(_bucket_of(block, keys, n)))
 
@@ -160,24 +162,31 @@ def bucket_exchange(ds, key, reduce_block, *, schema=None):
     return out
 
 
+def collect(ds):
+    """A driver-sized Dataset as one Arrow table (no columns if it has no
+    block). An empty exchange range comes back as a block without
+    columns, so the blocks' schemas are promoted, not assumed equal."""
+    blocks = list(ds.iter_batches(batch_format="pyarrow", batch_size=None))
+    return pa.concat_tables(blocks, promote_options="default") if blocks else pa.table({})
+
+
 def _bucket_of(block, keys, n):
     """The bucket in ``[0, n)`` of every row of the Arrow ``block``'s
     ``keys``.
 
     An integer column is read as its numpy ints, a null as 0 (so an int
     column hashes as ints whether or not its block holds a null), and any
-    other column is hashed as its pandas values. No key at all puts every
-    row in bucket 0.
+    other column is hashed by ``hash64``. No key at all puts every row in
+    bucket 0.
     """
     if not keys:
         return np.zeros(len(block), np.int64)
     cols = [
-        c.fill_null(0).to_numpy() if pa.types.is_integer(c.type) else c.to_pandas()
+        c.fill_null(0).to_numpy() if pa.types.is_integer(c.type) else c
         for c in block.select(keys).columns
     ]
     if len(cols) == 1 and isinstance(cols[0], np.ndarray):
         k = cols[0]
         return (k % k.dtype.type(n)).astype(np.int64)
-    frame = pd.DataFrame(dict(enumerate(cols)))
-    h = pd.util.hash_pandas_object(frame, index=False).to_numpy()
+    h = combine64([hash64(c) for c in cols])
     return (h % np.uint64(n)).astype(np.int64)

@@ -161,10 +161,7 @@ def optimize_ops(src_tiles_ds, ref_tiles_ds, n_steps=200, sample_tiles=64, seed=
     Returns (ops_string, best_energy).
     """
     ref_hist = band_histograms(ref_tiles_ds, bins=bins)
-    import pyarrow as pa
-
-    sample_df = src_tiles_ds.limit(sample_tiles).to_pandas()
-    src_bands = _tiles_to_band_arrays(pa.Table.from_pandas(sample_df))
+    src_bands = _tiles_to_band_arrays(src_tiles_ds.take_batch(sample_tiles, batch_format="pyarrow"))
     opt = ColorOptimizer(src_bands, ref_hist, bins=bins, seed=seed)
     best, best_e = opt.anneal(n_steps=n_steps)
     return opt.cmd(best), best_e

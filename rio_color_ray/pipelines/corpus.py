@@ -1,17 +1,16 @@
 """Corpus pipelines: dedup, text analysis, similarity search.
 
-Every function takes sf_dir and returns a Dataset (or small DataFrame for
-driver-side reduces); oracle SQL lives in __ray_entry__.
+Every function takes sf_dir and returns a Dataset; oracle SQL lives in
+__ray_entry__.
 """
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
-from ..ctx import bucket_exchange
+from ..ctx import bucket_exchange, collect
 from ..sources.pages import REP_STRIDE
 from ..stages.agg import keyed_agg, keyed_scan, keyed_topk, run_position
 from ..stages.ann import AnnBruteStage, list_col_to_matrix
@@ -22,6 +21,7 @@ from ..stages.dedup import (
     exact_dedup,
     simhash_batch,
 )
+from ..stages.sampling import hash64
 from ..stages.statecache import make_stage_fn
 from ..stages.text import (
     LangIdStage,
@@ -106,7 +106,7 @@ def decontaminate(sf_dir, every=DECONTAM_EVERY):
         g, _ = doc_gram_arrays(ev.column("text"))
         return pa.table({"g": pa.array(np.unique(g).view(np.int64), pa.int64())})
 
-    eg = ds.map_batches(eval_grams, batch_format="pyarrow").to_pandas()["g"].to_numpy()
+    eg = collect(ds.map_batches(eval_grams, batch_format="pyarrow")).column("g").to_numpy()
     ref = ray.put(np.unique(eg.view(np.uint64)))
 
     def clean(batch: pa.Table) -> pa.Table:
@@ -150,10 +150,8 @@ def dedup_canonical(sf_dir):
     a curation pipeline actually keeps. Composes dedup_clusters; the
     representative filter is a stateless map over its output."""
     return dedup_clusters(sf_dir).map_batches(
-        lambda df: df.loc[
-            df["doc_id"].to_numpy() == df["cluster_id"].to_numpy(), ["doc_id"]
-        ],
-        batch_format="pandas",
+        lambda b: b.filter(pc.equal(b["doc_id"], b["cluster_id"])).select(["doc_id"]),
+        batch_format="pyarrow",
     )
 
 
@@ -199,6 +197,8 @@ def dedup_exact_pages(sf_dir, replicate=3):
 
 
 SHARD_ID_OFFSET = 10_000_000
+# dedup_incremental's second siphash key: a hash independent of the first
+_KEY2 = "rio-color-ray-k2"
 
 
 def dedup_incremental(sf_dir):
@@ -222,29 +222,26 @@ def dedup_incremental(sf_dir):
     """
     base = documents(sf_dir)
 
-    # pandas' siphash over object arrays takes a 16-byte key; two
-    # independent keys give two independent 64-bit hashes
-    _KEY2 = "rio-color-ray-k2"
+    def hash_pair(text):
+        # siphash takes a 16-byte key; two independent keys give two
+        # independent 64-bit hashes
+        return {"h64": hash64(text).astype(np.int64), "h64b": hash64(text, _KEY2).astype(np.int64)}
 
-    def base_hashes(batch: pa.Table) -> pd.DataFrame:
-        vals = batch.column("text").to_pandas().to_numpy()
-        h = pd.util.hash_array(vals).astype(np.int64)
-        h2 = pd.util.hash_array(vals, hash_key=_KEY2).astype(np.int64)
+    def base_hashes(batch: pa.Table) -> pa.Table:
         # per-batch distinct: the exchange carries unique pairs, not rows
-        df = pd.DataFrame({"h64": h, "h64b": h2}).drop_duplicates()
-        df["side"] = 0
-        df["new_id"] = -1
-        return df
-
-    def shard_hashes(batch: pa.Table) -> pd.DataFrame:
-        did = batch.column("doc_id").to_numpy()
-        txt = batch.column("text").to_pandas().to_numpy(dtype=object)
-        edited = np.where(did % 2 == 1, txt + " v2", txt)
-        h = pd.util.hash_array(edited).astype(np.int64)
-        h2 = pd.util.hash_array(edited, hash_key=_KEY2).astype(np.int64)
-        return pd.DataFrame(
-            {"h64": h, "h64b": h2, "side": 1, "new_id": did + SHARD_ID_OFFSET}
+        pairs = pa.table(hash_pair(batch.column("text"))).group_by(["h64", "h64b"], use_threads=False).aggregate([])
+        n = pairs.num_rows
+        return pairs.append_column("side", pa.array(np.zeros(n, np.int64))).append_column(
+            "new_id", pa.array(np.full(n, -1, np.int64))
         )
+
+    def shard_hashes(batch: pa.Table) -> pa.Table:
+        did = batch.column("doc_id")
+        text = batch.column("text")
+        odd = pc.equal(pc.bit_wise_and(did, 1), 1)
+        edited = pc.if_else(odd, pc.binary_join_element_wise(text, " v2", ""), text)
+        side = np.ones(batch.num_rows, np.int64)
+        return pa.table({**hash_pair(edited), "side": side, "new_id": pc.add(did, SHARD_ID_OFFSET)})
 
     rows = [
         base.map_batches(base_hashes, batch_format="pyarrow"),
@@ -437,7 +434,7 @@ def near_dup_pairs_jaccard(sf_dir, replicate=2, threshold=0.8):
         """Each doc's K smallest DISTINCT shingle hashes as candidate keys
         — one lexsort over (doc, gram), a first-occurrence mask, and a
         per-segment rank; no per-document loop."""
-        urls = batch.column("url").to_pandas().to_numpy()
+        urls = batch.column("url").to_numpy(zero_copy_only=False)
         grams, gcounts = shingle_hash_arrays(batch.column("text"))
         seg = np.repeat(np.arange(len(gcounts)), gcounts)
         order = np.lexsort((grams, seg))
@@ -712,12 +709,7 @@ def embedding_near_dup(sf_dir, threshold=0.95, replicate=2, n_tables=4):
     pairs = embedding_cosine_pairs(
         buckets.map_batches(as_bands, batch_format="pyarrow"), threshold
     )
-    # rename via map_batches: Dataset.rename_columns assumes Arrow blocks
-    # and these are pandas (the exchange reduce output)
-    return pairs.map_batches(
-        lambda df: df.rename(columns={"id_a": "vec_id_a", "id_b": "vec_id_b"}),
-        batch_format="pandas",
-    )
+    return pairs.rename_columns({"id_a": "vec_id_a", "id_b": "vec_id_b"})
 
 
 def embedding_near_dup_exact(sf_dir, threshold=0.95, replicate=2, n_tables=8):

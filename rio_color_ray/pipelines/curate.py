@@ -13,14 +13,16 @@ has an exact DuckDB oracle.
 """
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
-from ..stages.agg import keyed_agg, keyed_scan, keyed_topk, run_cumsum, run_position
+from ..ctx import collect
+from ..stages.agg import _sorted_runs, keyed_agg, keyed_scan, keyed_topk, run_cumsum, run_position
 from ..stages.sampling import (
+    hash64,
+    rate_of,
     split_assign_batch,
     split_sql,
     stratified_filter_batch,
@@ -122,9 +124,7 @@ def curate_corpus(sf_dir, min_quality_ppm=CURATE_MIN_QUALITY_PPM, parts=None, n_
         ).to_numpy()
         alpha_ppm = n_alpha * 1_000_000 // np.maximum(n_chars, 1)
         quality_ppm = (alpha_ppm + np.minimum(n_tokens, 200) * 5000) // 2
-        h = pd.util.hash_array(
-            np.asarray(text.to_pylist(), dtype=object)
-        ).astype(np.int64)
+        h = hash64(text).astype(np.int64)
         cols = {
             "h64": pa.array(h, pa.int64()),
             "doc_id": batch.column("doc_id"),
@@ -337,9 +337,7 @@ def mix_sources(sf_dir):
         u = (splitmix64(ids ^ np.uint64(MIX_SALT)) % np.uint64(1_000_000)).astype(
             np.int64
         )
-        src = batch.column("source").to_pandas().to_numpy()
-        limit = pd.Series(src).map(keep_ppm).to_numpy()
-        mask = u < limit
+        mask = u < rate_of(batch.column("source"), keep_ppm, 0)
         return pa.table(
             {
                 "doc_id": batch.column("doc_id").filter(pa.array(mask)),
@@ -396,66 +394,40 @@ def tfidf_top_terms(sf_dir, k_vocab=VOCAB_K, m=TFIDF_TOP_M):
     of at most ``k_vocab`` rows per batch; (3) per-doc tf + score +
     top-``m`` rank, entirely within map_batches (each document is one
     row, so per-doc ranking never crosses a batch; the ~``k_vocab``-row
-    weight table ships once via ray.put). At 100 TB the only shuffle is
-    the (token, partial_df) exchange, bounded by vocab size x batches.
+    weight table rides in the function's closure). At 100 TB the only
+    shuffle is the (token, partial_df) exchange, bounded by vocab size x
+    batches.
     """
-    import ray
-
-    from ..stages.statecache import process_cached
-
-    vocab = vocab_top_tokens(sf_dir, k=k_vocab).to_pandas()
-    vocab_arr = pa.array(sorted(vocab["token"].tolist()))
+    vocab_arr = collect(vocab_top_tokens(sf_dir, k=k_vocab)).column("token").combine_chunks()
     docs = documents(sf_dir, columns=["doc_id", "text"])
     n_docs = docs.count()  # parquet metadata, no scan
 
-    def explode_vocab(batch: pa.Table) -> pd.DataFrame:
+    def explode_vocab(batch: pa.Table) -> pa.Table:
+        """(doc_id, token) per vocab token occurrence."""
         tok_lists = pc.split_pattern_regex(batch.column("text"), pattern=r"\s+")
-        counts = pc.list_value_length(tok_lists).to_numpy()
         flat = pc.list_flatten(tok_lists)
-        doc_rep = np.repeat(
-            batch.column("doc_id").to_numpy(zero_copy_only=False), counts
-        )
-        keep = pc.and_(
-            pc.is_in(flat, value_set=vocab_arr), pc.not_equal(flat, "")
-        ).to_numpy(zero_copy_only=False)
-        return pd.DataFrame(
-            {"doc_id": doc_rep[keep], "token": flat.to_pandas().to_numpy()[keep]}
-        )
+        doc_id = batch.column("doc_id").take(pc.list_parent_indices(tok_lists))
+        keep = pc.and_(pc.is_in(flat, value_set=vocab_arr), pc.not_equal(flat, ""))
+        return pa.table({"doc_id": doc_id, "token": flat}).filter(keep)
 
     def doc_terms(batch: pa.Table) -> pa.Table:
         # a document is one row, so its distinct terms are distinct here
-        token = explode_vocab(batch).drop_duplicates()["token"].to_numpy()
-        return pa.table({"token": pa.array(token, pa.string()), "df": np.ones(len(token), np.int64)})
+        token = explode_vocab(batch).group_by(["doc_id", "token"], use_threads=False).aggregate([])["token"]
+        return pa.table({"token": token, "df": np.ones(len(token), np.int64)})
 
-    df_tbl = keyed_agg(
-        docs.map_batches(doc_terms, batch_format="pyarrow"), "token", {"df": "sum"}
-    ).to_pandas()  # <= k_vocab rows
-    df_tbl["weight_ppm"] = np.minimum(
-        (1_000_000 * n_docs) // df_tbl["df"].to_numpy(), TFIDF_WEIGHT_PPM_CAP
-    )
-    ref = ray.put(df_tbl[["token", "weight_ppm"]])
+    df_tbl = collect(
+        keyed_agg(docs.map_batches(doc_terms, batch_format="pyarrow"), "token", {"df": "sum"})
+    )  # <= k_vocab rows
+    weight = np.minimum((1_000_000 * n_docs) // df_tbl.column("df").to_numpy(), TFIDF_WEIGHT_PPM_CAP)
+    weights = pa.table({"token": df_tbl.column("token"), "weight_ppm": pa.array(weight, pa.int64())})
+    order = [("doc_id", "ascending"), ("score_ppm", "descending"), ("token", "ascending")]
 
-    def score_batch(batch: pa.Table) -> pd.DataFrame:
-        weights = process_cached(
-            ("tfidf_weights", ref.hex()), lambda: ray.get(ref), group="tfidf"
-        )
-        tf = (
-            explode_vocab(batch)
-            .groupby(["doc_id", "token"], as_index=False)
-            .size()
-            .rename(columns={"size": "tf"})
-        )
-        scored = tf.merge(weights, on="token")
-        scored["score_ppm"] = (
-            scored["tf"].to_numpy(dtype=np.int64) * scored["weight_ppm"].to_numpy()
-        )
-        scored = scored.sort_values(
-            ["doc_id", "score_ppm", "token"],
-            ascending=[True, False, True],
-            kind="mergesort",
-        )
-        top = scored[scored.groupby("doc_id").cumcount() < m]
-        return top[["doc_id", "token", "score_ppm"]].reset_index(drop=True)
+    def score_batch(batch: pa.Table) -> pa.Table:
+        tf = explode_vocab(batch).group_by(["doc_id", "token"], use_threads=False).aggregate([([], "count_all")])
+        scored = tf.join(weights, "token", use_threads=False)
+        scored = scored.append_column("score_ppm", pc.multiply(scored["count_all"], scored["weight_ppm"]))
+        scored, start = _sorted_runs(scored, ["doc_id"], order)
+        return scored.filter(pa.array(run_position(start) < m)).select(["doc_id", "token", "score_ppm"])
 
     return docs.map_batches(score_batch, batch_format="pyarrow")
 

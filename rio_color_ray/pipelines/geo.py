@@ -13,7 +13,6 @@ Scale notes (the 100 TB design, exercised at sf scale):
 """
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -23,6 +22,7 @@ from ..sources.polygons import make_admin_polygons, make_admin_rects
 from ..stages.cellify import CELL_COLUMNS, cellify_batch
 from ..stages.geocode import geocode_batch
 from ..stages.pip_stage import PIPJoinStage, RectJoinStage
+from ..stages.sampling import hash64
 from ..stages.statecache import make_stage_fn
 
 
@@ -131,8 +131,7 @@ def cell_agg_salted(sf_dir, key="h3_r8"):
     """
 
     def add_salt(batch: pa.Table) -> pa.Table:
-        urls = batch.column("url")
-        h = np.asarray(pd.util.hash_array(urls.to_numpy(zero_copy_only=False)), dtype=np.uint64)
+        h = hash64(batch.column("url"))
         return batch.append_column(
             "salt", pa.array((h % N_SALT).astype(np.int64), pa.int64())
         )
@@ -162,10 +161,11 @@ def cell_agg_h8(sf_dir):
     compare it value-exactly (a map column has no stable hash encoding).
     """
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        df = batch.assign(domain=batch["url"].str.split("/").str[2])
-        g = df.groupby(["h3_r8", "domain", "lang"], as_index=False).size()
-        return g.rename(columns={"size": "n"})
+    def partial(batch: pa.Table) -> pa.Table:
+        domain = pc.list_element(pc.split_pattern(batch.column("url"), "/"), 2)
+        combos = batch.select(["h3_r8", "lang"]).append_column("domain", domain)
+        g = combos.group_by(["h3_r8", "domain", "lang"], use_threads=False).aggregate([([], "count_all")])
+        return g.select(["h3_r8", "domain", "lang", "count_all"]).rename_columns(["h3_r8", "domain", "lang", "n"])
 
     ds = cellified(sf_dir, keep_columns=["url", "lang", "h3_r8"])
 
@@ -202,7 +202,7 @@ def cell_agg_h8(sf_dir):
             }
         )
 
-    partials = ds.map_batches(partial, batch_format="pandas")
+    partials = ds.map_batches(partial, batch_format="pyarrow")
     return bucket_exchange(partials, "h3_r8", combos_and_final)
 
 

@@ -6,12 +6,15 @@ deterministic and SQL-mirrorable.
 """
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray.data
 
+from ..ctx import collect
 from ..sources.pages import page_coords_microdeg
 from ..spatial import hex_cell, hex_disk
 from ..stages.agg import keyed_topk
+from ..stages.join import broadcast_join
 from ..stages.knn import KNNBruteStage, knn_guarantee_radius
 from ..stages.statecache import make_stage_fn
 from .geo import cellified
@@ -30,7 +33,7 @@ def _query_side(sf_dir, n_queries):
 
     t = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
     doc_id = t.column("doc_id").to_numpy()
-    source = t.column("source").to_pandas().to_numpy()
+    source = t.column("source").to_numpy(zero_copy_only=False)
     sel = doc_id < n_queries
     doc_id, source = doc_id[sel], source[sel]
     order = np.argsort(doc_id)
@@ -93,14 +96,16 @@ SELECT query_id, url, rank FROM (
 
 
 def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
-    """Cell-ring kNN (the scale path; returns a pandas DataFrame).
+    """Cell-ring kNN (the scale path).
 
-    Every block of points merges with the broadcast candidate cells of
-    the queries on the hex cell id (vectorized pandas merge) and emits
+    Every block of points joins the broadcast candidate cells of the
+    queries on the hex cell id (``stages.join.broadcast_join``) and emits
     local (query, url, d2) pairs; a keyed top-k per query keeps and
     ranks the k nearest. Queries whose k-th distance violates the
     ring guarantee escalate with doubled radius; the provably-exact
-    invariant is asserted in tests against the brute path.
+    invariant is asserted in tests against the brute path. The ranked
+    rows are collected per round, so the result is a small Dataset built
+    from them, sorted by (query_id, rank).
     """
     doc_id, urls, lat_u, lon_u = _query_side(sf_dir, n_queries)
 
@@ -135,49 +140,33 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
         qlat, qlon = lat_u[remaining], lon_u[remaining]
         qcell = hex_cell(qlat / 1e6, qlon / 1e6, res)
         ids, owner = hex_disk(qcell, int(r))
-        cand = pd.DataFrame(
-            {
-                "cell": ids.astype(np.int64),
-                "qpos": remaining[owner],
-            }
-        )
+        cand = pa.table({"cell": ids.astype(np.int64), "qpos": remaining[owner]})
 
-        # broadcast the candidate table (small: queries x disk size)
-        def local_pairs(batch: pd.DataFrame, cand=cand):
-            m = batch.merge(cand, on="cell", how="inner")
-            qp = m["qpos"].to_numpy()
-            d2 = (m["lat_u"].to_numpy() - lat_u[qp]) ** 2 + (
-                m["lon_u"].to_numpy() - lon_u[qp]
+        def local_pairs(m: pa.Table) -> pa.Table:
+            qp = m.column("qpos").to_numpy()
+            d2 = (m.column("lat_u").to_numpy() - lat_u[qp]) ** 2 + (
+                m.column("lon_u").to_numpy() - lon_u[qp]
             ) ** 2
-            url = m["url"].to_numpy()
-            keep = url != urls[qp]  # self-exclusion
-            # emit Arrow so Ray never size-estimates an object column
-            return pa.table(
-                {
-                    "query_id": pa.array(qp[keep].astype(np.int64), pa.int64()),
-                    "url": pa.array(url[keep], pa.string()),
-                    "d2": pa.array(d2[keep], pa.int64()),
-                }
-            )
+            keep = pc.not_equal(m.column("url"), pa.array(urls[qp], pa.string()))  # self-exclusion
+            pairs = pa.table({"query_id": pa.array(qp, pa.int64()), "url": m.column("url"), "d2": d2})
+            return pairs.filter(keep)
 
+        # broadcast the candidate table (small: queries x disk size), then
         # rank per query INSIDE the dataset (keyed on query_id; its
         # combiner keeps <= k rows per query per block), so the driver
         # only ever collects <= k rows per query — independent of the
         # input's block count
-        pdf = (
-            keyed_topk(cell_pts.map_batches(local_pairs, batch_format="pandas"), "query_id", NEAREST, k)
-            .select_columns(["query_id", "url", "d2", "rank"])
-            .to_pandas()
-        )
-        if len(pdf) == 0:
+        pairs = broadcast_join(cell_pts, cand, "cell").map_batches(local_pairs, batch_format="pyarrow")
+        top = collect(keyed_topk(pairs, "query_id", NEAREST, k).select_columns(["query_id", "url", "d2", "rank"]))
+        if top.num_rows == 0:
             r *= 2
             continue
 
         # guarantee check: k found AND k-th distance within the proven radius
-        stats = pdf.groupby("query_id").agg(n=("d2", "size"), dk=("d2", "max"))
-        need = knn_guarantee_radius(res, stats["dk"].to_numpy())
-        ok = stats.index.to_numpy()[(stats["n"].to_numpy() >= k) & (need <= r)]
-        results.append(pdf[np.isin(pdf["query_id"].to_numpy(), ok)][["query_id", "url", "rank"]])
+        stats = top.group_by("query_id", use_threads=False).aggregate([("d2", "count"), ("d2", "max")])
+        need = knn_guarantee_radius(res, stats.column("d2_max").to_numpy())
+        ok = stats.column("query_id").to_numpy()[(stats.column("d2_count").to_numpy() >= k) & (need <= r)]
+        results.append(top.filter(pc.is_in(top.column("query_id"), pa.array(ok))).select(["query_id", "url", "rank"]))
         remaining = remaining[~np.isin(remaining, ok)]
         r *= 2
 
@@ -187,10 +176,10 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
             make_stage_fn(KNNBruteStage, urls[remaining], lat_u[remaining], lon_u[remaining], k),
             batch_format="pyarrow",
         )
-        ranked = keyed_topk(sub, "query_id", NEAREST, k).select_columns(["query_id", "url", "rank"]).to_pandas()
-        ranked["query_id"] = remaining[ranked["query_id"].to_numpy()]
-        results.append(ranked)
+        ranked = collect(keyed_topk(sub, "query_id", NEAREST, k).select_columns(["query_id", "url", "rank"]))
+        qpos = remaining[ranked.column("query_id").to_numpy()]
+        results.append(ranked.set_column(0, "query_id", pa.array(qpos, pa.int64())))
 
-    out = pd.concat(results, ignore_index=True)
-    out["query_id"] = doc_id[out["query_id"].to_numpy()]
-    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
+    out = pa.concat_tables(results)
+    out = out.set_column(0, "query_id", pa.array(doc_id[out.column("query_id").to_numpy()], pa.int64()))
+    return ray.data.from_arrow(out.sort_by([("query_id", "ascending"), ("rank", "ascending")]))

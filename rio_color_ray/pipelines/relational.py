@@ -19,6 +19,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from ..ctx import collect
 from ..stages.agg import _sorted_runs, keyed_agg, keyed_scan, keyed_topk, run_cumsum, run_position
 from ..stages.join import broadcast_join, bucketed_hash_join
 
@@ -780,9 +781,7 @@ def q10_returned_revenue(sf_dir, k=20):
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
-    top = pa.concat_tables(
-        per_cust.iter_batches(batch_format="pyarrow", batch_size=None), promote_options="default"
-    )
+    top = collect(per_cust)
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet",
         columns=["c_custkey", "c_name"],

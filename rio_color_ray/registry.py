@@ -1,6 +1,5 @@
 """Named-query registry: every implemented pipeline, one callable per
-name, each taking an ``sf_dir`` and returning a Dataset (or a small
-DataFrame for driver-sized results).
+name, each taking an ``sf_dir`` and returning a ``ray.data.Dataset``.
 
 Single source of truth: ``__ray_entry__.queries()`` (the graft driver
 contract) and the ``engine query`` CLI both resolve names here. Oracle

@@ -2,7 +2,8 @@
 
 Every keyed reduce the engine defines runs through the keyed exchange
 (:func:`rio_color_ray.ctx.bucket_exchange`, which buckets rows by the key:
-the modulo of an int key, a fixed pandas hash of any other), whatever
+the modulo of an int key, the fixed ``stages.sampling.hash64`` of any
+other), whatever
 the key's cardinality — per order or per document as much as per query,
 per language or per day. One bucket holds every row of each of its keys,
 and the reduce runs once per exchange block, vectorized: no Python runs

@@ -41,7 +41,6 @@ Scale notes (100 TB):
 """
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
 
@@ -173,7 +172,7 @@ def min_label_components(
 
 def _group_min(keys, values):
     """Every row's minimum of the int64 ``values`` over its key's rows."""
-    codes, uniq = pd.factorize(keys)
+    uniq, codes = np.unique(keys, return_inverse=True)
     out = np.full(len(uniq), np.iinfo(np.int64).max)
     np.minimum.at(out, codes, values)
     return out[codes]

@@ -7,17 +7,17 @@ Candidate pairs from banding are verified (exact Jaccard / Hamming /
 cosine) before being reported.
 
 Hash collisions: exact dedup keys on a 64-bit content hash
-(pd.util.hash_array, deterministic across processes); at 10^12 docs the
+(stages.sampling.hash64, deterministic across processes); at 10^12 docs the
 expected collision count is ~0.03 — documented approximation, exact at
 test scale (verified against a GROUP BY text oracle).
 """
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .agg import keyed_agg, keyed_scan
+from .sampling import hash64
 
 # --- exact dedup ------------------------------------------------------------
 
@@ -26,8 +26,7 @@ def content_hash_batch(key_col, id_col):
     """map_batches fn factory: (id, h64) rows, one per input row."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        vals = batch.column(key_col).to_pandas().to_numpy()
-        h = pd.util.hash_array(vals).astype(np.int64)
+        h = hash64(batch.column(key_col)).astype(np.int64)
         return pa.table({id_col: batch.column(id_col), "h64": pa.array(h, pa.int64())})
 
     return fn
@@ -174,7 +173,7 @@ class MinHashStage:
             bh = bh * _BAND_P + sig[:, :, c]
         return pa.table(
             {
-                "id": pa.array(np.repeat(ids.to_pandas().to_numpy(), N_BANDS)),
+                "id": pa.array(np.repeat(ids.to_numpy(zero_copy_only=False), N_BANDS)),
                 "band": pa.array(np.tile(np.arange(N_BANDS), n), pa.int64()),
                 "band_hash": pa.array(
                     (bh % np.uint64(1 << 63)).astype(np.int64).ravel(), pa.int64()
@@ -312,7 +311,7 @@ def simhash_batch(id_col="doc_id", text_col="text"):
     from .text import tokenize_hash_arrays
 
     def fn(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_pandas().to_numpy()
+        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         n = batch.num_rows
         h, counts = tokenize_hash_arrays(batch.column(text_col))
         sims = np.zeros(n, dtype=np.uint64)

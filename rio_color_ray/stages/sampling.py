@@ -15,7 +15,9 @@ sampling operator has an exact SQL oracle.
 """
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 _C1 = np.uint64(0x9E3779B97F4A7C15)
 _C2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -28,6 +30,42 @@ def splitmix64(x):
     z = (z ^ (z >> np.uint64(30))) * _C2
     z = (z ^ (z >> np.uint64(27))) * _C3
     return z ^ (z >> np.uint64(31))
+
+
+def hash64(values, hash_key="0123456789123456"):
+    """The engine's 64-bit value hash: pandas' siphash of every value
+    (``pd.util.hash_array``, fixed across processes), as uint64.
+
+    ``values`` is an Arrow column or a numpy array; an Arrow column is
+    hashed as its ``to_numpy`` values (strings as Python objects,
+    timestamps as their ints). ``hash_key`` is siphash's 16-byte key,
+    pandas' own by default; another key gives an independent hash. This is the package's one
+    use of pandas, as a kernel; no block goes through it.
+    """
+    if not isinstance(values, np.ndarray):
+        values = values.to_numpy(zero_copy_only=False)
+    return pd.util.hash_array(values, hash_key=hash_key)
+
+
+def combine64(hashes):
+    """One uint64 per row from the per-column ``hashes``, combined as
+    ``pd.util.hash_pandas_object`` combines a DataFrame's columns
+    (CPython's tuple hash), so one column combines too."""
+    mult, out = np.uint64(1000003), np.full(len(hashes[0]), 0x345678, np.uint64)
+    for i, h in enumerate(hashes):
+        inverse_i = len(hashes) - i
+        out = (out ^ h) * mult
+        mult += np.uint64(82520 + inverse_i + inverse_i)
+    return out + np.uint64(97531)
+
+
+def rate_of(values, rates, default):
+    """Every value's rate in the dict ``rates`` as int64 numpy, and
+    ``default`` for a value outside it or null, as SQL's ``CASE ...
+    ELSE default`` gives it. ``values`` is an Arrow column."""
+    idx = pc.index_in(values, value_set=pa.array(list(rates), values.type), skip_nulls=True)
+    rate = pa.array(list(rates.values()), pa.int64()).take(idx)
+    return pc.fill_null(rate, default).to_numpy()
 
 
 _M64 = 1 << 64
@@ -111,8 +149,7 @@ def stratified_filter_batch(rates_ppm, stratum_col, id_col="doc_id", default_ppm
 
     def fn(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.uint64)
-        strata = batch.column(stratum_col).to_pandas().to_numpy()
-        rate = np.asarray([rates_ppm.get(s, default_ppm) for s in strata], np.int64)
+        rate = rate_of(batch.column(stratum_col), rates_ppm, default_ppm)
         u = (splitmix64(ids ^ STRATA_SALT) % np.uint64(1_000_000)).astype(np.int64)
         return batch.filter(pa.array(u < rate))
 

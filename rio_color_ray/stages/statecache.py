@@ -37,7 +37,7 @@ from collections import OrderedDict
 # processes are long-lived, and every pipeline construction mints a fresh
 # token, so an unbounded dict would leak one stage (with its STRtree /
 # index) per pipeline build per worker. Keying on args instead is unsafe
-# here — stage args include DataFrames and numpy matrices whose cheap
+# here — stage args include Arrow tables and numpy matrices whose cheap
 # hashes could collide, and silently reusing the WRONG state is worse
 # than a rebuild.
 _PROCESS_CACHE = {}

@@ -137,7 +137,7 @@ def oracle_check(ray_result, con, sql):
     rows by all columns, exact values. Returns the Ray-side frame."""
     import pandas as pd
 
-    rdf = ray_result if isinstance(ray_result, pd.DataFrame) else ray_result.to_pandas()
+    rdf = ray_result.to_pandas()
     odf = con.sql(sql).df()
     cols = sorted(rdf.columns)
     a = rdf[cols].sort_values(cols).reset_index(drop=True)

@@ -57,6 +57,7 @@ def test_knn_brute_and_cells_match_oracle(ray_session):
     for max_rounds in (4, 0):
         cells = (
             K.knn_cells(SF, k=5, n_queries=20, max_rounds=max_rounds)
+            .to_pandas()
             .sort_values(["query_id", "rank"])
             .reset_index(drop=True)
         )

@@ -48,6 +48,36 @@ def test_splitmix64_sql_twin():
     assert [int(g[0]) % (1 << 64) for g in got] == [int(w) for w in want]
 
 
+def test_rate_lookup_defaults_outside_the_dict_and_on_null():
+    """A stratum outside the rate dict and a null stratum both get the
+    default, as the ``CASE ... ELSE`` twin gives it; the stratified
+    filter keeps exactly the rows its WHERE twin keeps."""
+    import pyarrow as pa
+
+    from rio_color_ray.stages.sampling import (
+        rate_of,
+        stratified_filter_batch,
+        stratified_filter_sql,
+    )
+
+    rates = {"en": 10, "de": 500_000}
+    strata = pa.chunked_array([["en", "de"], ["xx", None, "en"]])
+    assert rate_of(strata, rates, 7).tolist() == [10, 500_000, 7, 7, 10]
+    assert rate_of(strata, {}, 7).tolist() == [7] * 5
+
+    t = pa.table(  # noqa: F841 - DuckDB reads it by name
+        {
+            "doc_id": pa.array(np.arange(3000), pa.int64()),
+            "lang": pa.array((["en", "de", "xx", None] * 750)),
+        }
+    )
+    got = stratified_filter_batch(rates, "lang", "doc_id", 300_000)(t).column("doc_id").to_pylist()
+    where = stratified_filter_sql(rates, "lang", "doc_id", 300_000)
+    want = [r[0] for r in duckdb.sql(f"SELECT doc_id FROM t WHERE {where} ORDER BY doc_id").fetchall()]
+    assert got == want
+    assert {i % 4 for i in got} == {1, 2, 3}  # "en" at 10 ppm keeps none of 750
+
+
 def test_train_test_split(ray_session, con):
     from rio_color_ray.pipelines import curate
 
@@ -62,11 +92,10 @@ def test_train_test_split(ray_session, con):
 def test_split_stable_under_batch_size(ray_session):
     """The assignment is a pure row function: different block layouts
     produce the identical split (the resume/repartition invariant)."""
-    import ray.data
-
+    from rio_color_ray.io import read_table
     from rio_color_ray.stages.sampling import split_assign_batch
 
-    ds = ray.data.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"])
+    ds = read_table(SF, "documents", columns=["doc_id"])
     a = (
         ds.map_batches(split_assign_batch("doc_id"), batch_format="pyarrow", batch_size=7)
         .to_pandas()
@@ -137,12 +166,11 @@ def test_sample_k_stable_under_layout(ray_session):
         .sort_values(["lang", "doc_id"])
         .reset_index(drop=True)
     )
-    import ray.data
-
     # force a different layout by repartitioning inside a copied pipeline
+    from rio_color_ray.io import read_table
     from rio_color_ray.stages.sampling import splitmix64
 
-    ds = ray.data.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "lang"])
+    ds = read_table(SF, "documents", columns=["doc_id", "lang"])
     import numpy as np
     import pyarrow as pa
 

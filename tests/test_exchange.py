@@ -157,6 +157,33 @@ def _arrow(ds):
     return pa.concat_tables(refs, promote_options="default")
 
 
+@pytest.mark.parametrize("kind", KEY_KINDS)
+def test_hash64_and_bucket_of_are_pandas_hashes(kind):
+    """The engine's value hash is pandas' own, column by column and under
+    a second key, and a non-int key's bucket is ``hash_pandas_object`` of
+    the key frame (an int column read with a null as 0), ``% n``."""
+    from rio_color_ray.ctx import _bucket_of
+    from rio_color_ray.pipelines.corpus import _KEY2
+    from rio_color_ray.stages.sampling import hash64
+
+    table = _key_table(kind)
+    keys = [c for c in table.column_names if c != "v"]
+    for col in table.select(keys).columns:
+        for hash_key in ("0123456789123456", _KEY2):
+            want = pd.util.hash_pandas_object(col.to_pandas(), index=False, hash_key=hash_key)
+            np.testing.assert_array_equal(hash64(col, hash_key), want.to_numpy())
+    n = 8
+    frame = pd.DataFrame(
+        {c: (col.fill_null(0).to_numpy() if pa.types.is_integer(col.type) else col.to_pandas())
+         for c, col in zip(keys, table.select(keys).columns)}
+    )
+    if len(keys) == 1 and pa.types.is_integer(table.column(keys[0]).type):
+        want = frame[keys[0]].to_numpy() % n
+    else:
+        want = pd.util.hash_pandas_object(frame, index=False).to_numpy() % np.uint64(n)
+    np.testing.assert_array_equal(_bucket_of(table, keys, n), want.astype(np.int64))
+
+
 @pytest.mark.parametrize("kind", KEY_KINDS + ["big_sums"])
 def test_keyed_agg_matches_duckdb_group_by(ray_session, kind):
     import duckdb

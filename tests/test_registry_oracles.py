@@ -4,7 +4,8 @@ Each ``queries()`` entry with an ``oracle_sql()`` twin, plus the tile
 content twins at zoom 7 and 10, runs through ``conftest.oracle_check``
 against DuckDB views of the same Parquet files. An entry without a
 twin must be named in ``ROWS_ONLY`` with the reason, so a new query
-cannot skip its oracle unnoticed.
+cannot skip its oracle unnoticed. Every entry, checked or rows-only,
+returns a ``ray.data.Dataset``.
 
 sf0.001 holds few rows per key, so this is the net under every shared
 exchange, not a replacement for the sf0.01 sweep of the verify skill.
@@ -62,7 +63,17 @@ def con():
 @pytest.mark.parametrize("name", list(CASES))
 def test_registry_entry_matches_its_oracle(ray_session, con, name):
     query, sql = CASES[name]
-    oracle_check(query(SF_SMOKE), con, sql)
+    result = query(SF_SMOKE)
+    assert isinstance(result, ray_session.data.Dataset), type(result)
+    oracle_check(result, con, sql)
+
+
+@pytest.mark.parametrize("name", sorted(ROWS_ONLY))
+def test_rows_only_entry_returns_a_dataset(ray_session, name):
+    import __ray_entry__ as entry
+
+    result = entry.queries()[name](SF_SMOKE)
+    assert isinstance(result, ray_session.data.Dataset), type(result)
 
 
 def test_every_entry_is_oracle_checked_or_rows_only():

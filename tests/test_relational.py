@@ -140,10 +140,11 @@ def test_bucketed_join_matches_builtin(ray_session):
     """Our explicit bucketed hash join == Ray's Dataset.join, row for row."""
     import ray.data
 
+    from rio_color_ray.io import read_table
     from rio_color_ray.stages.join import bucketed_hash_join
 
-    orders = ray.data.read_parquet(f"{SF}/orders.parquet", columns=["o_orderkey", "o_custkey"])
-    li = ray.data.read_parquet(f"{SF}/lineitem.parquet", columns=["l_orderkey", "l_quantity"])
+    orders = read_table(SF, "orders", columns=["o_orderkey", "o_custkey"])
+    li = read_table(SF, "lineitem", columns=["l_orderkey", "l_quantity"])
     li = li.map_batches(
         lambda b: b.rename_columns(["o_orderkey", "l_quantity"]), batch_format="pyarrow"
     )

@@ -35,10 +35,12 @@ The exchange owns the bucket: callers pass a key, and ``bucket_exchange``
 alone maps it to one bucket per reduce task. So no function may take a
 bucket count (``n_buckets``) again.
 
-Both joins in ``stages.join`` (bucketed and broadcast) run Arrow's
-``pa.Table.join``, and ``pipelines.relational`` maps Arrow batches only.
-So neither module may import pandas, map ``batch_format="pandas"`` or
-call a ``.merge(``.
+Arrow is the engine's only batch format: every map takes and returns an
+Arrow table, joins run Arrow's ``pa.Table.join`` (``stages.join``), and
+every registry entry returns a Dataset. So no module may import pandas,
+map ``batch_format="pandas"`` or call a ``.merge(``, except that the
+module of ``stages.sampling.hash64``, the engine's 64-bit value hash,
+imports pandas once for its siphash kernel.
 
 The flagship's fused map operator does only work its output needs: it
 computes no cell id (the flagship keeps none), and the PIP join checks
@@ -215,8 +217,8 @@ def test_no_n_buckets_parameter():
     assert not bad, "functions taking n_buckets:\n" + "\n".join(bad)
 
 
-# modules whose joins and maps run on Arrow only
-PANDAS_FREE = ("stages/join.py", "pipelines/relational.py")
+# the one module that imports pandas: hash64 runs its siphash as a kernel
+HASH_MODULE = "stages/sampling.py"
 
 
 def _pandas_uses(tree):
@@ -235,17 +237,16 @@ def _pandas_uses(tree):
                     yield node.lineno, 'batch_format="pandas"'
 
 
-def test_joins_and_relational_pipelines_use_no_pandas():
+def test_the_engine_uses_no_pandas_but_the_hash_kernel():
     snippet = 'import pandas as pd\nds.map_batches(lambda b: b.merge(s, on="k"), batch_format="pandas")\n'
     assert sorted(_pandas_uses(ast.parse(snippet))) == [
         (1, "import pandas"), (2, '.merge('), (2, 'batch_format="pandas"')
     ]
-    bad = [
-        f"{rel}:{line} {what}"
-        for rel in PANDAS_FREE
-        for line, what in _pandas_uses(ast.parse((PKG / rel).read_text()))
-    ]
-    assert not bad, "pandas in an Arrow-only module:\n" + "\n".join(bad)
+    modules = {path.relative_to(PKG).as_posix(): tree for path, tree in _modules().items()}
+    kernel = modules.pop(HASH_MODULE)
+    bad = [f"{rel}:{line} {what}" for rel, tree in modules.items() for line, what in _pandas_uses(tree)]
+    assert not bad, "pandas outside the hash kernel (use Arrow):\n" + "\n".join(bad)
+    assert [what for _, what in _pandas_uses(kernel)] == ["import pandas"]
 
 
 def test_flagship_map_chain_computes_no_cell(ray_session):
