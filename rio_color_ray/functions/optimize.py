@@ -43,21 +43,25 @@ def histogram_distance(arr1, arr2, bins=None):
 
 
 def _tiles_to_band_arrays(batch):
-    """Arrow tiles batch -> per-band flat float64 [0,1] pixel arrays."""
-    from ..stages.color_stage import apply_ops_to_tiles  # noqa: F401 (schema twin)
+    """Arrow tiles batch -> per-band flat float64 [0,1] pixel arrays.
 
+    Tiles keep their row order. Each run of consecutive tiles with one
+    (bands, width, height, dtype) is one view of the Arrow binary buffer
+    (``stages.color_stage._binary_data``), so no Python runs per tile.
+    """
+    from ..stages.color_stage import _binary_data, tile_signature
+
+    pixels = batch.column("pixels").combine_chunks()
+    sig, n = tile_signature(batch), batch.num_rows
+    bounds = np.r_[np.flatnonzero(np.r_[True, (sig[:, 1:] != sig[:, :-1]).any(axis=0)][:n]), n]
     out = [[], [], []]
-    for pixels, bands, dtype, w, h in zip(
-        batch.column("pixels").to_pylist(),
-        batch.column("band_count").to_numpy(),
-        batch.column("dtype").to_pylist(),
-        batch.column("width").to_numpy(),
-        batch.column("height").to_numpy(),
-    ):
-        arr = np.frombuffer(pixels, dtype=dtype).reshape(int(bands), int(h), int(w))
-        m = to_math_type(arr)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        bands, w, h, u16 = sig[:, start]
+        run = pixels.slice(start, stop - start)
+        arr = _binary_data(run).view(np.uint16 if u16 else np.uint8)
+        m = to_math_type(arr.reshape(stop - start, bands, h, w))
         for b in range(3):
-            out[b].append(m[b].ravel())
+            out[b].append(m[:, b].ravel())
     return [np.concatenate(x) if x else np.empty(0) for x in out]
 
 

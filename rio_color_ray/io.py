@@ -23,10 +23,8 @@ def _strip_schema_metadata(batch):
     """Drop the parquet-embedded pandas schema metadata (zero-copy).
 
     pyarrow's ``hash(Schema)`` raises on that metadata and Ray 2.49 logs
-    a warning per block concat downstream (see package __init__); blocks
-    leaving this reader carry a clean, hashable schema. The fused map
-    also guarantees the read task imports this package, so the logger
-    silencing applies inside pure-read workers too.
+    a warning per block concat downstream; blocks leaving this reader
+    carry a clean, hashable schema.
     """
     return batch.replace_schema_metadata(None)
 

@@ -45,30 +45,32 @@ def _query_side(sf_dir, n_queries):
     return doc_id, urls, lat_u, lon_u
 
 
-def knn(sf_dir, k=5, n_queries=100):
-    """Exact kNN via broadcast queries: a per-batch partial top-k, merged
-    and ranked per query by ``stages.agg.keyed_topk``.
-
-    Returns (query_id, url, rank); query_id is the query page's doc_id.
-    The queries are a few KB, so they ride in the stage function's closure.
-    """
-    doc_id, urls, lat_u, lon_u = _query_side(sf_dir, n_queries)
-    pts = cellified(sf_dir, keep_columns=["url", "lat", "lon"])
+def _brute_ranked(pts, query_ids, urls, lat_u, lon_u, k):
+    """Exact kNN of the given queries via broadcast: ``KNNBruteStage``'s
+    per-batch partial top-k, merged and ranked per query by
+    ``stages.agg.keyed_topk``. Returns (query_id, url, rank) with the
+    query's position mapped to ``query_ids``. The queries are a few KB,
+    so they ride in the stage function's closure."""
     partial = pts.map_batches(
         make_stage_fn(KNNBruteStage, urls, lat_u, lon_u, k), batch_format="pyarrow"
     )
     ranked = keyed_topk(partial, "query_id", NEAREST, k).select_columns(["query_id", "url", "rank"])
 
-    # map positional query index back to doc_id
     def relabel(batch: pa.Table) -> pa.Table:
-        qid = batch.column("query_id").to_numpy()
-        return batch.set_column(
-            batch.schema.get_field_index("query_id"),
-            "query_id",
-            pa.array(doc_id[qid], pa.int64()),
-        )
+        qpos = batch.column("query_id").to_numpy()
+        return batch.set_column(0, "query_id", pa.array(query_ids[qpos], pa.int64()))
 
     return ranked.map_batches(relabel, batch_format="pyarrow")
+
+
+def knn(sf_dir, k=5, n_queries=100):
+    """Exact kNN via broadcast queries (``_brute_ranked``).
+
+    Returns (query_id, url, rank); query_id is the query page's doc_id.
+    """
+    doc_id, urls, lat_u, lon_u = _query_side(sf_dir, n_queries)
+    pts = cellified(sf_dir, keep_columns=["url", "lat", "lon"])
+    return _brute_ranked(pts, doc_id, urls, lat_u, lon_u, k)
 
 
 def knn_sql(k=5, n_queries=100):
@@ -172,13 +174,8 @@ def knn_cells(sf_dir, k=5, n_queries=100, res=6, radius=2, max_rounds=4):
 
     if len(remaining):
         # stragglers: exact brute pass restricted to the remaining queries
-        sub = pts.map_batches(
-            make_stage_fn(KNNBruteStage, urls[remaining], lat_u[remaining], lon_u[remaining], k),
-            batch_format="pyarrow",
-        )
-        ranked = collect(keyed_topk(sub, "query_id", NEAREST, k).select_columns(["query_id", "url", "rank"]))
-        qpos = remaining[ranked.column("query_id").to_numpy()]
-        results.append(ranked.set_column(0, "query_id", pa.array(qpos, pa.int64())))
+        ranked = _brute_ranked(pts, remaining, urls[remaining], lat_u[remaining], lon_u[remaining], k)
+        results.append(collect(ranked))
 
     out = pa.concat_tables(results)
     out = out.set_column(0, "query_id", pa.array(doc_id[out.column("query_id").to_numpy()], pa.int64()))

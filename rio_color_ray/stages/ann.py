@@ -2,9 +2,10 @@
 
 Baseline: brute-force cosine top-k — the query matrix is BROADCAST once
 per worker process; every batch does one (batch x dim) @ (dim x queries) float64
-matmul and emits only per-query local top-k rows, which
-``stages.agg.keyed_topk`` merges and ranks per query. Scale path:
-LSH-bucketed search (stages.dedup.EmbeddingLSHStage buckets + probing).
+matmul and emits only per-query local top-k rows (``stages.knn.local_topk``),
+which ``stages.agg.keyed_topk`` merges and ranks per query. Scale path:
+IVF — vectors score only for the queries probing their coarse cell
+(``AnnIVFStage``, centroids trained on a row-group-spread sample).
 
 Ranking is by (round(score, 6) DESC, vec_id ASC) — rounding absorbs
 summation-order float differences vs the SQL oracle
@@ -13,6 +14,8 @@ summation-order float differences vs the SQL oracle
 
 import numpy as np
 import pyarrow as pa
+
+from .knn import exclude_self, excluded, local_topk
 
 
 def list_col_to_matrix(col, dtype=np.float64):
@@ -46,89 +49,74 @@ def _empty_partial() -> pa.Table:
     )
 
 
-def _self_exclusion_index(qid):
-    """(sorted qids, their column index) for vectorized self-exclusion.
+class _AnnStage:
+    """Per-batch cosine top-k against broadcast queries: what both ANN
+    stages share. A stage says only which (row, query) pairs may not
+    score (``_masked``); normalisation, scoring, self-exclusion, the local
+    top-k and the emitted (query_id, vec_id, score_r6) partials are here."""
 
-    Query ids are unique by construction (_query_vectors filters on
-    vec_id), so one searchsorted probe per batch row replaces the old
-    O(batch x queries) Python loop.
-    """
-    order = np.argsort(qid, kind="stable")
-    return qid[order], order
-
-
-def _exclude_self(scores, ids, qid_sorted, qid_cols):
-    """scores[r, c] = -inf wherever ids[r] == query id of column c."""
-    if len(qid_sorted) == 0 or len(ids) == 0:
-        return
-    pos = np.minimum(np.searchsorted(qid_sorted, ids), len(qid_sorted) - 1)
-    rows = np.flatnonzero(qid_sorted[pos] == ids)
-    scores[rows, qid_cols[pos[rows]]] = -np.inf
-
-
-class AnnBruteStage:
-    """Stateful stage: per-batch cosine top-k against broadcast queries.
-
-    ``query_labels`` (optional, parallel to ``query_ids``) turns the
-    stage into METADATA-FILTERED search: a table row only scores for
-    queries sharing its ``label_col`` value (the filtered-ANN shape of a
-    vector store — the filter applies inside the same matmul pass, no
-    extra scan).
-    """
-
-    def __init__(self, query_ids, query_matrix, k, id_col="vec_id", vec_col="embedding",
-                 query_labels=None, label_col="label"):
+    def __init__(self, query_ids, query_matrix, k):
         self.qid = np.asarray(query_ids, dtype=np.int64)
+        self.qid_arrow = pa.array(self.qid)
         q = np.asarray(query_matrix, dtype=np.float64)
         self.q = q / np.linalg.norm(q, axis=1, keepdims=True)
         self.k = k
-        self.id_col = id_col
-        self.vec_col = vec_col
-        self.qlabel = None if query_labels is None else np.asarray(query_labels, np.int64)
-        self.label_col = label_col
-        self._qid_sorted, self._qid_cols = _self_exclusion_index(self.qid)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return _empty_partial()
-        ids = batch.column(self.id_col).to_numpy()
-        vecs = list_col_to_matrix(batch.column(self.vec_col))
+        vecs = list_col_to_matrix(batch.column("embedding"))
         vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-        scores = vecs @ self.q.T  # (batch, queries)
-        if self.qlabel is not None:
-            col = batch.column(self.label_col)
-            if not pa.types.is_integer(col.type):
-                # a string/float label would hit an opaque numpy cast
-                # error (or silently parse numeric strings) below, where
-                # the SQL twin's equi-join handles any type — refuse with
-                # the actual contract instead
-                raise ValueError(
-                    f"AnnBruteStage: label column must be an integer type, "
-                    f"got {col.type}"
-                )
-            if col.null_count:
-                # NaN -> int64 casts to a garbage sentinel that would
-                # MATCH other nulls where the SQL twin's equi-join
-                # excludes them — refuse instead of silently diverging
-                raise ValueError("AnnBruteStage: null labels are not supported")
-            labels = col.to_numpy(zero_copy_only=False)
-            scores[labels[:, None].astype(np.int64) != self.qlabel[None, :]] = -np.inf
-        _exclude_self(scores, ids, self._qid_sorted, self._qid_cols)
-        k = min(self.k, scores.shape[0])
-        idx = np.argpartition(-scores, k - 1, axis=0)[:k]  # (k, queries)
-        qcols = np.broadcast_to(np.arange(scores.shape[1]), idx.shape)
-        flat_i, flat_q = idx.ravel(), qcols.ravel()
-        keep = np.isfinite(scores[flat_i, flat_q])  # drop self-exclusion sentinels
-        flat_i, flat_q = flat_i[keep], flat_q[keep]
+        # the cost is the first column of the ranking, round(score, 6)
+        # DESC, negated; a zero vector's NaN score never ranks
+        cost = -np.round(vecs @ self.q.T, 6)  # (batch, queries)
+        cost[np.isnan(cost) | self._masked(batch, vecs)] = excluded(cost.dtype)
+        ids = batch.column("vec_id")
+        exclude_self(cost, ids, self.qid_arrow)
+        rows, cols = local_topk(cost, self.k)
         return pa.table(
             {
-                "query_id": pa.array(self.qid[flat_q], pa.int64()),
-                "vec_id": pa.array(ids[flat_i].astype(np.int64), pa.int64()),
-                "score_r6": pa.array(
-                    np.round(scores[flat_i, flat_q], 6), pa.float64()
-                ),
+                "query_id": pa.array(self.qid[cols], pa.int64()),
+                "vec_id": ids.take(pa.array(rows)).cast(pa.int64()),
+                "score_r6": pa.array(-cost[rows, cols], pa.float64()),
             }
         )
+
+
+class AnnBruteStage(_AnnStage):
+    """Stateful stage: per-batch cosine top-k against broadcast queries.
+
+    ``query_labels`` (optional, parallel to ``query_ids``) turns the
+    stage into METADATA-FILTERED search: a table row only scores for
+    queries sharing its ``label`` value (the filtered-ANN shape of a
+    vector store — the filter applies inside the same matmul pass, no
+    extra scan).
+    """
+
+    def __init__(self, query_ids, query_matrix, k, query_labels=None):
+        super().__init__(query_ids, query_matrix, k)
+        self.qlabel = None if query_labels is None else np.asarray(query_labels, np.int64)
+
+    def _masked(self, batch, vecs):
+        if self.qlabel is None:
+            return False
+        col = batch.column("label")
+        if not pa.types.is_integer(col.type):
+            # a string/float label would hit an opaque numpy cast
+            # error (or silently parse numeric strings) below, where
+            # the SQL twin's equi-join handles any type — refuse with
+            # the actual contract instead
+            raise ValueError(
+                f"AnnBruteStage: label column must be an integer type, "
+                f"got {col.type}"
+            )
+        if col.null_count:
+            # NaN -> int64 casts to a garbage sentinel that would
+            # MATCH other nulls where the SQL twin's equi-join
+            # excludes them — refuse instead of silently diverging
+            raise ValueError("AnnBruteStage: null labels are not supported")
+        labels = col.to_numpy(zero_copy_only=False)
+        return labels[:, None].astype(np.int64) != self.qlabel[None, :]
 
 
 def sample_embeddings_spread(path, sample_n, seed=2024, max_row_groups=16,
@@ -188,7 +176,7 @@ def train_ivf_centroids(sample, n_cells, iters=5, seed=2024):
     return cent
 
 
-class AnnIVFStage:
+class AnnIVFStage(_AnnStage):
     """IVF probe stage: per batch, assign vectors to their coarse cell
     and score ONLY the queries probing that cell — the scale path that
     touches a fraction of the table per query instead of all of it.
@@ -198,42 +186,14 @@ class AnnIVFStage:
     exact per-query reduce is shared.
     """
 
-    def __init__(self, query_ids, query_matrix, centroids, n_probe, k,
-                 id_col="vec_id", vec_col="embedding"):
-        self.qid = np.asarray(query_ids, dtype=np.int64)
-        q = np.asarray(query_matrix, dtype=np.float64)
-        self.q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    def __init__(self, query_ids, query_matrix, centroids, n_probe, k):
+        super().__init__(query_ids, query_matrix, k)
         self.cent = np.asarray(centroids, dtype=np.float64)
         # probe set per query: the n_probe nearest centroids
         order = np.argsort(-(self.q @ self.cent.T), axis=1, kind="stable")
         self.probes = order[:, :n_probe]  # (queries, n_probe)
-        self.k = k
-        self.id_col = id_col
-        self.vec_col = vec_col
-        self._qid_sorted, self._qid_cols = _self_exclusion_index(self.qid)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _empty_partial()
-        ids = batch.column(self.id_col).to_numpy()
-        vecs = list_col_to_matrix(batch.column(self.vec_col))
-        vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    def _masked(self, batch, vecs):
         cell = np.argmax(vecs @ self.cent.T, axis=1)  # (batch,)
         # query q scores row r iff cell[r] in probes[q]
-        probe_mask = (self.probes[:, :, None] == cell[None, None, :]).any(axis=1)
-        scores = vecs @ self.q.T  # (batch, queries)
-        scores[~probe_mask.T] = -np.inf
-        _exclude_self(scores, ids, self._qid_sorted, self._qid_cols)
-        k = min(self.k, scores.shape[0])
-        idx = np.argpartition(-scores, k - 1, axis=0)[:k]
-        qcols = np.broadcast_to(np.arange(scores.shape[1]), idx.shape)
-        flat_i, flat_q = idx.ravel(), qcols.ravel()
-        keep = np.isfinite(scores[flat_i, flat_q])
-        flat_i, flat_q = flat_i[keep], flat_q[keep]
-        return pa.table(
-            {
-                "query_id": pa.array(self.qid[flat_q], pa.int64()),
-                "vec_id": pa.array(ids[flat_i].astype(np.int64), pa.int64()),
-                "score_r6": pa.array(np.round(scores[flat_i, flat_q], 6), pa.float64()),
-            }
-        )
+        return ~(self.probes[:, :, None] == cell[None, None, :]).any(axis=1).T

@@ -263,11 +263,7 @@ class ColorStage:
         check_tiles(batch)
         n = batch.num_rows
         pixels = batch.column("pixels").combine_chunks()
-        is16 = pc.equal(batch.column("dtype"), "uint16").to_numpy(zero_copy_only=False)
-        sig = np.stack(
-            [batch.column(c).to_numpy().astype(np.int64) for c in ("band_count", "width", "height")]
-            + [is16.astype(np.int64)]
-        )
+        sig = tile_signature(batch)
         # rows grouped by homogeneous (bands, w, h, dtype) signature; each
         # group's pixels go to the kernel straight from the Arrow buffer
         sigs, inv = np.unique(sig, axis=1, return_inverse=True)
@@ -301,6 +297,16 @@ class ColorStage:
         result = batch.set_column(batch.schema.get_field_index("pixels"), "pixels", out_px)
         result = result.set_column(result.schema.get_field_index("dtype"), "dtype", out_dt)
         return result.append_column("ops", pa.repeat(pa.scalar(self.ops_string, pa.string()), n))
+
+
+def tile_signature(batch: pa.Table) -> np.ndarray:
+    """(4, rows) int64: every tile's band count, width, height and
+    whether it is uint16."""
+    is16 = pc.equal(batch.column("dtype"), "uint16").to_numpy(zero_copy_only=False)
+    return np.stack(
+        [batch.column(c).to_numpy().astype(np.int64) for c in ("band_count", "width", "height")]
+        + [is16.astype(np.int64)]
+    )
 
 
 def _binary_data(arr: pa.Array) -> np.ndarray:

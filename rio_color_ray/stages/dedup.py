@@ -173,7 +173,7 @@ class MinHashStage:
             bh = bh * _BAND_P + sig[:, :, c]
         return pa.table(
             {
-                "id": pa.array(np.repeat(ids.to_numpy(zero_copy_only=False), N_BANDS)),
+                "id": ids.take(np.repeat(np.arange(n), N_BANDS)),
                 "band": pa.array(np.tile(np.arange(N_BANDS), n), pa.int64()),
                 "band_hash": pa.array(
                     (bh % np.uint64(1 << 63)).astype(np.int64).ravel(), pa.int64()
@@ -311,7 +311,6 @@ def simhash_batch(id_col="doc_id", text_col="text"):
     from .text import tokenize_hash_arrays
 
     def fn(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         n = batch.num_rows
         h, counts = tokenize_hash_arrays(batch.column(text_col))
         sims = np.zeros(n, dtype=np.uint64)
@@ -331,7 +330,7 @@ def simhash_batch(id_col="doc_id", text_col="text"):
         keys = ((sims[:, None] >> (bands * np.uint64(16))[None, :]) & np.uint64(0xFFFF))
         return pa.table(
             {
-                "id": pa.array(np.repeat(ids, _SIM_BANDS)),
+                "id": batch.column(id_col).take(np.repeat(np.arange(n), _SIM_BANDS)),
                 "band": pa.array(np.tile(bands.astype(np.int64), n), pa.int64()),
                 "band_hash": pa.array(keys.astype(np.int64).ravel(), pa.int64()),
                 "simhash": pa.array(

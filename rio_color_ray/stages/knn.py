@@ -6,25 +6,25 @@ and SQL, no float ordering hazards). Haversine is available in
 ``spatial.geo`` for geodesic variants; the conformance metric is the
 integer one.
 
-Two strategies:
+Two strategies (``pipelines.knn``):
 
 * ``KNNBruteStage`` — the exact path: queries are BROADCAST (small side);
   each batch computes its local (points x queries) distance matrix and
-  emits only its per-query top-k rows, which ``stages.agg.keyed_topk``
-  merges and ranks per query. Work is proportional
-  to |points| x |queries| but fully data-parallel with no shuffle of
-  the big side — correct at any scale where |queries| is bounded (and
-  the oracle for the cell path).
+  emits only its per-query :func:`local_topk` rows, which
+  ``stages.agg.keyed_topk`` merges and ranks per query. Work is
+  proportional to |points| x |queries| but fully data-parallel with no
+  shuffle of the big side — correct at any scale where |queries| is
+  bounded (and the oracle for the cell path).
 
-* cell-ring expansion (``knn_cells_plan``) — the scale path for large
-  query sets: points and query-candidate cells are co-partitioned by hex
-  cell (one shuffle on the cell key); each cell group emits local pairs;
-  a keyed per-query top-k follows. A query's result is PROVABLY exact when its
-  k-th neighbor distance D_k satisfies ``D_k <= (1.5*r - 2) * edge`` for
-  ring radius r (hex centers at hex-distance h are >= 1.5*e*h apart and
-  any point is within e of its center) — queries failing the guarantee
-  are re-run with doubled radius (escalation rounds), falling back to
-  the brute stage for stragglers.
+* cell-ring expansion (``pipelines.knn.knn_cells``) — the scale path for
+  large query sets: every block of points joins the broadcast candidate
+  cells of the queries on the hex cell id (``stages.join.broadcast_join``)
+  and emits local pairs; a keyed per-query top-k follows. A query's result
+  is PROVABLY exact when its k-th neighbor distance D_k satisfies
+  ``D_k <= (1.5*r - 2) * edge`` for ring radius r (hex centers at
+  hex-distance h are >= 1.5*e*h apart and any point is within e of its
+  center) — queries failing the guarantee are re-run with doubled radius
+  (escalation rounds), falling back to the brute stage for stragglers.
 """
 
 import numpy as np
@@ -34,11 +34,35 @@ import pyarrow.compute as pc
 from ..spatial import hex_edge_deg
 
 
-def microdeg(lat, lon):
-    return (
-        np.rint(np.asarray(lat) * 1e6).astype(np.int64),
-        np.rint(np.asarray(lon) * 1e6).astype(np.int64),
-    )
+def excluded(dtype):
+    """The cost that marks an excluded (row, query) entry: the dtype's max."""
+    return np.iinfo(dtype).max if np.issubdtype(dtype, np.integer) else np.inf
+
+
+def exclude_self(cost, ids, query_ids):
+    """Mark ``cost[r, c]`` excluded wherever ``ids[r]`` is query ``c``'s id:
+    a query never matches its own row. Query ids are distinct, so
+    ``index_in``'s first match is the only match."""
+    qpos = pc.fill_null(pc.index_in(ids, value_set=query_ids), -1).to_numpy()
+    rows = np.flatnonzero(qpos >= 0)
+    cost[rows, qpos[rows]] = excluded(cost.dtype)
+
+
+def local_topk(cost, k):
+    """(rows, queries) of a batch's per-query top-k candidates.
+
+    ``cost`` is (rows x queries), lower is better, and is the first column
+    of the ``keyed_topk`` order that ranks the candidates. Every entry at
+    most its column's k-th smallest cost is kept, TIES INCLUDED, so the
+    tie-break column decides inside ``keyed_topk`` (whose map-side
+    combiner cuts the ties back to k) and never here. An excluded entry
+    (:func:`excluded`) is never kept.
+    """
+    if cost.shape[0] == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    k = min(k, cost.shape[0])
+    kth = np.partition(cost, k - 1, axis=0)[k - 1]  # (queries,)
+    return np.nonzero((cost <= kth) & (cost != excluded(cost.dtype)))
 
 
 class KNNBruteStage:
@@ -46,8 +70,6 @@ class KNNBruteStage:
     and url lookup are built once per worker process (``make_stage_fn``)."""
 
     def __init__(self, query_urls, qlat_u, qlon_u, k):
-        # query urls are distinct page urls, so index_in's first match is
-        # the only match
         self.qurl = pa.array(np.asarray(query_urls), pa.string())
         self.qlat = np.asarray(qlat_u, dtype=np.int64)
         self.qlon = np.asarray(qlon_u, dtype=np.int64)
@@ -61,24 +83,13 @@ class KNNBruteStage:
         d2 = (plat[:, None] - self.qlat[None, :]) ** 2 + (
             plon[:, None] - self.qlon[None, :]
         ) ** 2
-        # self-exclusion: a query never matches its own page
-        qid = pc.fill_null(pc.index_in(batch.column("url"), value_set=self.qurl), -1).to_numpy()
-        rows = np.flatnonzero(qid >= 0)
-        d2[rows, qid[rows]] = np.iinfo(np.int64).max
-
-        k = min(self.k, d2.shape[0])
-        # per-query local top-k (unordered) — final reduce re-ranks
-        idx = np.argpartition(d2, k - 1, axis=0)[:k]  # (k, queries)
-        qids = np.broadcast_to(np.arange(d2.shape[1]), idx.shape)
-        flat_idx = idx.ravel()
-        flat_qid = qids.ravel()
-        keep = d2[flat_idx, flat_qid] != np.iinfo(np.int64).max  # self sentinels
-        flat_idx, flat_qid = flat_idx[keep], flat_qid[keep]
+        exclude_self(d2, batch.column("url"), self.qurl)
+        rows, qids = local_topk(d2, self.k)
         return pa.table(
             {
-                "query_id": pa.array(flat_qid.astype(np.int64), pa.int64()),
-                "url": batch.column("url").take(pa.array(flat_idx)),
-                "d2": pa.array(d2[flat_idx, flat_qid], pa.int64()),
+                "query_id": pa.array(qids, pa.int64()),
+                "url": batch.column("url").take(pa.array(rows)),
+                "d2": pa.array(d2[rows, qids], pa.int64()),
             }
         )
 

@@ -23,17 +23,6 @@ import pyarrow as pa
 from ..spatial import STRtree, pairs_in_polygons, polygon_edges
 
 
-def _maybe_get(obj):
-    try:
-        import ray
-
-        if isinstance(obj, ray.ObjectRef):
-            return ray.get(obj)
-    except ImportError:
-        pass
-    return obj
-
-
 class RectJoinStage:
     """Rectangle-region join on integer microdegrees (SQL-mirrorable).
 
@@ -42,7 +31,6 @@ class RectJoinStage:
     """
 
     def __init__(self, rects, mode="inner"):
-        rects = _maybe_get(rects)
         self.rects = rects
         self.mode = mode
         boxes = np.stack(
@@ -69,7 +57,6 @@ class PIPJoinStage:
     """General polygon join: STRtree bbox candidates -> exact ray-cast PIP."""
 
     def __init__(self, polygons, mode="inner"):
-        polygons = _maybe_get(polygons)
         self.mode = mode
         self.tree = STRtree(np.asarray([p["bbox"] for p in polygons]))
         self.edges, _ = polygon_edges(polygons)

@@ -24,10 +24,6 @@ knn sf0.01 k=5, 100 queries   2.969  0.932  500 rows
 Each actor-pool execution spawns fresh actor processes (library import
 and state build before the first batch) outside the fused chain; the
 task variant runs the same batches in warm workers.
-
-Big broadcast state should be passed as a ``ray.put`` ObjectRef (the
-stage classes resolve refs in ``__init__``), so each worker process reads
-it from the object store once; the closure then ships only the ref.
 """
 
 import uuid

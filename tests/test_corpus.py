@@ -66,6 +66,97 @@ def test_knn_brute_and_cells_match_oracle(ray_session):
         )
 
 
+def test_local_topk_keeps_every_kth_place_tie():
+    """The per-batch kernel of the broadcast-query stages keeps every row
+    that can still be in a query's top k, whatever the tie-break column:
+    ranked by (cost, tie key), its survivors' first k equal the first k
+    of all rows, in random tie-heavy trials with excluded entries."""
+    from rio_color_ray.stages.knn import excluded, local_topk
+
+    rng = np.random.default_rng(0)
+    for trial in range(3000):
+        n, q, k = rng.integers(1, 60), rng.integers(1, 6), int(rng.integers(1, 8))
+        dtype = np.int64 if trial % 2 else np.float64
+        cost = rng.integers(0, 4, size=(n, q)).astype(dtype)
+        cost[rng.random((n, q)) < 0.1] = excluded(dtype)
+        tie = rng.permutation(n)
+        rows, cols = local_topk(cost, k)
+        assert (cost[rows, cols] != excluded(dtype)).all()
+        for c in range(q):
+            def first_k(r):
+                return sorted(r, key=lambda i: (cost[i, c], tie[i]))[:k]
+
+            everything = [i for i in range(n) if cost[i, c] != excluded(dtype)]
+            assert first_k(rows[cols == c]) == first_k(everything), (trial, c)
+
+
+def _sf0_01_pages():
+    """The sf0.01 pages (url, lat, lon) as ONE Arrow table, built by the
+    pages source and geocode bodies without Ray."""
+    from rio_color_ray.sources.pages import synth_pages_batch
+    from rio_color_ray.stages.geocode import geocode_batch
+
+    docs = pq.read_table("/root/testdata/sf0.01/documents.parquet")
+    return geocode_batch(synth_pages_batch(docs)).select(["url", "lat", "lon"])
+
+
+def test_knn_stage_over_one_batch_matches_sql():
+    """``KNNBruteStage`` over all the sf0.01 pages in one batch, ranked
+    by (d2, url), equals ``knn_sql``: a distance tie at k-th place keeps
+    the url that sorts first (queries 51, 59 and 61 have such ties)."""
+    import duckdb
+
+    from rio_color_ray.pipelines.knn import NEAREST, knn_sql
+    from rio_color_ray.stages.knn import KNNBruteStage
+
+    pages = _sf0_01_pages()
+    doc_id = np.asarray([int(u.rsplit("/", 1)[1]) for u in pages.column("url").to_pylist()])
+    q = np.argsort(doc_id)[:100]
+    lat_u = np.rint(pages.column("lat").to_numpy() * 1e6).astype(np.int64)
+    lon_u = np.rint(pages.column("lon").to_numpy() * 1e6).astype(np.int64)
+    stage = KNNBruteStage(pages.column("url").to_numpy(zero_copy_only=False)[q], lat_u[q], lon_u[q], 5)
+    part = stage(pages).sort_by([("query_id", "ascending")] + NEAREST).to_pandas()
+    part["rank"] = part.groupby("query_id").cumcount() + 1
+    got = part[part["rank"] <= 5].assign(query_id=lambda d: doc_id[q][d["query_id"]])
+
+    con = duckdb.connect()
+    con.execute("CREATE VIEW documents AS SELECT * FROM read_parquet('/root/testdata/sf0.01/documents.parquet')")
+    want = con.sql(knn_sql(k=5, n_queries=100)).df()
+    cols = ["query_id", "rank", "url"]
+    pd.testing.assert_frame_equal(
+        got[cols].sort_values(cols[:2]).reset_index(drop=True),
+        want[cols].sort_values(cols[:2]).reset_index(drop=True),
+        check_dtype=False,
+    )
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_knn_distance_ties_in_one_block_and_across_two(ray_session, blocks):
+    """Points tied at one distance from the query, in one block and then
+    split over two: the broadcast stage + ``keyed_topk`` keep the urls
+    that sort first, as ``knn_sql``'s (d2, url) order does."""
+    import ray.data
+
+    from rio_color_ray.pipelines.knn import NEAREST
+    from rio_color_ray.stages.agg import keyed_topk
+    from rio_color_ray.stages.knn import KNNBruteStage
+    from rio_color_ray.stages.statecache import make_stage_fn
+
+    # query "q" at the origin; eight points at d2 = 1 (microdegrees),
+    # the urls that win the tie listed last; one farther point
+    urls = ["p9", "p8", "p7", "p6", "p5", "p4", "p3", "p2", "p1", "far", "q"]
+    lat_u = np.array([1, 0, -1, 0, 1, 0, -1, 0, 1, 2, 0])
+    lon_u = np.array([0, 1, 0, -1, 0, 1, 0, -1, 0, 2, 0])
+    pts = pa.table({"url": urls, "lat": lat_u / 1e6, "lon": lon_u / 1e6})
+    parts = [pts.slice(0, 5), pts.slice(5)] if blocks == 2 else [pts]
+    partial = ray.data.from_arrow(parts).map_batches(
+        make_stage_fn(KNNBruteStage, ["q"], lat_u[-1:], lon_u[-1:], 3), batch_format="pyarrow"
+    )
+    got = keyed_topk(partial, "query_id", NEAREST, 3).to_pandas().sort_values("rank")
+    assert got["url"].tolist() == ["p1", "p2", "p3"]
+    assert got["d2"].tolist() == [1, 1, 1] and got["rank"].tolist() == [1, 2, 3]
+
+
 # --- text analysis ----------------------------------------------------------
 
 
@@ -380,6 +471,22 @@ def test_minhash_signatures_batch_invariant(ray_session):
     assert (sig_all[0] != sig_all[1]).any()
 
 
+@pytest.mark.parametrize("ids", [pa.array(["u1", "u2", "u3"]), pa.array([7, 3, 5], pa.int64())])
+def test_band_rows_repeat_the_id_column_in_arrow(ids):
+    """MinHash and SimHash band rows repeat each id once per band, in
+    the id column's own Arrow type, also from two chunks and from an
+    empty batch."""
+    from rio_color_ray.stages.dedup import N_BANDS, MinHashStage, simhash_batch
+
+    t = pa.table({"doc_id": ids, "text": ["a b c d", "", "x y"]})
+    t = pa.concat_tables([t.slice(0, 1), t.slice(1)])
+    for stage, bands in ((MinHashStage(), N_BANDS), (simhash_batch(), 4)):
+        out = stage(t).column("id")
+        assert out.type == ids.type
+        assert out.to_pylist() == [i for i in ids.to_pylist() for _ in range(bands)]
+        assert stage(t.slice(0, 0)).column("id").type == ids.type
+
+
 def test_hamming_matrix_matches_scalar(ray_session):
     from rio_color_ray.stages.dedup import hamming64, hamming_matrix
 
@@ -508,6 +615,34 @@ def test_video_frame_sample_semantics(ray_session):
     assert out["frame"] == [0, 4, 8]
     assert all(len(fp) == 64 for fp in out["frame_payload"])
     assert out["sum_luma"] == [sum(range(64))] * 3
+
+
+def _ann_tie():
+    """A query (vec_id 0) and two vectors whose cosines with it,
+    0.99999902 (vec_id 10) and 0.99999901 (vec_id 5), both round to
+    0.999999: the (round(score, 6) DESC, vec_id) order ranks 5 first,
+    although 10 scores higher before rounding."""
+    cos = np.array([1.0, 0.99999902, 0.99999901])
+    vecs = np.stack([cos, np.sqrt(1 - cos**2), np.zeros(3)], axis=1)
+    batch = pa.table({
+        "vec_id": pa.array([0, 10, 5], pa.int64()),
+        "embedding": pa.array(vecs.tolist(), pa.list_(pa.float64())),
+    })
+    return batch, vecs[:1]
+
+
+@pytest.mark.parametrize("stage", ["brute", "ivf_full_probe"])
+def test_ann_stage_keeps_rounded_score_ties(stage):
+    from rio_color_ray.stages.ann import AnnBruteStage, AnnIVFStage
+
+    batch, query = _ann_tie()
+    if stage == "brute":
+        fn = AnnBruteStage([0], query, 1)
+    else:
+        fn = AnnIVFStage([0], query, np.eye(3)[:2], 2, 1)
+    part = fn(batch).sort_by([("score_r6", "descending"), ("vec_id", "ascending")])
+    assert part.column("vec_id")[0].as_py() == 5
+    assert 0 not in part.column("vec_id").to_pylist()  # never its own neighbour
 
 
 def test_ann_ivf_recall_vs_brute(ray_session):

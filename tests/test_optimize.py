@@ -24,6 +24,32 @@ def test_histogram_distance_reference_semantics():
         histogram_distance(a * 2.0, b)
 
 
+def test_tiles_to_band_arrays_reads_mixed_tiles_in_row_order():
+    """Tiles of two shapes and two dtypes, interleaved and in two chunks,
+    decode to the same three arrays as one frombuffer per tile."""
+    import pyarrow as pa
+
+    from rio_color_ray.color import to_math_type
+    from rio_color_ray.functions.optimize import _tiles_to_band_arrays
+
+    parts = [
+        make_tiles_table("rgb8", n_tiles=3, size=8),
+        make_tiles_table("rgba8", n_tiles=2, size=4, seed=1),
+        make_tiles_table("rgb8", n_tiles=1, size=8, seed=2),
+        make_tiles_table("rgb16", n_tiles=2, size=4, seed=3),
+    ]
+    batch = pa.concat_tables([pa.concat_tables(parts[:2]), pa.concat_tables(parts[2:]).combine_chunks()])
+    want = [[], [], []]
+    for t in batch.to_pylist():
+        px = np.frombuffer(t["pixels"], t["dtype"]).reshape(t["band_count"], t["height"], t["width"])
+        for b in range(3):
+            want[b].append(to_math_type(px)[b].ravel())
+    got = _tiles_to_band_arrays(batch)
+    for b in range(3):
+        np.testing.assert_array_equal(got[b], np.concatenate(want[b]))
+    assert [len(a) for a in _tiles_to_band_arrays(batch.slice(0, 0))] == [0, 0, 0]
+
+
 def _darkened_tiles(n=48):
     """rgb8 tiles with pixel values compressed into the dark range."""
     t = make_tiles_table("rgb8", n_tiles=n)

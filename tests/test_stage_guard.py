@@ -26,6 +26,11 @@ The first k rows per key under a total order run as
 ``drop_duplicates`` may hand-write one again, and the old global
 ``stages.topk`` module may not come back.
 
+The broadcast-query stages (kNN, brute and IVF ANN) pick each batch's
+candidates with one kernel, ``stages.knn.local_topk``, which keeps
+k-th-place ties for ``keyed_topk`` to break; so no other code may call
+``np.partition`` or ``argpartition``.
+
 Windows (a lag, a running sum or max, a gap rule per key) run as
 ``stages.agg.keyed_scan``: numpy over an Arrow block sorted by the key
 and its run-start mask. So no pandas ``groupby(...)`` may hand-write
@@ -168,6 +173,43 @@ def test_no_hand_written_topk_in_the_engine():
     assert _topk_sites({"snippet": ast.parse(TOPK_SNIPPET)}) == ["snippet:3 groupby(...).head("]
     bad = _topk_sites({path.relative_to(PKG).as_posix(): tree for path, tree in _modules().items()})
     assert not bad, "hand-written top-k (use stages.agg.keyed_topk):\n" + "\n".join(bad)
+
+
+# the one per-batch top-k kernel: (module, function)
+KERNEL = ("stages/knn.py", "local_topk")
+
+
+def _partition_sites(modules):
+    """Every ``np.partition`` and ``argpartition`` call outside the
+    kernel, as "module:line what"; and how many the kernel makes."""
+    sites, in_kernel = [], 0
+    for rel, tree in modules.items():
+        kernel = {
+            id(n)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and (rel, f.name) == KERNEL
+            for n in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            attr = node.func.attr
+            if attr == "argpartition" or (attr == "partition" and _name(node.func.value) in ("np", "numpy")):
+                if id(node) in kernel:
+                    in_kernel += 1
+                else:
+                    sites.append(f"{rel}:{node.lineno} .{attr}(")
+    return sites, in_kernel
+
+
+def test_one_per_batch_topk_kernel():
+    snippet = "def pick(d2, k):\n    return np.argpartition(d2, k - 1, axis=0)[:k]\n"
+    assert _partition_sites({"snippet": ast.parse(snippet)}) == (["snippet:2 .argpartition("], 0)
+    bad, in_kernel = _partition_sites(
+        {path.relative_to(PKG).as_posix(): tree for path, tree in _modules().items()}
+    )
+    assert not bad, "per-batch top-k outside stages.knn.local_topk:\n" + "\n".join(bad)
+    assert in_kernel == 1
 
 
 PANDAS_SCANS = {"cumsum", "cummax", "cummin", "transform"}
