@@ -27,12 +27,17 @@ run-start mask, then the caller's numpy over it, no combiner). The
 exchange speaks Arrow only: every reduce gets an Arrow table and returns
 one. Ray's builtin ``groupby(key).aggregate`` runs nowhere, nor does a
 second exchange for a global top-k.
+
+Every read (``io.read_table``) and every exchange runs one task per CPU
+of the session, with no floor (:func:`shuffle_partitions`).
 """
 
 import functools
+import os
 
 import numpy as np
 import pyarrow as pa
+import ray
 from ray.data.context import DataContext, ShuffleStrategy
 
 from .stages.sampling import combine64, hash64
@@ -53,21 +58,40 @@ def tune_data_context():
     return ctx
 
 
-def shuffle_partitions(cap=64, floor=8):
-    """Partition count for a keyed exchange: ≈ cluster CPUs, bounded.
+def shuffle_partitions():
+    """Task count for a read and for a keyed exchange: the session's CPUs.
 
-    At cluster scale raise ``cap`` with the node count; the floor keeps
-    small local runs from collapsing to one reducer.
+    ``ray.cluster_resources()["CPU"]``, or the CPUs this process may run
+    on when Ray is not up. There is no floor and no cap: at 1 CPU one
+    read block feeds one fused map-chain task and one reduce holds every
+    bucket. ``io.read_table`` sets its block count with it and
+    :func:`bucket_exchange` its bucket count, so one patch of this
+    function sets both.
+
+    Measured against the earlier floor of 8 with perfbench at 1 CPU
+    (``--seconds 25``, every run correct, the same output bytes per
+    row), ``wall_s``:
+
+    ========================  ============  ============  ============
+    workload, seed            floor of 8    n = CPUs      ``cpu_s``
+    ========================  ============  ============  ============
+    ``tiles_z10``, 2101       0.706         0.380         1.02 -> 0.51
+    ``tiles_z10``, 2201       0.741         0.401         1.04 -> 0.52
+    ``tiles_resume``, 2102    1.349         0.671         2.03 -> 0.98
+    ``tiles_resume``, 2202    1.356         0.649         2.10 -> 0.97
+    ========================  ============  ============  ============
+
+    Over 10 alternating pairs on other seeds, ``tiles_z10`` read 0.701
+    -> 0.398 s (medians) and its ``peak_rss_mb`` rose 7.5%. One reduce
+    holds every tile at 1 CPU:
+    ``pipelines.tiles.assemble_color.peak_heap_mb`` went from 122 to 168
+    MB. At 4 CPUs the flagship at z10 over 20k pages ran in 0.128 s at
+    n=4 against 0.172 s at n=8. Sizing by the input (footer rows times a
+    fan-out) is not done; it could only beat this above 1 CPU.
     """
-    try:
-        import ray
-
-        if ray.is_initialized():
-            cpus = int(ray.cluster_resources().get("CPU", floor))
-            return max(floor, min(cap, cpus))
-    except Exception:
-        pass
-    return max(floor, min(cap, 32))
+    if ray.is_initialized():
+        return int(ray.cluster_resources()["CPU"])
+    return len(os.sched_getaffinity(0))
 
 
 def bucket_exchange(ds, key, reduce_block, *, schema=None):
@@ -79,7 +103,7 @@ def bucket_exchange(ds, key, reduce_block, *, schema=None):
     made ``pagerank_edges`` ~35% slower at sf0.01, 4 CPUs). ``key`` is
     a column name or a list of column names. The exchange owns the
     bucket: there is one bucket per reduce task,
-    ``n = shuffle_partitions()`` of them (8 at 1-8 CPUs), and the rule
+    ``n = shuffle_partitions()`` of them (one per CPU), and the rule
     that maps a key to its bucket is chosen from the key's Arrow type, so
     every block of one Dataset follows the same rule:
 
@@ -113,12 +137,8 @@ def bucket_exchange(ds, key, reduce_block, *, schema=None):
     3.5 s straggler was the flagship's critical path, and it calls
     Python once per group. Fixed boundaries make every range one bucket.
 
-    Reduce tasks: one bucket per reduce task, one task per CPU, at least
-    8, at most 64 (:func:`shuffle_partitions`); 8 at 1-8 CPUs. Measured
-    no worse than 2 per CPU at 1 CPU (perfbench tiles_z10/tiles_resume)
-    and at 4 CPUs (bench.py, sf0.1: flagship z7 1.44 -> 1.46 s, z10 1.72
-    -> 1.60 s; BASELINE.md "One reduce task per CPU"). Plans at 8+ CPUs
-    are unmeasured.
+    Reduce tasks: one bucket per reduce task, one task per CPU
+    (:func:`shuffle_partitions`, which holds the measurements).
 
     ``schema``, when given, is the reduce's output ``pyarrow.Schema``; it
     is cached on the returned Dataset so ``schema()`` and

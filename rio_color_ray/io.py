@@ -1,11 +1,13 @@
-"""Shared Parquet reader with CPU-scaled block count.
+"""Shared Parquet reader: one block per CPU.
 
 The driver's testdata tables are each ONE small parquet file; Ray's
 single-file default splits it into 2 x CPUs blocks, which at 32 CPUs
 makes 64 ~80-row blocks whose map tasks cost more to dispatch than to
 run (measured ~0.6s driver-side for a 64-task noop chain vs ~0.2s at 8
 blocks; interleaved flagship sweep in BASELINE.md round-5). One block
-per CPU keeps a full map wave without paying double dispatch.
+per CPU (``ctx.shuffle_partitions``, no floor) keeps a full map wave
+without paying double dispatch; at 1 CPU the whole read is one block and
+one fused map-chain task.
 
 On a real many-file corpus the file / row-group count governs the read
 parallelism and ``override_num_blocks`` is moot — this helper is a
@@ -16,7 +18,7 @@ and its sampling layout should not shift with CPU count.
 
 import ray.data
 
-from .ctx import shuffle_partitions
+from . import ctx
 
 
 def _strip_schema_metadata(batch):
@@ -40,9 +42,10 @@ def table_num_rows(sf_dir, name) -> int:
 
 
 def read_table(sf_dir, name, columns=None):
-    """``read_parquet`` of one testdata table at ~1 block per CPU."""
+    """``read_parquet`` of one testdata table in ``ctx.shuffle_partitions()``
+    blocks, one per CPU."""
     return ray.data.read_parquet(
         f"{sf_dir}/{name}.parquet",
         columns=columns,
-        override_num_blocks=shuffle_partitions(cap=256),
+        override_num_blocks=ctx.shuffle_partitions(),
     ).map_batches(_strip_schema_metadata, batch_format="pyarrow")

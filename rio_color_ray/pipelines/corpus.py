@@ -1154,7 +1154,9 @@ def embedding_dup_clusters(sf_dir, threshold=0.95, replicate=2, n_tables=8):
     nodes = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id"]
     ).map_batches(self_rows, batch_format="pyarrow")
-    mem = pairs.map_batches(pair_edges, batch_format="pyarrow").union(nodes)
+    # the map-only side goes first: with the exchanged pairs first, the
+    # union never finished in a 1-CPU session
+    mem = nodes.union(pairs.map_batches(pair_edges, batch_format="pyarrow"))
     return min_label_components(mem, node_col="vec_id", key_col="key")
 
 

@@ -39,7 +39,7 @@ def pages(sf_dir, replicate=1, links_n=0):
     used by the link-graph pipelines; off elsewhere so the geocode/tile
     path never pays for them.
 
-    Reads through io.read_table (~1 block per CPU; rationale and
+    Reads through io.read_table (one block per CPU; rationale and
     measurements there).
     """
     from ..io import read_table

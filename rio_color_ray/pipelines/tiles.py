@@ -189,7 +189,7 @@ def render_tiles_from(points_ds, z=DEFAULT_ZOOM, ops=None):
     mixed tile key (``ctx.bucket_exchange``, which documents the
     exchange and its reduce-task count) with :func:`_assemble_bucket` as
     the reduce. One reduce task holds one bucket, 1/``shuffle_partitions()``
-    of the tiles; at cluster scale that count grows with the CPUs.
+    of the tiles, one task per CPU: at 1 CPU one reduce holds every tile.
 
     The returned Dataset carries its output schema, taken from the
     reduce's own output over an empty partials table (one cheap local

@@ -6,10 +6,11 @@ computable BOTH from a page's lon (before any expensive stage — so resume
 filters the corpus at the source) and from a tile's x (so every partial
 pixel count and every rendered tile lands in its page's partition).
 Partition count is a deployment knob: at cluster scale set K ≈ a few ×
-node count so a lost node forfeits only its in-flight cell ranges. It
-also sets a resumable run's render parallelism: the tile reduce runs one
-task per occupied ``part`` bucket, so fewer pending partitions than
-``shuffle_partitions()`` run fewer tasks.
+node count so a lost node forfeits only its in-flight cell ranges. A
+resumable run renders in one task per occupied ``part`` bucket,
+``p % shuffle_partitions()``: at most one task per CPU (at 1 CPU one
+task renders every pending partition), fewer when fewer partitions are
+pending.
 
 A resumable flagship run is ONE keyed exchange on ``part``
 (``ctx.bucket_exchange``, whose modulo of an int key puts dense

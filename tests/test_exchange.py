@@ -22,6 +22,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import SF_SMOKE
 
 N_BLOCKS = 7
 
@@ -316,14 +317,12 @@ def test_keyed_scan_matches_duckdb_window(ray_session, kind):
     assert got.sort_by(by).equals(want.sort_by(by))
 
 
-@pytest.mark.parametrize("n_keys", [2, 3, 16, 64])
-def test_every_bucket_reaches_exactly_one_reduce_call(ray_session, n_keys):
-    """Dense int keys spread by their modulo, one bucket per reduce call:
-    16 keys over 8 calls give every call exactly 2 keys. The checkpoint
-    relies on this to put its dense partition ids one per reduce task."""
+def _keys_per_reduce_call(n_keys):
+    """Every reduce call's sorted keys, after one exchange of ``n_keys``
+    dense int keys whose rows are checked against pandas."""
     import ray.data
 
-    from rio_color_ray.ctx import bucket_exchange, shuffle_partitions
+    from rio_color_ray.ctx import bucket_exchange
 
     def census(block: pa.Table) -> pa.Table:
         out = block.group_by("b").aggregate([("v", "count"), ("v", "sum")])
@@ -341,12 +340,65 @@ def test_every_bucket_reaches_exactly_one_reduce_call(ray_session, n_keys):
     pd.testing.assert_frame_equal(
         got.drop(columns="call").sort_values("b").reset_index(drop=True), exp
     )
+    return sorted(got.groupby("call")["b"].agg(lambda b: sorted(b.tolist())).tolist())
+
+
+@pytest.mark.parametrize("n_keys", [2, 3, 16, 64])
+def test_every_bucket_reaches_exactly_one_reduce_call(ray_session, n_keys):
+    """Dense int keys spread by their modulo, one bucket per reduce call:
+    over n = ``shuffle_partitions()`` calls, one per CPU, call r gets
+    exactly the keys k with k % n == r (at 4 CPUs, 16 keys give every
+    call 4). The checkpoint relies on this to put its dense partition
+    ids one per reduce task."""
+    from rio_color_ray.ctx import shuffle_partitions
+
     n = shuffle_partitions()
-    per_call = got.groupby("call")["b"].agg(lambda b: sorted(b.tolist()))
     want = sorted(
         [k for k in range(n_keys) if k % n == r] for r in range(min(n, n_keys))
     )
-    assert sorted(per_call.tolist()) == want
+    assert _keys_per_reduce_call(n_keys) == want
+
+
+def test_one_bucket_reaches_one_reduce_call_at_one_cpu(ray_session, monkeypatch):
+    """At 1 CPU the exchange has one bucket: one reduce call gets every key."""
+    from rio_color_ray import ctx
+
+    monkeypatch.setattr(ctx, "shuffle_partitions", lambda: 1)
+    assert _keys_per_reduce_call(16) == [list(range(16))]
+
+
+@pytest.mark.parametrize("cpus", [1, 4, 200])
+def test_shuffle_partitions_is_the_session_cpus(monkeypatch, cpus):
+    """One task per CPU, with no floor and no cap."""
+    import ray
+
+    from rio_color_ray.ctx import shuffle_partitions
+
+    monkeypatch.setattr(ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": float(cpus)})
+    assert shuffle_partitions() == cpus
+
+
+def test_shuffle_partitions_without_ray_is_the_affinity_mask(monkeypatch):
+    import ray
+
+    from rio_color_ray.ctx import shuffle_partitions
+
+    monkeypatch.setattr(ray, "is_initialized", lambda: False)
+    assert shuffle_partitions() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("n", [None, 1, 3])
+def test_read_table_yields_shuffle_partitions_blocks(ray_session, monkeypatch, n):
+    """``io.read_table`` sizes its read through ``ctx.shuffle_partitions``,
+    so the one patch that sets the exchanges' bucket count sets it too."""
+    from rio_color_ray import ctx, io
+
+    if n is not None:
+        monkeypatch.setattr(ctx, "shuffle_partitions", lambda: n)
+    ds = io.read_table(SF_SMOKE, "documents", columns=["doc_id"]).materialize()
+    assert ds.num_blocks() == ctx.shuffle_partitions()
+    assert ds.count() == io.table_num_rows(SF_SMOKE, "documents")
 
 
 def test_empty_ranges_leave_a_usable_dataset(ray_session):
@@ -371,11 +423,13 @@ def test_empty_ranges_leave_a_usable_dataset(ray_session):
     assert _arrow(out).num_rows == 50
 
 
-def test_kmv_output_blocks_are_arrow(ray_session):
-    """KMV's partial is a pandas map; its exchange still returns Arrow
-    blocks only, empty ranges included (fewer event types than buckets)."""
-    from conftest import SF_SMOKE
+def test_kmv_output_blocks_are_arrow(ray_session, monkeypatch):
+    """KMV's exchange returns Arrow blocks only, empty ranges included
+    (5 event types over 8 buckets)."""
+    from rio_color_ray import ctx
     from rio_color_ray.pipelines.relational import approx_distinct_users_kmv
+
+    monkeypatch.setattr(ctx, "shuffle_partitions", lambda: 8)
 
     got = _arrow(approx_distinct_users_kmv(SF_SMOKE))
     assert got.num_rows > 0

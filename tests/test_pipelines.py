@@ -359,6 +359,50 @@ def test_embedding_dup_clusters_matches_reachability(ray_session):
     assert (sizes == 2).all() and len(sizes) * 2 == len(rdf)
 
 
+_ONE_CPU_CLUSTERS = """
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from conftest import SF_SMOKE, duckdb_con, oracle_check
+from __ray_entry__ import oracle_sql, queries
+con = duckdb_con(("embeddings",), SF_SMOKE)
+rdf = oracle_check(
+    queries()["embedding_dup_clusters"](SF_SMOKE), con, oracle_sql()["embedding_dup_clusters"]
+)
+print("rows", len(rdf))
+ray.shutdown()
+"""
+
+
+def test_embedding_dup_clusters_finishes_at_one_cpu():
+    """In a fresh 1-CPU Ray session the clusters finish and match their
+    oracle. With the exchanged pair edges first in the union before the
+    components' exchange, this query never finished at 1 CPU (at 2 and
+    4 CPUs it did)."""
+    import os
+    import subprocess
+    import sys
+
+    tests = os.path.dirname(os.path.abspath(__file__))
+    repo = os.path.dirname(tests)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([repo, tests]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_CLUSTERS],
+        cwd=repo, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        proc.terminate()  # lets Ray stop the session it started
+        try:
+            proc.communicate(timeout=20)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+        pytest.fail("embedding_dup_clusters did not finish in 120 s in a 1-CPU session")
+    assert proc.returncode == 0, err[-2000:]
+    assert "rows 1000" in out
+
+
 def test_assemble_bucket_empty_range():
     """A boundary-partitioned exchange can hand the assemble fn an empty
     block (an unpopulated bucket range at sparse zooms); it must return

@@ -68,6 +68,29 @@ def test_registry_entry_matches_its_oracle(ray_session, con, name):
     oracle_check(result, con, sql)
 
 
+# the layout a 1-CPU session runs (perfbench's): one read block and one
+# exchange bucket, so one reduce holds every key
+ONE_TASK = (
+    "render_tiles_content_z7",
+    "render_tiles_content_z10",
+    "color_tiles_content_z7",
+    "color_tiles_content_z10",
+    "q5_nation_revenue",  # bucketed and broadcast joins, then keyed_agg
+    "top_grid_cells",  # keyed_agg, then a global keyed_topk
+    "topk_orders_per_priority",  # keyed_topk per key
+    "sessionize",  # keyed_scan
+)
+
+
+@pytest.mark.parametrize("name", ONE_TASK)
+def test_one_task_layout_matches_its_oracle(ray_session, con, monkeypatch, name):
+    from rio_color_ray import ctx
+
+    monkeypatch.setattr(ctx, "shuffle_partitions", lambda: 1)
+    query, sql = CASES[name]
+    oracle_check(query(SF_SMOKE), con, sql)
+
+
 @pytest.mark.parametrize("name", sorted(ROWS_ONLY))
 def test_rows_only_entry_returns_a_dataset(ray_session, name):
     import __ray_entry__ as entry

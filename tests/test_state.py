@@ -27,10 +27,9 @@ def _lineage_mtimes(out_dir):
     return {f: os.path.getmtime(os.path.join(d, f)) for f in os.listdir(d) if f.endswith(".json")}
 
 
-# 16 parts over 8 reduce tasks put two partitions in one reduce call;
-# 3 parts leave reduce ranges empty
-@pytest.mark.parametrize("n_parts", [3, 8, 16])
-def test_kill_and_resume_matches_oneshot(ray_session, oneshot, tmp_path, n_parts):
+def _kill_and_resume(oneshot, out_dir, n_parts):
+    """A killed run of half the partitions, then a resume, match the
+    one-shot flagship tile for tile."""
     from rio_color_ray.state import (
         completed_partitions,
         lineage_table,
@@ -38,7 +37,6 @@ def test_kill_and_resume_matches_oneshot(ray_session, oneshot, tmp_path, n_parts
         resumable_flagship,
     )
 
-    out_dir = str(tmp_path / f"ckpt{n_parts}")
     killed = n_parts // 2
     # "killed" run: only half of the partitions get checkpointed
     s1 = resumable_flagship(SF, out_dir, n_parts=n_parts, max_partitions=killed)
@@ -77,6 +75,26 @@ def test_kill_and_resume_matches_oneshot(ray_session, oneshot, tmp_path, n_parts
     assert spans[0][0] == 0
     for (lo, hi), (lo2, _) in zip(spans, spans[1:]):
         assert lo2 == hi + 1, "cell ranges must tile the keyspace exactly"
+
+
+# at 4 CPUs, 16 parts over 4 reduce tasks put four partitions in one
+# reduce call; 3 parts leave a reduce range empty
+@pytest.mark.parametrize("n_parts", [3, 8, 16])
+def test_kill_and_resume_matches_oneshot(ray_session, oneshot, tmp_path, n_parts):
+    _kill_and_resume(oneshot, str(tmp_path / f"ckpt{n_parts}"), n_parts)
+
+
+def test_one_task_layout_matches_oneshot(ray_session, oneshot, tmp_path, monkeypatch):
+    """The layout a 1-CPU session runs: one read block and one exchange
+    bucket. The flagship, and a kill and resume whose every partition
+    meets in one reduce call, give the tiles of the session's layout."""
+    from rio_color_ray import ctx
+    from rio_color_ray.pipelines.flagship import flagship
+
+    monkeypatch.setattr(ctx, "shuffle_partitions", lambda: 1)
+    got = flagship(SF).to_pandas().sort_values("tile_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, oneshot)
+    _kill_and_resume(oneshot, str(tmp_path / "ckpt16"), 16)
 
 
 def test_resumable_flagship_is_one_exchange(ray_session, tmp_path, monkeypatch):
