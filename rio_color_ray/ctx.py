@@ -28,8 +28,11 @@ exchange speaks Arrow only: every reduce gets an Arrow table and returns
 one. Ray's builtin ``groupby(key).aggregate`` runs nowhere, nor does a
 second exchange for a global top-k.
 
-Every read (``io.read_table``) and every exchange runs one task per CPU
-of the session, with no floor (:func:`shuffle_partitions`).
+Every read through ``io.read_parquet`` (the testdata tables and the
+checkpoint's output) and every exchange runs one task per CPU of the
+session, with no floor (:func:`shuffle_partitions`). At 1 CPU, and
+for every keyless exchange, the exchange is one bucket moved by one
+``repartition(1)`` task, with no empty range beside it.
 """
 
 import functools
@@ -64,8 +67,8 @@ def shuffle_partitions():
     ``ray.cluster_resources()["CPU"]``, or the CPUs this process may run
     on when Ray is not up. There is no floor and no cap: at 1 CPU one
     read block feeds one fused map-chain task and one reduce holds every
-    bucket. ``io.read_table`` sets its block count with it and
-    :func:`bucket_exchange` its bucket count, so one patch of this
+    bucket. ``io.read_parquet`` sets every read's block count with it
+    and :func:`bucket_exchange` its bucket count, so one patch of this
     function sets both.
 
     Measured against the earlier floor of 8 with perfbench at 1 CPU
@@ -88,6 +91,23 @@ def shuffle_partitions():
     MB. At 4 CPUs the flagship at z10 over 20k pages ran in 0.128 s at
     n=4 against 0.172 s at n=8. Sizing by the input (footer rows times a
     fan-out) is not done; it could only beat this above 1 CPU.
+
+    Two places then still ran more tasks: a one-bucket exchange ran a
+    range sort over two ranges, one always empty, and
+    ``state.checkpoint.read_output`` read its 16 files in Ray's default
+    8 blocks. Moving one bucket by ``repartition(1)`` and reading the
+    output through ``io.read_parquet``, same perfbench set-up, 1 CPU:
+
+    ========================  ============  ============  ============
+    workload, seed            two ranges    one task      ``cpu_s``
+    ========================  ============  ============  ============
+    ``tiles_resume``, 3001    0.658         0.544         0.96 -> 0.71
+    ``tiles_resume``, 3002    0.645         0.543         0.90 -> 0.68
+    ``tiles_resume``, 3003    0.714         0.552         0.99 -> 0.72
+    ========================  ============  ============  ============
+
+    Over 10 alternating pairs (seeds 3001-3010) ``tiles_resume`` read
+    0.682 -> 0.543 s (medians) and its ``peak_rss_mb`` rose 1.9%.
     """
     if ray.is_initialized():
         return int(ray.cluster_resources()["CPU"])
@@ -118,9 +138,13 @@ def bucket_exchange(ds, key, reduce_block, *, schema=None):
 
     A null key lands in one fixed bucket (an int null reads as 0). The
     bucket is computed from the key columns alone, appended to the block
-    without copying it, moved by ONE ``sort(bucket,
-    boundaries=1..n-1)`` and dropped again before ``reduce_block`` runs,
-    once per output block, via ``map_batches(batch_size=None)``.
+    without copying it, moved by ONE exchange and dropped again before
+    ``reduce_block`` runs, once per output block, via
+    ``map_batches(batch_size=None)``. At n >= 2 the exchange is
+    ``sort(bucket, boundaries=1..n-1)``, one range per bucket. At n = 1
+    it is ``repartition(1)``, one task that concatenates every block: a
+    range sort given no boundaries samples them, and a split repartition
+    cannot co-locate keys over two ranges or more.
     ``reduce_block`` takes that block as a ``pyarrow.Table`` and returns a
     ``pyarrow.Table``. A block holds every row of each of its keys and many
     keys, so ``reduce_block`` must reduce per key vectorized. Ray skips the
@@ -138,7 +162,8 @@ def bucket_exchange(ds, key, reduce_block, *, schema=None):
     Python once per group. Fixed boundaries make every range one bucket.
 
     Reduce tasks: one bucket per reduce task, one task per CPU
-    (:func:`shuffle_partitions`, which holds the measurements).
+    (:func:`shuffle_partitions`, which holds the measurements), and
+    exactly one for a single bucket.
 
     ``schema``, when given, is the reduce's output ``pyarrow.Schema``; it
     is cached on the returned Dataset so ``schema()`` and
@@ -172,11 +197,14 @@ def bucket_exchange(ds, key, reduce_block, *, schema=None):
         for d in (ds if isinstance(ds, list) else [ds])
     ]
     bucketed = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
-    # Ray samples boundaries when given none, so one bucket is the range
-    # below 1, beside an empty one
-    out = bucketed.sort(BUCKET, boundaries=list(range(1, max(n, 2)))).map_batches(
-        reduce, batch_format="pyarrow", batch_size=None
+    # a range sort samples its boundaries when given none, so one bucket
+    # is a split repartition: one task concatenates every block
+    moved = (
+        bucketed.repartition(1)
+        if n == 1
+        else bucketed.sort(BUCKET, boundaries=list(range(1, n)))
     )
+    out = moved.map_batches(reduce, batch_format="pyarrow", batch_size=None)
     if schema is not None:
         out._plan.cache_schema(schema)
     return out
@@ -184,8 +212,9 @@ def bucket_exchange(ds, key, reduce_block, *, schema=None):
 
 def collect(ds):
     """A driver-sized Dataset as one Arrow table (no columns if it has no
-    block). An empty exchange range comes back as a block without
-    columns, so the blocks' schemas are promoted, not assumed equal."""
+    block). An empty range of an exchange of two buckets or more comes
+    back as a block without columns, so the blocks' schemas are
+    promoted, not assumed equal."""
     blocks = list(ds.iter_batches(batch_format="pyarrow", batch_size=None))
     return pa.concat_tables(blocks, promote_options="default") if blocks else pa.table({})
 

@@ -1,5 +1,11 @@
 """Shared Parquet reader: one block per CPU.
 
+Every read of a testdata table (:func:`read_table`) and of the
+checkpoint's output (``state.checkpoint.read_output``: 16 partition
+files by default, which Ray's default split read in 8 blocks at 1 CPU)
+goes through :func:`read_parquet`. The CLI's reads do not: their block
+count sets the CLI's output file count.
+
 The driver's testdata tables are each ONE small parquet file; Ray's
 single-file default splits it into 2 x CPUs blocks, which at 32 CPUs
 makes 64 ~80-row blocks whose map tasks cost more to dispatch than to
@@ -41,11 +47,15 @@ def table_num_rows(sf_dir, name) -> int:
     return pq.read_metadata(f"{sf_dir}/{name}.parquet").num_rows
 
 
+def read_parquet(paths, **kwargs):
+    """``ray.data.read_parquet`` of ``paths`` in ``ctx.shuffle_partitions()``
+    blocks, one per CPU; ``kwargs`` go to Ray's reader."""
+    return ray.data.read_parquet(paths, override_num_blocks=ctx.shuffle_partitions(), **kwargs)
+
+
 def read_table(sf_dir, name, columns=None):
-    """``read_parquet`` of one testdata table in ``ctx.shuffle_partitions()``
-    blocks, one per CPU."""
-    return ray.data.read_parquet(
-        f"{sf_dir}/{name}.parquet",
-        columns=columns,
-        override_num_blocks=ctx.shuffle_partitions(),
-    ).map_batches(_strip_schema_metadata, batch_format="pyarrow")
+    """:func:`read_parquet` of one testdata table, its pandas schema
+    metadata dropped."""
+    return read_parquet(f"{sf_dir}/{name}.parquet", columns=columns).map_batches(
+        _strip_schema_metadata, batch_format="pyarrow"
+    )

@@ -15,7 +15,9 @@ Shuffle discipline (round-5 design; measurements in BASELINE.md):
   mix decorrelates the bucket from tile adjacency, so hot cities spread
   uniformly) and every tile's partials meet in one exchange block,
   which is assembled and colored in ONE vectorized call over its
-  distinct pixel counts. The exchange declares that reduce's output
+  distinct pixel counts. At 1 CPU the exchange is one bucket: one
+  ``repartition(1)`` task gathers every partial and one reduce task
+  assembles every tile. The exchange declares that reduce's output
   schema (taken from :func:`_assemble_bucket` over an empty partials
   table), so consuming the tiles with ``to_arrow_refs()`` or asking for
   their ``schema()`` never re-runs the plan.
@@ -189,7 +191,9 @@ def render_tiles_from(points_ds, z=DEFAULT_ZOOM, ops=None):
     mixed tile key (``ctx.bucket_exchange``, which documents the
     exchange and its reduce-task count) with :func:`_assemble_bucket` as
     the reduce. One reduce task holds one bucket, 1/``shuffle_partitions()``
-    of the tiles, one task per CPU: at 1 CPU one reduce holds every tile.
+    of the tiles, one task per CPU: at 1 CPU one ``repartition(1)`` task
+    moves every partial and one reduce holds every tile, with no empty
+    range beside it.
 
     The returned Dataset carries its output schema, taken from the
     reduce's own output over an empty partials table (one cheap local

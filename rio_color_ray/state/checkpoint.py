@@ -9,8 +9,8 @@ Partition count is a deployment knob: at cluster scale set K ≈ a few ×
 node count so a lost node forfeits only its in-flight cell ranges. A
 resumable run renders in one task per occupied ``part`` bucket,
 ``p % shuffle_partitions()``: at most one task per CPU (at 1 CPU one
-task renders every pending partition), fewer when fewer partitions are
-pending.
+``repartition(1)`` task moves every partial and one task renders every
+pending partition), fewer when fewer partitions are pending.
 
 A resumable flagship run is ONE keyed exchange on ``part``
 (``ctx.bucket_exchange``, whose modulo of an int key puts dense
@@ -30,9 +30,11 @@ partition writer and the same resume protocol (:func:`_resume`).
 The writer is Arrow-native: it filters, sorts and writes the exchange's
 Arrow block as is, with no pandas round trip, so no pandas schema
 metadata reaches the stored files or the blocks read back from them.
-:func:`read_output` reads those files without hive partitioning (the
-``part=<p>`` directories add no column), so its Dataset is a plain read
-whose schema Ray takes from the Parquet footers.
+:func:`read_output` reads those files through ``io.read_parquet``, in
+one block per CPU (one block at 1 CPU, for all 16 files), without hive
+partitioning (the ``part=<p>`` directories add no column), so its
+Dataset is a plain read whose schema Ray takes from the Parquet
+footers.
 """
 
 import functools
@@ -45,9 +47,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray.data
-
 from ..ctx import bucket_exchange
+from ..io import read_parquet
 from ..spatial import mercator_tile
 from .lineage import TMP_DIR, completed_partitions, now_ts, write_lineage_record
 
@@ -221,7 +222,8 @@ def resumable_flagship(
 
 
 def read_output(out_dir):
-    """Completed partitions as one Dataset (only lineage-backed parts)."""
+    """Completed partitions as one Dataset (only lineage-backed parts),
+    read in ``shuffle_partitions()`` blocks, one per CPU."""
     done = completed_partitions(out_dir)
     paths = [
         os.path.join(out_dir, f"part={p}", "data.parquet")
@@ -231,7 +233,7 @@ def read_output(out_dir):
     if not paths:
         raise FileNotFoundError(f"no completed partitions under {out_dir}")
     # no hive partitioning: the `part=<p>` dirs would add a `part` column
-    return ray.data.read_parquet(paths, partitioning=None)
+    return read_parquet(paths, partitioning=None)
 
 
 # --- resumable corpus curation ---------------------------------------------

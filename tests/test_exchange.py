@@ -388,7 +388,11 @@ def test_shuffle_partitions_without_ray_is_the_affinity_mask(monkeypatch):
     assert shuffle_partitions() == len(os.sched_getaffinity(0))
 
 
-@pytest.mark.parametrize("n", [None, 1, 3])
+# the session's CPUs, then ``ctx.shuffle_partitions`` patched to 1 and 3
+SHUFFLE_PARTITIONS = pytest.mark.parametrize("n", [None, 1, 3])
+
+
+@SHUFFLE_PARTITIONS
 def test_read_table_yields_shuffle_partitions_blocks(ray_session, monkeypatch, n):
     """``io.read_table`` sizes its read through ``ctx.shuffle_partitions``,
     so the one patch that sets the exchanges' bucket count sets it too."""
@@ -401,19 +405,95 @@ def test_read_table_yields_shuffle_partitions_blocks(ray_session, monkeypatch, n
     assert ds.count() == io.table_num_rows(SF_SMOKE, "documents")
 
 
+@SHUFFLE_PARTITIONS
+def test_read_output_yields_shuffle_partitions_blocks(ray_session, monkeypatch, tmp_path, n):
+    """``read_output`` reads its partition files through ``io``, so the
+    same patch sets its block count: at 1 CPU one block holds all 16."""
+    from rio_color_ray import ctx
+    from rio_color_ray.state.checkpoint import _partition_writer, read_output
+
+    if n is not None:
+        monkeypatch.setattr(ctx, "shuffle_partitions", lambda: n)
+    part = np.arange(160) % 16
+    write_group = _partition_writer(str(tmp_path), "test", "v", lambda p: (p, p))
+    write_group(pa.table({"v": pa.array(np.arange(160), pa.int64()), "part": part}))
+    ds = read_output(str(tmp_path)).materialize()
+    assert ds.num_blocks() == ctx.shuffle_partitions()
+    assert sorted(ds.to_pandas()["v"]) == list(range(160))
+
+
+def _double_v():
+    """A reduce appending ``v2 = 2 * v``; built in a function, so workers
+    get it by value."""
+
+    def double_v(block: pa.Table) -> pa.Table:
+        # Ray skips the reduce for an empty range; no reduce needs an empty branch
+        assert block.num_rows > 0
+        return block.append_column("v2", pc.multiply(block.column("v"), 2))
+
+    return double_v
+
+
+_DOUBLED = pa.schema([("b", pa.int64()), ("v", pa.int64()), ("v2", pa.int64())])
+
+
+def test_one_bucket_exchange_is_one_block_of_its_schema(ray_session, monkeypatch):
+    """At 1 CPU the exchange runs one reduce task and makes one block,
+    with no empty range beside it."""
+    import ray
+    import ray.data
+
+    from rio_color_ray import ctx
+
+    monkeypatch.setattr(ctx, "shuffle_partitions", lambda: 1)
+    df = pd.DataFrame({"b": np.arange(100) % 8, "v": np.arange(100)})
+    ds = ray.data.from_pandas([df.iloc[:50], df.iloc[50:]])
+    out = ctx.bucket_exchange(ds, "b", _double_v(), schema=_DOUBLED).materialize()
+    assert out.num_blocks() == 1
+    (block,) = ray.get(out.to_arrow_refs())
+    assert block.schema == _DOUBLED
+    assert block.num_rows == 100
+
+
+def test_keyless_topk_is_one_block(ray_session):
+    """A global top-k has one bucket at any CPU count: one block out."""
+    import ray.data
+
+    from rio_color_ray.stages.agg import keyed_topk
+
+    ds = ray.data.from_pandas(pd.DataFrame({"v": np.arange(200)})).repartition(5)
+    out = keyed_topk(ds, [], [("v", "descending")], 3).materialize()
+    assert out.num_blocks() == 1
+    assert out.to_pandas()["v"].tolist() == [199, 198, 197]
+
+
+def test_one_bucket_exchange_of_no_rows_is_usable(ray_session, monkeypatch):
+    """``repartition(1)`` of no rows still counts, and names the declared
+    schema."""
+    import ray.data
+
+    from rio_color_ray import ctx
+
+    monkeypatch.setattr(ctx, "shuffle_partitions", lambda: 1)
+    df = pd.DataFrame({"b": np.arange(10), "v": np.arange(10)})
+    none = ray.data.from_pandas(df).filter(expr="v < 0")
+    declared = ctx.bucket_exchange(none, "b", _double_v(), schema=_DOUBLED)
+    assert declared.count() == 0
+    assert declared.schema().base_schema == _DOUBLED
+    undeclared = ctx.bucket_exchange(none, "b", _double_v())
+    assert undeclared.count() == 0
+    assert undeclared.schema() is None  # no reduce ran to give one
+    assert _arrow(undeclared).num_rows == 0
+
+
 def test_empty_ranges_leave_a_usable_dataset(ray_session):
     import ray.data
 
     from rio_color_ray.ctx import bucket_exchange
 
-    def per_block(block: pa.Table) -> pa.Table:
-        # Ray skips the reduce for an empty range; no reduce needs an empty branch
-        assert block.num_rows > 0
-        return block.append_column("v2", pc.multiply(block.column("v"), 2))
-
     df = pd.DataFrame({"b": np.full(50, 5, np.int64), "v": np.arange(50, dtype=np.int64)})
     # one key, so one occupied bucket: every other reduce range is empty
-    out = bucket_exchange(ray.data.from_pandas(df), "b", per_block)
+    out = bucket_exchange(ray.data.from_pandas(df), "b", _double_v())
     got = out.to_pandas().sort_values("v").reset_index(drop=True)
     pd.testing.assert_frame_equal(got, df.assign(v2=df["v"] * 2))
     assert out.schema().names == ["b", "v", "v2"]
