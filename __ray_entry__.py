@@ -20,9 +20,9 @@ def entry() -> Any:
     """Flagship pipeline on sf0.001: pages -> geocode -> cellify -> PIP
     join -> tile render -> rio-color correction. Returns the corrected
     tiles Dataset (driver checks rows >= 0 / stable schema)."""
-    from rio_color_ray.pipelines.tiles import color_tiles
+    from rio_color_ray.pipelines.flagship import flagship
 
-    return color_tiles(SF_SMOKE)
+    return flagship(SF_SMOKE)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

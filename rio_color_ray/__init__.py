@@ -21,21 +21,3 @@ state      -- lineage records, checkpointed writes, resume
 """
 
 __version__ = "0.1.0"
-
-# Every exchange in this engine wants hash partitioning (key colocation,
-# no ordering); applied at import so the driver's own `ray.init` +
-# `queries()` calls get the tuned executor too. Measurements: ctx.py.
-try:  # pragma: no cover - trivial guard
-    from .ctx import tune_data_context
-
-    tune_data_context()
-except Exception as _e:  # noqa: BLE001 — a DataContext rename / kwarg change
-    # must degrade to Ray's defaults with a warning, never abort import
-    import warnings
-
-    warnings.warn(
-        f"rio_color_ray: DataContext tuning failed ({_e!r}); running with "
-        "Ray's default shuffle strategy — see rio_color_ray/ctx.py",
-        RuntimeWarning,
-        stacklevel=2,
-    )

@@ -1,21 +1,4 @@
-"""Ray Data execution-context tuning and the engine's keyed exchange.
-
-Shuffle strategy — measured on this sandbox (32-CPU local node, sf0.1
-corpus, warm workers; see BASELINE.md "shuffle strategy" table):
-
-* sort-shuffle (pull-based, Ray's default): task-based exchange that
-  reuses warm worker processes. Tile groupby 3.3s, aggregates 1.6-2.7s,
-  per-execution overhead of a full pipeline ~2s.
-* hash-shuffle: spawns a fresh pool of aggregator ACTORS per dataset
-  execution (library import + process start before the first block
-  moves), adding ~2s per exchange per run; aggregates 4.3-5.2s. It also
-  deadlocks small nodes unless the per-partition CPU reservation is cut
-  to a fraction (aggregators at 1 CPU each can hold every core while
-  upstream map tasks starve).
-
-With stateful stages running task-pool (stages/statecache.py) and the
-tile assembly vectorized over Arrow, sort-shuffle wins every exchange in
-this engine at every scale we can measure here, so we pin it explicitly.
+"""The engine's keyed exchange and its task count.
 
 Every keyed reduce the engine defines goes through :func:`bucket_exchange`,
 which alone decides each key's bucket: sums, mins and maxes as
@@ -33,6 +16,10 @@ checkpoint's output) and every exchange runs one task per CPU of the
 session, with no floor (:func:`shuffle_partitions`). At 1 CPU, and
 for every keyless exchange, the exchange is one bucket moved by one
 ``repartition(1)`` task, with no empty range beside it.
+
+The engine sets no ``DataContext`` field: the range sort runs under
+Ray's default shuffle strategy (the pull-based sort shuffle in Ray
+2.49), and no exchange here runs Ray's hash shuffle.
 """
 
 import functools
@@ -41,24 +28,11 @@ import os
 import numpy as np
 import pyarrow as pa
 import ray
-from ray.data.context import DataContext, ShuffleStrategy
 
 from .stages.sampling import combine64, hash64
 
 # the exchange's own column: the key's bucket, never seen by a reduce
 BUCKET = "__bucket"
-
-
-def tune_data_context():
-    """Idempotent: pin the measured-fastest exchange configuration."""
-    ctx = DataContext.get_current()
-    ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
-    # Dataset.join runs Ray's hash-shuffle join (aggregator actors) under
-    # any strategy — the reference join of tests/test_relational.py::
-    # test_bucketed_join_matches_builtin. With the pool uncapped a q3
-    # join through it stalled on a 4-CPU node.
-    ctx.max_hash_shuffle_aggregators = 8
-    return ctx
 
 
 def shuffle_partitions():

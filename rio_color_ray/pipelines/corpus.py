@@ -19,6 +19,7 @@ from ..stages.dedup import (
     MinHashStage,
     candidate_pairs_from_bands,
     exact_dedup,
+    shingle_hash_arrays,
     simhash_batch,
 )
 from ..stages.sampling import hash64
@@ -26,7 +27,9 @@ from ..stages.statecache import make_stage_fn
 from ..stages.text import (
     LangIdStage,
     fingerprint_batch,
+    k_smallest_distinct,
     quality_batch,
+    segment_distinct,
     token_count_batch,
 )
 from .geo import pages
@@ -287,9 +290,6 @@ def _verify_pairs_jaccard(cand_ds, docs_ds, threshold):
     already relies on. Returns a Dataset[url_a, url_b] (never
     driver-collected).
     """
-    from ..stages.dedup import shingle_hash_arrays
-    from ..stages.text import segment_distinct
-
     grams_t = pa.list_(pa.int64())
 
     def doc_gram_rows(batch: pa.Table) -> pa.Table:
@@ -416,49 +416,34 @@ def near_dup_pairs_minhash(sf_dir, replicate=2, threshold=0.8):
 K_MIN_SHINGLES = 5
 
 
+def min_shingles(batch: pa.Table) -> pa.Table:
+    """(id, band=0, band_hash) rows: each doc's ``K_MIN_SHINGLES``
+    smallest DISTINCT shingle hashes as candidate keys; no per-document
+    loop."""
+    urls = batch.column("url").to_numpy(zero_copy_only=False)
+    grams, gcounts = shingle_hash_arrays(batch.column("text"))
+    seg = np.repeat(np.arange(len(gcounts)), gcounts)
+    keys, kseg = k_smallest_distinct(grams, seg, K_MIN_SHINGLES)
+    return pa.table(
+        {
+            "id": pa.array(urls[kseg]),
+            "band": pa.array(np.zeros(len(keys), dtype=np.int64)),
+            "band_hash": pa.array((keys % np.uint64(1 << 63)).astype(np.int64), pa.int64()),
+        }
+    )
+
+
 def near_dup_pairs_jaccard(sf_dir, replicate=2, threshold=0.8):
     """n-gram Jaccard near-dup pairs via min-shingle candidate keys.
 
     Stateless variant of the MinHash path: each doc emits its
-    ``K_MIN_SHINGLES`` smallest word-3-gram hashes as candidate keys; any
-    two docs sharing a key become a candidate pair (for J >= 0.8 pairs
-    the smallest shingle of the union is shared with high probability),
-    then the same distributed exact-Jaccard verification runs. Shuffle
-    key = shingle hash.
+    ``K_MIN_SHINGLES`` smallest word-3-gram hashes as candidate keys
+    (:func:`min_shingles`); any two docs sharing a key become a
+    candidate pair (for J >= 0.8 pairs the smallest shingle of the union
+    is shared with high probability), then the same distributed
+    exact-Jaccard verification runs. Shuffle key = shingle hash.
     """
-    from ..stages.dedup import shingle_hash_arrays
-
     ds = pages(sf_dir, replicate=replicate).select_columns(["url", "text"])
-
-    def min_shingles(batch: pa.Table) -> pa.Table:
-        """Each doc's K smallest DISTINCT shingle hashes as candidate keys
-        — one lexsort over (doc, gram), a first-occurrence mask, and a
-        per-segment rank; no per-document loop."""
-        urls = batch.column("url").to_numpy(zero_copy_only=False)
-        grams, gcounts = shingle_hash_arrays(batch.column("text"))
-        seg = np.repeat(np.arange(len(gcounts)), gcounts)
-        order = np.lexsort((grams, seg))
-        gs, ss = grams[order], seg[order]
-        first = np.ones(len(gs), dtype=bool)
-        first[1:] = (gs[1:] != gs[:-1]) | (ss[1:] != ss[:-1])
-        ds_g, ds_seg = gs[first], ss[first]
-        # rank of each distinct gram within its doc (docs sorted ascending)
-        pos = np.arange(len(ds_seg))
-        is_start = np.ones(len(ds_seg), dtype=bool)
-        is_start[1:] = ds_seg[1:] != ds_seg[:-1]
-        run_lens = np.diff(np.append(np.flatnonzero(is_start), len(ds_seg)))
-        rank = pos - np.repeat(pos[is_start], run_lens)
-        keep = rank < K_MIN_SHINGLES
-        return pa.table(
-            {
-                "id": pa.array(urls[ds_seg[keep]]),
-                "band": pa.array(np.zeros(int(keep.sum()), dtype=np.int64)),
-                "band_hash": pa.array(
-                    (ds_g[keep] % np.uint64(1 << 63)).astype(np.int64), pa.int64()
-                ),
-            }
-        )
-
     keys_ds = ds.map_batches(min_shingles, batch_format="pyarrow")
     cand = candidate_pairs_from_bands(keys_ds, dedup=False)
     return _verify_pairs_jaccard(cand, ds, threshold)

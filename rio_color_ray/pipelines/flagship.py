@@ -10,7 +10,8 @@ all-to-all exchange is the sort over pre-summed (tile_key, pix)
 partials. The PIP join's STRtree is built once per worker process and
 the join runs fused into the map chain (stages/statecache.py). Used by
 ``__ray_entry__.entry()`` (sf0.001) and ``bench.py`` (sf0.1 with
-replication).
+replication). No tile depends on the join's admin ids yet, so the tiles
+and their schema are ``pipelines.tiles.color_tiles``'.
 """
 
 from ..sources.polygons import make_admin_polygons

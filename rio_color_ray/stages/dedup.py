@@ -62,57 +62,30 @@ _BAND_P = np.uint64(1099511628211)  # FNV-style band fold multiplier
 MAX_BUCKET_PAIRS_IDS = 1024
 
 
-def shingle_hash_arrays(texts, n=3):
+def shingle_hash_arrays(texts):
     """Vectorized word-3-gram shingle hashes for a batch of documents.
 
     Returns ``(grams, gcounts)``: a flat uint64 array of rolling 3-gram
     hashes (g = h0*P1 + h1*P2 + h2 mod 2^64 over polynomial token hashes
     — the fingerprint scheme, SQL-expressible) and the per-doc gram
-    count. Docs with < 3 tokens contribute ONE gram with ``_FP_H0``
-    padding in the missing positions. No per-document Python loop:
-    tokenize + token hashing run straight off the Arrow UTF-8 buffers
-    (text.tokenize_hash_arrays — ``texts`` may be an Arrow string array
-    or a Python list); grams assemble with shifted-array arithmetic.
+    count. A doc with < 3 tokens is end-padded with ``_FP_H0`` token
+    hashes (the hash of an empty token) up to 3 and contributes ONE
+    gram. No per-document Python loop: tokenize + token hashing run
+    straight off the Arrow UTF-8 buffers (text.tokenize_hash_arrays —
+    ``texts`` may be an Arrow string array or a Python list); the
+    grams are text.rolling_grams over the padded hashes.
     """
-    from .text import _FP_H0, _FP_P1, _FP_P2, tokenize_hash_arrays
+    from .text import _FP_H0, rolling_grams, tokenize_hash_arrays
 
-    if n != 3:
-        raise ValueError("only 3-gram shingles are implemented")
     h, tcounts = tokenize_hash_arrays(texts)
-
-    g = np.zeros_like(h)
-    if len(h) >= 3:
-        g[:-2] = h[:-2] * _FP_P1 + h[1:-1] * _FP_P2 + h[2:]
-    seg = np.repeat(np.arange(len(tcounts)), tcounts)
-    full = np.zeros(len(h), dtype=bool)  # gram lies wholly inside one doc
-    if len(h) >= 3:
-        full[:-2] = seg[:-2] == seg[2:]
-
-    gcounts = np.where(tcounts >= 3, tcounts - 2, 1)
-    out = np.empty(int(gcounts.sum()), dtype=np.uint64)
-    out_starts = np.cumsum(gcounts) - gcounts
-    starts = np.cumsum(tcounts) - tcounts
-
-    long = tcounts >= 3
-    if long.any():
-        nlong = gcounts[long]
-        base = np.repeat(out_starts[long], nlong)
-        intra = np.arange(int(nlong.sum())) - np.repeat(
-            np.cumsum(nlong) - nlong, nlong
-        )
-        out[base + intra] = g[full]
-    short = ~long
-    if short.any():
-        # end-padded gram: [t0, t1, NUL][:3] with NUL hashing to _FP_H0
-        s = starts[short]
-        c = tcounts[short]
-        if len(h):
-            h0 = np.where(c >= 1, h[np.minimum(s, len(h) - 1)], _FP_H0)
-            h1 = np.where(c >= 2, h[np.minimum(s + 1, len(h) - 1)], _FP_H0)
-        else:  # batch with no tokens at all
-            h0 = h1 = np.full(len(s), _FP_H0, dtype=np.uint64)
-        out[out_starts[short]] = h0 * _FP_P1 + h1 * _FP_P2 + _FP_H0
-    return out, gcounts
+    pad = np.maximum(3 - tcounts, 0)
+    if pad.any():
+        padded = np.full(len(h) + int(pad.sum()), _FP_H0, dtype=np.uint64)
+        padded[np.arange(len(h)) + np.repeat(np.cumsum(pad) - pad, tcounts)] = h
+        h = padded
+    tcounts = tcounts + pad
+    g, inside = rolling_grams(h, np.repeat(np.arange(len(tcounts)), tcounts))
+    return g[inside], tcounts - 2
 
 
 def minhash_coefficients():
@@ -126,17 +99,18 @@ def minhash_coefficients():
 class MinHashStage:
     """Batch-vectorized MinHash banding: (id, band, band_hash) rows.
 
+    The shingles are word 3-grams (:func:`shingle_hash_arrays`), the
+    set :func:`minhash_bands_sql` hashes too; no other size is offered.
     Coefficients are generated once per stage instance (seeded, shared
-    with :func:`minhash_sql_bands`); the whole batch is processed as one
+    with :func:`minhash_bands_sql`); the whole batch is processed as one
     (total_grams x N_HASHES) universal hash + per-doc minimum.reduceat —
     no per-document loop (measured ~8x over the per-doc variant).
     """
 
-    def __init__(self, id_col="doc_id", text_col="text", shingle_n=3):
+    def __init__(self, id_col="doc_id", text_col="text"):
         self.a, self.b = minhash_coefficients()
         self.id_col = id_col
         self.text_col = text_col
-        self.n = shingle_n
 
     def signatures(self, texts, chunk=4096):
         """(docs, N_HASHES) uint64 signature matrix, batch-vectorized.
@@ -146,7 +120,7 @@ class MinHashStage:
         whole batch is memory-bound: measured ~4x slower at 100k grams);
         per-doc minima are merged across chunk boundaries.
         """
-        grams, gcounts = shingle_hash_arrays(texts, self.n)
+        grams, gcounts = shingle_hash_arrays(texts)
         ndocs = len(gcounts)
         starts = np.cumsum(gcounts) - gcounts
         doc_of = np.repeat(np.arange(ndocs), gcounts)

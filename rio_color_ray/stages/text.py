@@ -11,6 +11,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .agg import run_position
+
 _TOKEN_RE = r"\S+"
 _ALPHA_RE = r"[A-Za-z]"
 # BPE-ish pre-tokenizer segmentation (letter runs / digit runs /
@@ -338,46 +340,23 @@ def tokenize_hash_arrays(texts):
 
 
 def fingerprint_batch(batch: pa.Table) -> pa.Table:
-    """Rolling-hash document fingerprint (min 3-gram token hash).
+    """Rolling-hash document fingerprint: each document's minimum gram
+    under the fingerprint scheme (:func:`doc_gram_arrays`), 0 for an
+    empty document.
 
-    Tokens are exploded once, hashed vectorized (polynomial codepoint
-    hash — deterministic across processes AND expressible in SQL, see
-    :func:`fingerprint_sql`), combined into rolling 3-gram hashes, and
-    segment-reduced with np.minimum.reduceat — no per-row Python.
+    The min 3-gram hash, or the min token hash for a 1-2-token document;
+    token hashes are the polynomial codepoint hash, deterministic across
+    processes AND expressible in SQL (:func:`fingerprint_sql`). One
+    np.minimum.reduceat over the flat grams, no per-row Python.
     """
-    h, counts = tokenize_hash_arrays(batch.column("text"))
-    doc_id = batch.column("doc_id")
-
-    if not len(h):
-        return pa.table(
-            {
-                "doc_id": doc_id,
-                "fingerprint": pa.array([0] * batch.num_rows, pa.int64()),
-            }
-        )
-    # rolling 3-gram hash g[i] = h[i]*P1 + h[i+1]*P2 + h[i+2], valid only
-    # where the whole gram lies inside one document (no cross-doc bleed —
-    # fingerprints must not depend on batch composition). Docs with < 3
-    # tokens fall back to the min token hash.
-    g = np.zeros_like(h)
-    if len(h) >= 3:
-        g[:-2] = h[:-2] * _FP_P1 + h[1:-1] * _FP_P2 + h[2:]
-    seg = np.repeat(np.arange(len(counts)), counts)
-    valid3 = np.zeros(len(h), dtype=bool)
-    if len(h) >= 3:
-        valid3[:-2] = seg[:-2] == seg[2:]
-    UMAX = np.uint64(0xFFFFFFFFFFFFFFFF)
-    gm = np.where(valid3, g, UMAX)
-    starts = np.cumsum(counts) - counts
-    fp = np.zeros(len(counts), dtype=np.uint64)
-    valid = counts > 0
-    if valid.any():
-        min3 = np.minimum.reduceat(gm, starts[valid])
-        min1 = np.minimum.reduceat(h, starts[valid])
-        fp[valid] = np.where(min3 != UMAX, min3, min1)
+    g, seg = doc_gram_arrays(batch.column("text"))
+    fp = np.zeros(batch.num_rows, dtype=np.uint64)
+    if len(g):
+        starts = np.flatnonzero(np.append(True, seg[1:] != seg[:-1]))
+        fp[seg[starts]] = np.minimum.reduceat(g, starts)
     return pa.table(
         {
-            "doc_id": doc_id,
+            "doc_id": batch.column("doc_id"),
             "fingerprint": pa.array(
                 (fp % np.uint64(2**63)).astype(np.int64), pa.int64()
             ),
@@ -421,34 +400,19 @@ def fingerprint_keys_batch(batch: pa.Table, k: int = 2) -> pa.Table:
 
     Same fallbacks as the single-fingerprint path: docs with < 3 tokens
     use their k smallest distinct token hashes; empty docs emit key 0.
-    One exploded lexsort + first-occurrence mask + per-segment rank —
-    no per-document loop (the fingerprint_batch / min_shingles pattern).
     """
     doc_ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-
     vals, segs = doc_gram_arrays(batch.column("text"))
     # empty docs (no grams at all) emit key 0
-    has = np.zeros(batch.num_rows, dtype=bool)
-    has[segs] = True
-    out_doc = [np.asarray(doc_ids[~has], dtype=np.int64)]
-    out_key = [np.zeros(int((~has).sum()), dtype=np.uint64)]
-    if len(vals):
-        dv, dseg = segment_distinct(vals, segs)
-        pos = np.arange(len(dseg))
-        is_start = np.ones(len(dseg), dtype=bool)
-        is_start[1:] = dseg[1:] != dseg[:-1]
-        run_lens = np.diff(np.append(np.flatnonzero(is_start), len(dseg)))
-        rank = pos - np.repeat(pos[is_start], run_lens)
-        keep = rank < k
-        out_doc.append(doc_ids[dseg[keep]].astype(np.int64))
-        out_key.append(dv[keep])
+    empty = np.ones(batch.num_rows, dtype=bool)
+    empty[segs] = False
+    keys, kseg = k_smallest_distinct(vals, segs, k)
+    doc = np.concatenate([doc_ids[empty], doc_ids[kseg]]).astype(np.int64)
+    key = np.append(np.zeros(int(empty.sum()), np.uint64), keys)
     return pa.table(
         {
-            "doc_id": pa.array(np.concatenate(out_doc), pa.int64()),
-            "key": pa.array(
-                (np.concatenate(out_key) % np.uint64(2**63)).astype(np.int64),
-                pa.int64(),
-            ),
+            "doc_id": pa.array(doc, pa.int64()),
+            "key": pa.array((key % np.uint64(2**63)).astype(np.int64), pa.int64()),
         }
     )
 
@@ -467,12 +431,44 @@ def segment_distinct(vals, segs):
     return vs[first], ss[first]
 
 
+def k_smallest_distinct(vals, segs, k):
+    """Each segment's ``k`` smallest distinct values, as
+    ``(values, their_segs)`` sorted by (segment, value): the candidate
+    keys of :func:`fingerprint_keys_batch` and the min-shingle near-dup
+    path (``pipelines.corpus.min_shingles``)."""
+    dv, dseg = segment_distinct(vals, segs)
+    start = np.ones(len(dseg), dtype=bool)
+    start[1:] = dseg[1:] != dseg[:-1]
+    keep = run_position(start) < k
+    return dv[keep], dseg[keep]
+
+
+def rolling_grams(h, seg):
+    """The one rolling 3-gram kernel over flat token hashes ``h`` whose
+    document index is ``seg``.
+
+    Returns ``(g, inside)``, position-aligned with ``h``:
+    ``g[i] = h[i]*P1 + h[i+1]*P2 + h[i+2]`` (mod 2^64) and whether that
+    gram lies inside one document, so no gram bleeds across documents
+    and none depends on the batch's composition. ``g[inside]`` lists
+    each document's grams in order; the last two positions are never
+    inside.
+    """
+    g = np.zeros_like(h)
+    inside = np.zeros(len(h), dtype=bool)
+    if len(h) >= 3:
+        g[:-2] = h[:-2] * _FP_P1 + h[1:-1] * _FP_P2 + h[2:]
+        inside[:-2] = seg[:-2] == seg[2:]
+    return g, inside
+
+
 def doc_gram_arrays(texts):
     """Flat per-doc gram hashes under the fingerprint scheme.
 
-    Rolling 3-gram hashes for docs with >= 3 tokens, the token hashes
-    themselves for 1-2-token docs, nothing for empty docs — exactly the
-    value set :func:`fingerprint_keys_batch` ranks, shared by the
+    The rolling 3-grams (:func:`rolling_grams`) for docs with >= 3
+    tokens, the token hashes themselves for 1-2-token docs, nothing for
+    empty docs: the value set :func:`fingerprint_batch` takes the
+    minimum of and :func:`fingerprint_keys_batch` ranks, shared by the
     decontamination and repetition-signal operators so their SQL twins
     reuse the same CASE. Returns ``(grams, segs)``: a flat uint64 array
     and the doc index of each gram.
@@ -483,17 +479,11 @@ def doc_gram_arrays(texts):
 def grams_from_token_hashes(h, counts):
     """:func:`doc_gram_arrays` from precomputed ``(hashes, counts)`` —
     for callers that already paid the tokenize pass."""
-    if not len(h):
-        return np.empty(0, np.uint64), np.empty(0, np.int64)
     seg = np.repeat(np.arange(len(counts)), counts)
-    g = np.zeros_like(h)
-    valid3 = np.zeros(len(h), dtype=bool)
-    if len(h) >= 3:
-        g[:-2] = h[:-2] * _FP_P1 + h[1:-1] * _FP_P2 + h[2:]
-        valid3[:-2] = seg[:-2] == seg[2:]
-    use_tokens = (counts > 0) & (counts < 3)
-    elem_mask = valid3 | use_tokens[seg]
-    return np.where(use_tokens[seg], h, g)[elem_mask], seg[elem_mask]
+    g, inside = rolling_grams(h, seg)
+    short = (counts < 3)[seg]
+    keep = inside | short
+    return np.where(short, h, g)[keep], seg[keep]
 
 
 def repetition_signals_batch(batch: pa.Table) -> pa.Table:

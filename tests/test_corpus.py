@@ -499,7 +499,7 @@ def test_hamming_matrix_matches_scalar(ray_session):
 
 
 def test_shingle_hash_arrays_matches_naive(ray_session):
-    """The exploded+scattered gram construction must equal the per-doc
+    """The padded rolling-kernel gram construction must equal the per-doc
     definition (rolling fold with end padding) for every length class."""
     from rio_color_ray.stages.dedup import shingle_hash_arrays
     from rio_color_ray.stages.text import _FP_H0, _FP_P1, _FP_P2, token_hashes
@@ -518,6 +518,79 @@ def test_shingle_hash_arrays_matches_naive(ray_session):
         ]
         got = grams[starts[i] : starts[i] + gcounts[i]].tolist()
         assert got == [int(e) for e in exp], t
+
+
+# the edge cases the testdata lacks: empty, whitespace-only, 1 and 2
+# tokens, non-ASCII, repeated tokens and repeated grams
+EDGE_TEXTS = [
+    "", "  \t\n ", "one", "two tokens", "wörld naïve café 日本語 \U0001f389",
+    "a a a a b a a a a", "x y x y x y x", "the quick brown fox jumps over the lazy dog",
+]
+
+
+def _naive_grams(text, pad):
+    """One document's token hashes folded into its rolling 3-grams, per
+    document in Python ints; ``pad`` end-pads a short document with
+    ``_FP_H0`` to one gram (the shingle scheme), otherwise a 1-2-token
+    document keeps its token hashes (the fingerprint scheme)."""
+    import re
+
+    from rio_color_ray.stages.text import _FP_H0, _FP_P1, _FP_P2, token_hashes
+
+    toks = re.findall(r"[^\t\n\f\r ]+", text)
+    hs = [int(h) for h in token_hashes(toks)] if toks else []
+    if pad:
+        hs += [int(_FP_H0)] * max(0, 3 - len(hs))
+    elif len(hs) < 3:
+        return hs
+    return [
+        (hs[j] * int(_FP_P1) + hs[j + 1] * int(_FP_P2) + hs[j + 2]) % 2**64
+        for j in range(len(hs) - 2)
+    ]
+
+
+def _edge_batches(id_col):
+    """The edge texts as one batch and each alone."""
+    t = pa.table({id_col: pa.array(range(len(EDGE_TEXTS)), pa.int64()), "text": EDGE_TEXTS})
+    return [t] + [t.slice(i, 1) for i in range(t.num_rows)]
+
+
+def test_fingerprint_batch_matches_naive():
+    from rio_color_ray.stages.text import fingerprint_batch
+
+    for batch in _edge_batches("doc_id"):
+        want = [
+            min(_naive_grams(t, pad=False), default=0) % 2**63
+            for t in batch.column("text").to_pylist()
+        ]
+        assert fingerprint_batch(batch).column("fingerprint").to_pylist() == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_fingerprint_keys_batch_matches_naive(k):
+    from rio_color_ray.stages.text import fingerprint_keys_batch
+
+    for batch in _edge_batches("doc_id"):
+        want = sorted(
+            (d, key % 2**63)
+            for d, t in zip(batch.column("doc_id").to_pylist(), batch.column("text").to_pylist())
+            for key in (sorted(set(_naive_grams(t, pad=False)))[:k] or [0])
+        )
+        got = fingerprint_keys_batch(batch, k=k)
+        assert sorted(zip(got.column("doc_id").to_pylist(), got.column("key").to_pylist())) == want
+
+
+def test_min_shingle_keys_match_naive():
+    from rio_color_ray.pipelines.corpus import K_MIN_SHINGLES, min_shingles
+
+    for batch in _edge_batches("url"):
+        want = sorted(
+            (u, 0, key % 2**63)
+            for u, t in zip(batch.column("url").to_pylist(), batch.column("text").to_pylist())
+            for key in sorted(set(_naive_grams(t, pad=True)))[:K_MIN_SHINGLES]
+        )
+        got = min_shingles(batch)
+        assert sorted(zip(*(got.column(c).to_pylist() for c in ("id", "band", "band_hash")))) == want
 
 
 def test_tokenize_hash_arrays_mixed_ascii_routing(ray_session):

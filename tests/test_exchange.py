@@ -388,6 +388,29 @@ def test_shuffle_partitions_without_ray_is_the_affinity_mask(monkeypatch):
     assert shuffle_partitions() == len(os.sched_getaffinity(0))
 
 
+_IMPORT_THE_ENGINE = """
+from ray.data import DataContext
+import rio_color_ray.registry
+for ctx in (DataContext.get_current(), DataContext()):
+    print(ctx.shuffle_strategy, ctx.max_hash_shuffle_aggregators)
+"""
+
+
+def test_importing_the_engine_sets_no_data_context_field():
+    """A fresh process that imports the engine keeps a fresh
+    ``DataContext``'s shuffle strategy and hash-shuffle aggregator cap."""
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_THE_ENGINE],
+        cwd=repo, env=dict(os.environ, PYTHONPATH=repo),
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.splitlines()
+    assert len(out) == 2 and out[0] == out[1], out
+
+
 # the session's CPUs, then ``ctx.shuffle_partitions`` patched to 1 and 3
 SHUFFLE_PARTITIONS = pytest.mark.parametrize("n", [None, 1, 3])
 

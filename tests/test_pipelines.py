@@ -155,6 +155,24 @@ def test_color_tiles_match_single_process_oracle(ray_session):
         assert np.array_equal(got, expect), r["tile_id"]
 
 
+def test_entry_is_the_flagship_with_its_pip_join(ray_session):
+    """``__ray_entry__.entry()`` runs the flagship: the PIP join stage is
+    in its plan, and its declared schema and tiles are ``color_tiles``'
+    (no tile depends on the join yet)."""
+    import __ray_entry__
+    from rio_color_ray.pipelines.tiles import color_tiles
+
+    ds, ref = __ray_entry__.entry(), color_tiles(__ray_entry__.SF_SMOKE)
+    assert ds.schema(fetch_if_missing=False).base_schema.equals(
+        ref.schema(fetch_if_missing=False).base_schema, check_metadata=True
+    )
+    ds = ds.materialize()
+    assert "PIPJoinStageFn" in ds.stats()
+    got, want = (d.to_pandas().sort_values("tile_id").reset_index(drop=True) for d in (ds, ref))
+    assert len(got) > 0
+    pd.testing.assert_frame_equal(got, want)
+
+
 def test_render_tiles_deterministic(ray_session):
     from rio_color_ray.pipelines.tiles import render_tiles
 

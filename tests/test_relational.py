@@ -136,9 +136,15 @@ def test_bucketed_join_pandas_backed_strings(ray_session):
     assert list(out["big"]) == list(exp["big"])
 
 
-def test_bucketed_join_matches_builtin(ray_session):
+def test_bucketed_join_matches_builtin(ray_session, monkeypatch):
     """Our explicit bucketed hash join == Ray's Dataset.join, row for row."""
     import ray.data
+    from ray.data import DataContext
+
+    # Dataset.join runs Ray's hash-shuffle join (aggregator actors), the
+    # one hash shuffle here; with its pool uncapped this join stalled on a
+    # 4-CPU node
+    monkeypatch.setattr(DataContext.get_current(), "max_hash_shuffle_aggregators", 8)
 
     from rio_color_ray.io import read_table
     from rio_color_ray.stages.join import bucketed_hash_join

@@ -31,6 +31,13 @@ candidates with one kernel, ``stages.knn.local_topk``, which keeps
 k-th-place ties for ``keyed_topk`` to break; so no other code may call
 ``np.partition`` or ``argpartition``.
 
+The text stages build their word 3-grams with one kernel,
+``stages.text.rolling_grams``, and rank each document's k smallest
+distinct grams with ``stages.text.k_smallest_distinct`` over
+``stages.agg.run_position``; so no other code may multiply by the gram
+multiplier ``_FP_P1``, and no code may rank rows in their run with
+``pos - np.repeat(pos[...], ...)``.
+
 Windows (a lag, a running sum or max, a gap rule per key) run as
 ``stages.agg.keyed_scan``: numpy over an Arrow block sorted by the key
 and its run-start mask. So no pandas ``groupby(...)`` may hand-write
@@ -209,6 +216,66 @@ def test_one_per_batch_topk_kernel():
         {path.relative_to(PKG).as_posix(): tree for path, tree in _modules().items()}
     )
     assert not bad, "per-batch top-k outside stages.knn.local_topk:\n" + "\n".join(bad)
+    assert in_kernel == 1
+
+
+# the one rolling 3-gram kernel: (module, function)
+GRAM_KERNEL = ("stages/text.py", "rolling_grams")
+
+# a second gram kernel and a hand-written run rank, which the scan must flag
+GRAM_SNIPPET = """
+def keys(h, start):
+    g = h[:-2] * _FP_P1 + h[1:-1] * _FP_P2 + h[2:]
+    pos = np.arange(len(start))
+    return g, pos - np.repeat(pos[start], np.diff(np.flatnonzero(start)))
+"""
+
+
+def _text_kernel_copies(modules):
+    """Every multiplication by ``_FP_P1`` outside the gram kernel and
+    every ``x - np.repeat(x[...], ...)`` run rank, as "module:line what";
+    and how many multiplications the kernel makes."""
+    sites, in_kernel = [], 0
+    for rel, tree in modules.items():
+        kernel = {
+            id(n)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and (rel, f.name) == GRAM_KERNEL
+            for n in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.BinOp):
+                continue
+            if isinstance(node.op, ast.Mult) and "_FP_P1" in (_name(node.left), _name(node.right)):
+                if id(node) in kernel:
+                    in_kernel += 1
+                else:
+                    sites.append(f"{rel}:{node.lineno} * _FP_P1")
+            right = node.right
+            if (
+                isinstance(node.op, ast.Sub)
+                and isinstance(right, ast.Call)
+                and _name(right.func) == "repeat"
+                and right.args
+                and isinstance(right.args[0], ast.Subscript)
+                and isinstance(node.left, ast.Name)
+                and _name(right.args[0].value) == node.left.id
+            ):
+                sites.append(f"{rel}:{node.lineno} {node.left.id} - np.repeat({node.left.id}[...])")
+    return sorted(sites), in_kernel
+
+
+def test_one_gram_kernel_and_no_hand_written_run_rank():
+    assert _text_kernel_copies({"snippet": ast.parse(GRAM_SNIPPET)}) == (
+        ["snippet:3 * _FP_P1", "snippet:5 pos - np.repeat(pos[...])"], 0
+    )
+    bad, in_kernel = _text_kernel_copies(
+        {path.relative_to(PKG).as_posix(): tree for path, tree in _modules().items()}
+    )
+    assert not bad, (
+        "3-grams outside stages.text.rolling_grams, or a run rank outside "
+        "stages.agg.run_position:\n" + "\n".join(bad)
+    )
     assert in_kernel == 1
 
 
