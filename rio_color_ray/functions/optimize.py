@@ -47,9 +47,9 @@ def _tiles_to_band_arrays(batch):
 
     Tiles keep their row order. Each run of consecutive tiles with one
     (bands, width, height, dtype) is one view of the Arrow binary buffer
-    (``stages.color_stage._binary_data``), so no Python runs per tile.
+    (``stages.color_stage.binary_view``), so no Python runs per tile.
     """
-    from ..stages.color_stage import _binary_data, tile_signature
+    from ..stages.color_stage import binary_view, tile_signature
 
     pixels = batch.column("pixels").combine_chunks()
     sig, n = tile_signature(batch), batch.num_rows
@@ -58,7 +58,7 @@ def _tiles_to_band_arrays(batch):
     for start, stop in zip(bounds[:-1], bounds[1:]):
         bands, w, h, u16 = sig[:, start]
         run = pixels.slice(start, stop - start)
-        arr = _binary_data(run).view(np.uint16 if u16 else np.uint8)
+        arr = binary_view(run)[1].view(np.uint16 if u16 else np.uint8)
         m = to_math_type(arr.reshape(stop - start, bands, h, w))
         for b in range(3):
             out[b].append(m[:, b].ravel())
@@ -68,9 +68,9 @@ def _tiles_to_band_arrays(batch):
 def band_histograms(tiles_ds, bins=None):
     """Exact per-band histogram of a tiles Dataset, computed distributed.
 
-    One map_batches pass emits partial (band, bin) counts; the reduce is
-    a driver-side sum of a (3, nbins) matrix per block — O(blocks) tiny
-    rows, never pixel data.
+    One map_batches pass emits partial (band, bin) counts; a keyed sum
+    reduces them to 3 x nbins rows, which reach the driver as one Arrow
+    table (``ctx.collect``) — never pixel data.
     """
     import pyarrow as pa
 
@@ -87,12 +87,13 @@ def band_histograms(tiles_ds, bins=None):
             }
         )
 
+    from ..ctx import collect
     from ..stages.agg import keyed_agg
 
     partials = tiles_ds.map_batches(partial, batch_format="pyarrow")
-    agg = keyed_agg(partials, ["band", "bin"], {"n": "sum"}).to_pandas()
+    agg = collect(keyed_agg(partials, ["band", "bin"], {"n": "sum"}))
     out = np.zeros((3, len(bins) - 1), dtype=np.int64)
-    out[agg["band"], agg["bin"]] = agg["n"]
+    out[agg.column("band").to_numpy(), agg.column("bin").to_numpy()] = agg.column("n").to_numpy()
     return out
 
 

@@ -653,7 +653,7 @@ def embedding_near_dup(sf_dir, threshold=0.95, replicate=2, n_tables=4):
 
     Fully distributed with the SAME scale scaffolding as the text LSH
     paths (stages/dedup.py): vectors ride the shuffle with their bucket
-    key (``carry_vec=True``); (table, bucket) segments verify inside
+    key (EmbeddingLSHStage carries them); (table, bucket) segments verify inside
     hash-bucketed groups (64 Ray groups total, never one per LSH
     bucket); segments over MAX_BUCKET_PAIRS_IDS degrade to
     cosine-verified STAR pairs (a 10^5-member boilerplate bucket emits
@@ -675,7 +675,7 @@ def embedding_near_dup(sf_dir, threshold=0.95, replicate=2, n_tables=4):
 
     ds = embeddings_replicated(sf_dir, replicate=replicate)
     buckets = ds.map_batches(
-        make_stage_fn(EmbeddingLSHStage, carry_vec=True, n_tables=n_tables),
+        make_stage_fn(EmbeddingLSHStage, n_tables),
         batch_format="pyarrow",
     )
 
@@ -820,9 +820,7 @@ def _media(sf_dir):
         return pa.table(
             {
                 "media_id": batch.column("doc_id"),
-                "payload": pa.array(
-                    [t.encode() for t in batch.column("text").to_pylist()], pa.binary()
-                ),
+                "payload": pc.cast(batch.column("text"), pa.binary()),
             }
         )
 

@@ -318,17 +318,17 @@ def mix_sources(sf_dir):
         n = pc.count_substring_regex(batch.column("text"), r"\S+")
         return pa.table({"source": batch.column("source"), "toks": pc.cast(n, pa.int64())})
 
-    totals = keyed_agg(
+    totals = collect(keyed_agg(
         ds.map_batches(doc_tokens, batch_format="pyarrow"), "source", {"toks": "sum"}
-    ).to_pandas()  # source-cardinality rows
+    )).to_pydict()  # source-cardinality rows
     # zero-token sources (all-empty texts after aggressive stripping)
     # keep nothing and are excluded from the mixture minimum — without
     # the guard min_toks = 0 would zero every source (and the division
     # would crash on the empty one); the SQL twin mirrors both rules
-    nonzero = totals.loc[totals["toks"] > 0, "toks"]
-    min_toks = int(nonzero.min()) if len(nonzero) else 0
+    nonzero = [t for t in totals["toks"] if t > 0]
+    min_toks = min(nonzero) if nonzero else 0
     keep_ppm = {
-        s: 0 if int(t) == 0 else (min_toks * 1_000_000) // int(t)
+        s: 0 if t == 0 else (min_toks * 1_000_000) // t
         for s, t in zip(totals["source"], totals["toks"])
     }
 
@@ -526,13 +526,10 @@ def pack_sequences(sf_dir, budget=PACK_BUDGET, n_parts=PACK_PARTS):
     docs = documents(sf_dir, columns=["doc_id", "text"])
     counted = docs.map_batches(tc, batch_format="pyarrow")
 
-    totals = (
-        keyed_agg(counted, "part", {"n_tokens": "sum"})
-        .to_pandas()  # n_parts rows
-        .sort_values("part")
-    )
-    present = totals["part"].to_numpy()
-    cum = np.cumsum(totals["n_tokens"].to_numpy())
+    # n_parts rows
+    totals = collect(keyed_agg(counted, "part", {"n_tokens": "sum"})).sort_by("part")
+    present = totals.column("part").to_numpy()
+    cum = np.cumsum(totals.column("n_tokens").to_numpy())
     run = np.zeros(n_parts + 1, dtype=np.int64)
     run[present + 1] = cum
     base = np.maximum.accumulate(run)[:-1]  # exclusive base per part
@@ -695,13 +692,12 @@ def length_filter_median(sf_dir, q=LENGTH_FILTER_Q):
     def ones(batch: pa.Table) -> pa.Table:
         return batch.append_column("cnt", pa.array(np.ones(batch.num_rows, np.int64)))
 
-    hist = keyed_agg(
+    h = collect(keyed_agg(
         tc(sf_dir).map_batches(ones, batch_format="pyarrow"), "n_tokens", {"cnt": "sum"}
-    ).to_pandas()  # driver-sized: one row per distinct document length
-    h = hist.sort_values("n_tokens", kind="mergesort")
-    cum = h["cnt"].to_numpy().cumsum()
+    )).sort_by("n_tokens")  # driver-sized: one row per distinct document length
+    cum = h.column("cnt").to_numpy().cumsum()
     target = int(np.ceil(q * cum[-1]))
-    cutoff = int(h["n_tokens"].to_numpy()[np.searchsorted(cum, target)])
+    cutoff = int(h.column("n_tokens").to_numpy()[np.searchsorted(cum, target)])
 
     def keep(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.greater_equal(batch.column("n_tokens"), cutoff))

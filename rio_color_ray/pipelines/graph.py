@@ -8,7 +8,7 @@ uses (Q20) to make a float-ish aggregate driver-hashable.
 
 Graph: each page links to ``FANOUT`` deterministic targets (an affine
 permutation, a 3-to-1 collapsing map, and a quadratic map — see
-``_link_dsts``/``_link_sql``), giving an in-degree distribution with
+``sources.pages.link_dsts``/``_link_sql``), giving an in-degree distribution with
 hubs and orphans like a real href graph, derivable from doc_id alone.
 Two pipelines share the fixed point (and therefore one oracle):
 
@@ -37,7 +37,7 @@ emitted per node.
 import numpy as np
 import pyarrow as pa
 
-from ..io import read_table
+from ..io import read_table, table_num_rows
 from ..sources.pages import LINK_FANOUT, link_dsts
 from ..stages.agg import keyed_agg
 
@@ -47,15 +47,13 @@ BASE = (100 - DAMP_NUM) * RANK_UNIT // DAMP_DEN  # 150_000
 FANOUT = LINK_FANOUT
 N_ITER = 5
 
+
 # the link maps live in sources/pages.py (link_dsts): they are part of
 # corpus synthesis now — synth_pages_batch(links_n=n) embeds them as
 # <link href="/doc/D"> elements, web.extract_links parses them back out,
 # and pagerank_edges ranks over the EXTRACTED table. link_dsts raises
 # past the int64-overflow-safe node count (~2^26: the quadratic map
 # squares doc_id; numpy would wrap silently where DuckDB raises).
-_link_dsts = link_dsts
-
-
 def _link_sql(n_expr: str) -> list[str]:
     """The same three maps as SQL dst expressions over column src;
     ``n_expr`` is the node-count SQL expression (a CTE column, so the
@@ -65,12 +63,6 @@ def _link_sql(n_expr: str) -> list[str]:
         f"((src // 3) * 97 + 13) % {n_expr}",
         f"(src * src + 29) % {n_expr}",
     ]
-
-
-def _n_docs(sf_dir) -> int:
-    from ..io import table_num_rows
-
-    return table_num_rows(sf_dir, "documents")
 
 
 def _damped(batch: pa.Table) -> pa.Table:
@@ -90,7 +82,7 @@ def pagerank(sf_dir, n_iter=N_ITER):
     One lazy Dataset DAG: n_iter chained flat-map -> bucketed-sum
     rounds over int64 pairs; the pages corpus itself is touched once.
     """
-    n = _n_docs(sf_dir)
+    n = table_num_rows(sf_dir, "documents")
 
     ds = read_table(sf_dir, "documents", columns=["doc_id"]).map_batches(
         lambda b: pa.table(
@@ -108,7 +100,7 @@ def pagerank(sf_dir, n_iter=N_ITER):
         src = batch.column("doc_id").to_numpy()
         rank = batch.column("rank").to_numpy()
         share = rank // FANOUT
-        dsts = _link_dsts(src, n)
+        dsts = link_dsts(src, n)
         # zero self-row keeps no-inlink nodes in the domain
         dst = np.concatenate(dsts + [src])
         c = np.concatenate([share] * FANOUT + [np.zeros(len(src), np.int64)])

@@ -5,12 +5,17 @@ Money/quantity columns are converted ONCE per batch to exact integers
 construction), so every aggregate is an int64 sum that matches the DuckDB
 oracle bit-for-bit — no float summation-order hazards.
 
-Join strategy per query (the explicit scale decisions):
-* dimension tables (nation/region/customer-subset) -> ``broadcast_join``
-* orders |><| lineitem (both large) -> our explicit ``bucketed_hash_join``
-  (q3 and q5, both oracle-checked)
+Every table is read by ``io.read_table`` (one block per CPU). Join and
+reduce strategy per query (the explicit scale decisions):
+* a small dimension side (a customer subset, customer nations or names)
+  -> ``broadcast_join`` (q3, q5, q18)
+* two large sides on an order or customer key -> the explicit
+  ``bucketed_hash_join`` (q3, q4, q5, q10, q18, customer_order_counts;
+  all oracle-checked)
 * aggregates -> one keyed aggregate (stages/agg.py): an Arrow group_by
-  combines each map block, the same group_by reduces each bucket
+  combines each map block, the same group_by reduces each bucket; top-k
+  -> ``keyed_topk``; sessions, windows, as-of and range joins ->
+  ``keyed_scan``
 """
 
 import numpy as np
@@ -20,17 +25,12 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..ctx import collect
+from ..io import read_table
 from ..stages.agg import _sorted_runs, keyed_agg, keyed_scan, keyed_topk, run_cumsum, run_position
 from ..stages.join import broadcast_join, bucketed_hash_join
 
 Q1_CUTOFF = "1998-09-02"
 Q3_DATE = "1997-01-01"
-
-
-def _read(sf_dir, name, columns=None):
-    from ..io import read_table
-
-    return read_table(sf_dir, name, columns=columns)
 
 
 # the lineitem side every orders |><| lineitem join here declares, so the
@@ -70,7 +70,7 @@ def _run_rank_keys(start, *values):
 
 def q1_pricing_summary(sf_dir):
     """TPC-H Q1 analog with exact integer aggregates."""
-    ds = _read(
+    ds = read_table(
         sf_dir,
         "lineitem",
         columns=[
@@ -145,7 +145,7 @@ def q3_top_orders(sf_dir, k=10):
     building = cust.filter(pc.equal(cust.column("c_mktsegment"), "BUILDING"))
     building = pa.table({"o_custkey": building.column("c_custkey")})
 
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
     orders = broadcast_join(orders, building, "o_custkey", "right semi")
     orders = orders.map_batches(
         lambda b: b.filter(
@@ -154,7 +154,7 @@ def q3_top_orders(sf_dir, k=10):
         batch_format="pyarrow",
     )
 
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"])
+    li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"])
 
     def revenue(batch: pa.Table) -> pa.Table:
         price_c = _int_cents(batch.column("l_extendedprice"))
@@ -202,8 +202,8 @@ def q5_nation_revenue(sf_dir):
     nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
     cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
 
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"])
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"])
 
     def revenue(batch: pa.Table) -> pa.Table:
         price_c = _int_cents(batch.column("l_extendedprice"))
@@ -245,7 +245,7 @@ GROUP BY n_name
 
 def events_daily(sf_dir):
     """Tumbling 1-day window: events per (day, event_type) + value cents."""
-    ds = _read(sf_dir, "events", columns=["ts", "event_type", "value"])
+    ds = read_table(sf_dir, "events", columns=["ts", "event_type", "value"])
 
     def rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -273,7 +273,7 @@ FROM events GROUP BY 1, 2
 
 
 def top_users_by_value(sf_dir, k=10):
-    ds = _read(sf_dir, "events", columns=["user_id", "value"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "value"])
 
     def rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -303,7 +303,7 @@ def distinct_users_per_type(sf_dir):
     event_type's full user set (5 event types would otherwise mean 5
     giant groups at 100 TB). Level 2 sums one per combo row per type.
     """
-    ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
+    ds = read_table(sf_dir, "events", columns=["event_type", "user_id"])
     combos = keyed_agg(ds, ["user_id", "event_type"], {})
 
     def ones(batch: pa.Table) -> pa.Table:
@@ -342,7 +342,7 @@ def q14_promo_revenue(sf_dir):
     # store (zero-copy numpy read per worker), not per-task pickles
     ref = ray.put(lookup)
 
-    ds = _read(
+    ds = read_table(
         sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"]
     )
 
@@ -396,7 +396,7 @@ def events_sliding_window(sf_dir):
     stage emits both assignments vectorized (the streaming-window analog:
     windows close as the aggregate consumes them — no per-event state).
     """
-    ds = _read(sf_dir, "events", columns=["ts", "event_type", "value"])
+    ds = read_table(sf_dir, "events", columns=["ts", "event_type", "value"])
 
     def rows(batch: pa.Table) -> pa.Table:
         ts = batch.column("ts").to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
@@ -445,7 +445,7 @@ def sessionize(sf_dir):
     bounds and sums read at its first and last row — no per-user Python.
     Output: one row per session with start/end/n_events/value_cents.
     """
-    ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "value"])
 
     def sessions(g: pa.Table, start: np.ndarray) -> pa.Table:
         ts = _epoch_us(g.column("ts"))
@@ -499,7 +499,7 @@ def q6_forecast_revenue(sf_dir):
     Float filter literals compare against the same stored doubles DuckDB
     sees, so row selection is bit-identical.
     """
-    ds = _read(
+    ds = read_table(
         sf_dir,
         "lineitem",
         columns=["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"],
@@ -555,7 +555,7 @@ def asof_join_clicks(sf_dir):
     no driver collection. At 10^12 rows the user exchange is the same
     one sessionize pays.
     """
-    ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
+    ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
     ds = ds.map_batches(
         lambda b: b.filter(
             pc.is_in(b.column("event_type"), value_set=pa.array(["click", "purchase"]))
@@ -613,7 +613,7 @@ FROM filled WHERE event_type = 'purchase' AND click_ts IS NOT NULL
 
 def topk_orders_per_priority(sf_dir, k=3):
     """Top-k orders by (o_totalprice, o_orderkey) within each priority."""
-    ds = _read(
+    ds = read_table(
         sf_dir, "orders", columns=["o_orderpriority", "o_orderkey", "o_totalprice"]
     )
 
@@ -661,7 +661,7 @@ def q18_large_orders(sf_dir, min_qty=Q18_MIN_QTY):
     driver dict is a bet, a bucketed exchange is not). The customer-name dimension ships once via
     ray.put, per the engine's dimension-broadcast convention.
     """
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
+    li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
     def qty(batch: pa.Table) -> pa.Table:
         q = np.rint(batch.column("l_quantity").to_numpy(zero_copy_only=False)).astype(np.int64)
@@ -671,7 +671,7 @@ def q18_large_orders(sf_dir, min_qty=Q18_MIN_QTY):
         li.map_batches(qty, batch_format="pyarrow"), "o_orderkey", {"sum_qty": "sum"}
     ).map_batches(lambda b: b.filter(pc.greater(b.column("sum_qty"), min_qty)), batch_format="pyarrow")
 
-    orders = _read(
+    orders = read_table(
         sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
     )
     joined = bucketed_hash_join(
@@ -735,7 +735,7 @@ def q10_returned_revenue(sf_dir, k=20):
     """
     lo = np.datetime64(Q10_QTR[0], "us")
     hi = np.datetime64(Q10_QTR[1], "us")
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
     orders = orders.map_batches(
         lambda b: b.filter(
             pc.and_(
@@ -746,7 +746,7 @@ def q10_returned_revenue(sf_dir, k=20):
         batch_format="pyarrow",
     ).drop_columns(["o_orderdate"])
 
-    li = _read(
+    li = read_table(
         sf_dir,
         "lineitem",
         columns=["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"],
@@ -827,7 +827,7 @@ def value_quantiles_per_type(sf_dir):
     their cumulative counts. No full
     sort of the data, no per-row shuffle — the exchange moves counts.
     """
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
+    ds = read_table(sf_dir, "events", columns=["event_type", "value"])
 
     def rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -891,7 +891,7 @@ def range_join_clicks(sf_dir, window_us=RANGE_JOIN_WINDOW_US):
     pairwise expansion ever materializes, unlike the naive theta-join
     which is O(clicks x purchases) per user.
     """
-    ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
+    ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
     ds = ds.map_batches(
         lambda b: b.filter(
             pc.is_in(b.column("event_type"), value_set=pa.array(["click", "purchase"]))
@@ -943,8 +943,8 @@ def customer_order_counts(sf_dir):
     orders survive with zeros. Both sides shuffle once on the customer
     key; no driver-side materialization.
     """
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
+    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_name"])
+    orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1006,7 +1006,7 @@ def event_gaps(sf_dir):
     vectorized whole-bucket diff with boundary masking; no per-row or
     per-user Python.
     """
-    ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
+    ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
 
     def gaps(g: pa.Table, start: np.ndarray) -> pa.Table:
         ts = _epoch_us(g.column("ts"))
@@ -1045,7 +1045,7 @@ def users_click_and_purchase(sf_dir):
     block), then a filter: a user has both types where they differ — no
     side ever materializes as a driver set.
     """
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
     ds = ds.map_batches(
         lambda b: b.filter(
             pc.is_in(b.column("event_type"), value_set=pa.array(["click", "purchase"]))
@@ -1086,7 +1086,7 @@ def events_pivot(sf_dir):
     moves at most one row per (batch, day). Fixed column set (schema is
     static), unknown types counted into none.
     """
-    ds = _read(sf_dir, "events", columns=["ts", "event_type"])
+    ds = read_table(sf_dir, "events", columns=["ts", "event_type"])
 
     def one_hot(batch: pa.Table) -> pa.Table:
         cols = {"day": pc.floor_temporal(batch.column("ts"), unit="day")}
@@ -1135,7 +1135,7 @@ def late_events(sf_dir):
     block-wide running max of every row's (user run, ts) key, which
     never crosses into another user's run — no per-user Python.
     """
-    ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
+    ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
 
     def with_arrival(batch: pa.Table) -> pa.Table:
         eid = batch.column("event_id").to_numpy()
@@ -1200,10 +1200,10 @@ def q4_late_shipments(sf_dir):
     orders, then a 5-row priority count. No semi-join pair blowup at
     any scale.
     """
-    orders = _read(
+    orders = read_table(
         sf_dir, "orders", columns=["o_orderkey", "o_orderdate", "o_orderpriority"]
     )
-    line = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
+    line = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
 
     def ship_us(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1269,7 +1269,7 @@ def user_running_value(sf_dir):
     keep the running sum order-independent and bit-exact vs the SQL
     window twin.
     """
-    ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
 
     def running(g: pa.Table, start: np.ndarray) -> pa.Table:
         return pa.table(
@@ -1321,7 +1321,7 @@ def approx_distinct_users_kmv(sf_dir, k=KMV_K):
     """
     from ..stages.sampling import splitmix64
 
-    ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
+    ds = read_table(sf_dir, "events", columns=["event_type", "user_id"])
     salt = np.uint64(KMV_SALT)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1396,7 +1396,7 @@ def events_rollup(sf_dir):
     rollup levels derived FROM the detail result (tiny) — the raw stream
     is read once.
     """
-    ds = _read(sf_dir, "events", columns=["ts", "event_type"])
+    ds = read_table(sf_dir, "events", columns=["ts", "event_type"])
 
     def rows(batch: pa.Table) -> pa.Table:
         day = pc.floor_temporal(batch.column("ts"), unit="day").cast(pa.date32())
@@ -1459,7 +1459,7 @@ def users_click_no_purchase(sf_dir, cutoff=EXCEPT_VALUE_CUTOFF):
     combiner sends at most one row per user per block), then a filter
     keeps the users with a click and no high-value purchase.
     """
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type", "value"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "event_type", "value"])
 
     def sides(batch: pa.Table) -> pa.Table:
         kind = batch.column("event_type")

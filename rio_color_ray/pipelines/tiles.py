@@ -33,7 +33,7 @@ import pyarrow as pa
 from ..color import parse_operations
 from ..ctx import bucket_exchange
 from ..spatial import mercator_tile, tile_pixel
-from ..stages.color_stage import ColorStage, apply_ops_to_tiles, color_tuples
+from ..stages.color_stage import ColorStage, apply_ops_to_tiles, binary_view, color_tuples
 from ..stages.sampling import splitmix64
 from ..stages.statecache import make_stage_fn
 
@@ -303,17 +303,9 @@ def _hex_string_array(arr: pa.Array) -> pa.Array:
     offsets buffer — no per-row ``bytes.hex()`` Python loop (a 256x256x3
     tile is ~200 kB/row; the loop was O(rows) interpreter work).
     """
-    n = len(arr)
-    if n == 0:
-        return pa.array([], pa.string())
     if arr.null_count:
         raise ValueError("_hex_string_array: null pixel rows are not expected")
-    odtype = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
-    offsets = np.frombuffer(arr.buffers()[1], odtype)[
-        arr.offset : arr.offset + n + 1
-    ].astype(np.int64)
-    data = np.frombuffer(arr.buffers()[2], np.uint8)[offsets[0] : offsets[-1]]
-    rel = offsets - offsets[0]
+    rel, data = binary_view(arr)
     hex_lut = np.frombuffer(b"0123456789abcdef", np.uint8)
     out = np.empty(data.size * 2, np.uint8)
     out[0::2] = hex_lut[data >> 4]
@@ -322,7 +314,7 @@ def _hex_string_array(arr: pa.Array) -> pa.Array:
         raise ValueError("hex output exceeds int32 string offsets; lower batch_size")
     return pa.Array.from_buffers(
         pa.string(),
-        n,
+        len(arr),
         [None, pa.py_buffer((rel * 2).astype(np.int32)), pa.py_buffer(out)],
     )
 
@@ -365,10 +357,10 @@ def render_tiles_content_sql(z=DEFAULT_ZOOM):
 BAND_UNIFORM_OPS = "gamma rgb 1.2, sigmoidal rgb 6 0.25"
 
 
-def band_uniform_lut(ops=BAND_UNIFORM_OPS):
-    """256-entry uint8 LUT for a band-uniform ops program.
+def band_uniform_lut():
+    """256-entry uint8 LUT for the band-uniform ``BAND_UNIFORM_OPS``.
 
-    Valid only for programs with no cross-band operator (gamma and
+    Valid only for a program with no cross-band operator (gamma and
     sigmoidal are strictly elementwise per band, operations.py; the
     reference's saturation mixes bands and is excluded). Built by running
     the engine's own scalar path over the 0..255 ramp — the scalar math
@@ -376,11 +368,9 @@ def band_uniform_lut(ops=BAND_UNIFORM_OPS):
     tests/test_color_operations.py; the SQL oracle built from this LUT
     verifies the DISTRIBUTED tile pipeline routes every byte through it.
     """
-    from ..color import parse_operations
-
     ramp = np.arange(256, dtype=np.uint8).tobytes()
     out = apply_ops_to_tiles(
-        [ramp * 3], 3, "uint8", 16, 16, parse_operations(ops), "uint8"
+        [ramp * 3], 3, "uint8", 16, 16, parse_operations(BAND_UNIFORM_OPS), "uint8"
     )[0]
     return np.frombuffer(out, dtype=np.uint8)[:256]
 

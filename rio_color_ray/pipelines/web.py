@@ -29,6 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..ctx import bucket_exchange
+from ..io import table_num_rows
 from ..sources.pages import LINK_FANOUT as _LINK_FANOUT
 from ..stages.agg import keyed_agg, keyed_topk
 from .geo import pages
@@ -192,12 +193,6 @@ SELECT regexp_replace(url, '[?#].*$', '') AS canon_url,
 FROM variants GROUP BY 1"""
 
 
-def _n_docs(sf_dir) -> int:
-    from ..io import table_num_rows
-
-    return table_num_rows(sf_dir, "documents")
-
-
 def extract_links(sf_dir):
     """pages (href-bearing html) -> the ``links(src, dst)`` edge table.
 
@@ -214,7 +209,7 @@ def extract_links(sf_dir):
     ids disjoint from the [0, n) dst domain, so a replicated edge table
     is incoherent by construction.
     """
-    n = _n_docs(sf_dir)
+    n = table_num_rows(sf_dir, "documents")
     href_res = [
         rf'rel="l{k}" href="/doc/(?P<dst>\d+)"' for k in range(_LINK_FANOUT)
     ]

@@ -21,17 +21,17 @@ import numpy as np
 from .pages import HOTSPOTS
 
 
-def make_admin_rects(n_rects=60, seed=42):
-    """Deterministic rectangles around hotspots + scattered background.
+def make_admin_rects():
+    """60 deterministic rectangles around hotspots + scattered background.
 
     Returns a dict of numpy arrays: admin_id, admin_name, and integer
     microdegree bounds (min_lat_u, max_lat_u, min_lon_u, max_lon_u).
     Rectangles may overlap; the join emits ALL matches (url, admin_id).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(42)
     ids, names = [], []
     min_lat, max_lat, min_lon, max_lon = [], [], [], []
-    for i in range(n_rects):
+    for i in range(60):
         if i % 2 == 0:
             clat, clon = HOTSPOTS[(i // 2) % 3]
             clat += rng.uniform(-0.4, 0.4)
@@ -105,16 +105,16 @@ def polys_edges_sql_values(polys):
     return "(VALUES " + ", ".join(rows) + ") AS e(admin_id, x1, y1, x2, y2)"
 
 
-def make_admin_polygons(n_polys=80, seed=42):
-    """Deterministic convex/concave polygons over the hotspot regions.
+def make_admin_polygons():
+    """80 deterministic convex/concave polygons over the hotspot regions.
 
     Returns a list of dicts {admin_id, admin_name, xs (lon), ys (lat),
     bbox} — polygons open (no repeated last vertex). Concave shapes come
     from radial perturbation of a star polygon.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(42)
     polys = []
-    for i in range(n_polys):
+    for i in range(80):
         if i % 4 != 3:
             clat, clon = HOTSPOTS[i % 3]
             clat += rng.uniform(-0.5, 0.5)

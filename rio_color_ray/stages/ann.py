@@ -18,8 +18,8 @@ import pyarrow as pa
 from .knn import exclude_self, excluded, local_topk
 
 
-def list_col_to_matrix(col, dtype=np.float64):
-    """(n, d) matrix from a fixed-length list column, no Python lists.
+def list_col_to_matrix(col):
+    """(n, d) float64 matrix from a fixed-length list column, no Python lists.
 
     Arrow ``flatten()`` + one numpy reshape — measured 66x faster than
     ``np.stack(col.to_pylist())`` on the embeddings table and
@@ -32,8 +32,8 @@ def list_col_to_matrix(col, dtype=np.float64):
         # width is only knowable for fixed-size lists, (0, 0) otherwise
         # (callers guard on len(batch) before using the width)
         width = getattr(arr.type, "list_size", 0) or 0
-        return np.empty((0, width), dtype=dtype)
-    flat = arr.flatten().to_numpy(zero_copy_only=False).astype(dtype, copy=False)
+        return np.empty((0, width), dtype=np.float64)
+    flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
     if flat.size % n:
         raise ValueError("list_col_to_matrix: ragged list column")
     return flat.reshape(n, -1)
@@ -119,16 +119,19 @@ class AnnBruteStage(_AnnStage):
         return labels[:, None].astype(np.int64) != self.qlabel[None, :]
 
 
-def sample_embeddings_spread(path, sample_n, seed=2024, max_row_groups=16,
-                             vec_col="embedding"):
-    """Seeded embedding sample SPREAD across the file's row groups.
+# the seed of the IVF sample draw and of the centroid init
+IVF_SEED = 2024
+
+
+def sample_embeddings_spread(path, sample_n):
+    """Seeded ``embedding`` sample SPREAD across the file's row groups.
 
     Training IVF centroids on the file's first batch silently collapses
     recall on a sorted/clustered layout (the first row group is one
-    cluster); instead, up to ``max_row_groups`` row groups are chosen
-    uniformly at random (seeded) and an equal per-group quota of rows is
-    drawn from each — the driver touches a bounded number of row groups
-    regardless of file size. Returns an (n, dim) float64 matrix.
+    cluster); instead, up to 16 row groups are chosen uniformly at
+    random (seeded) and an equal per-group quota of rows is drawn from
+    each — the driver touches a bounded number of row groups regardless
+    of file size. Returns an (n, dim) float64 matrix.
     """
     import pyarrow.parquet as pq
 
@@ -138,33 +141,33 @@ def sample_embeddings_spread(path, sample_n, seed=2024, max_row_groups=16,
         raise ValueError(
             f"sample_embeddings_spread: {path} has no rows — cannot train centroids"
         )
-    rng = np.random.default_rng(seed)
-    groups = np.sort(rng.choice(n_rg, size=min(n_rg, max_row_groups), replace=False))
+    rng = np.random.default_rng(IVF_SEED)
+    groups = np.sort(rng.choice(n_rg, size=min(n_rg, 16), replace=False))
     quota = -(-sample_n // len(groups))  # ceil
     parts = []
     for g in groups:
-        t = pf.read_row_group(int(g), columns=[vec_col])
+        t = pf.read_row_group(int(g), columns=["embedding"])
         take = min(quota, t.num_rows)
         if take == 0:
             continue
         idx = np.sort(rng.choice(t.num_rows, size=take, replace=False))
-        parts.append(list_col_to_matrix(t.column(vec_col))[idx])
+        parts.append(list_col_to_matrix(t.column("embedding"))[idx])
     return np.concatenate(parts)[:sample_n]
 
 
-def train_ivf_centroids(sample, n_cells, iters=5, seed=2024):
+def train_ivf_centroids(sample, n_cells):
     """Deterministic spherical k-means on a driver-side SAMPLE.
 
     IVF coarse quantizers are trained on a small sample by design (the
-    100 TB table itself never reaches the driver); seeded init + fixed
+    100 TB table itself never reaches the driver); seeded init + 5 fixed
     Lloyd iterations make the cell layout reproducible. Returns
     (n_cells, dim) L2-normalized centroids.
     """
     s = np.asarray(sample, dtype=np.float64)
     s = s / np.linalg.norm(s, axis=1, keepdims=True)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(IVF_SEED)
     cent = s[rng.choice(len(s), size=n_cells, replace=False)]
-    for _ in range(iters):
+    for _ in range(5):
         assign = np.argmax(s @ cent.T, axis=1)
         for c in range(n_cells):
             m = assign == c

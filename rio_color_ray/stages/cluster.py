@@ -29,7 +29,7 @@ Scale notes (100 TB):
   converged label, plus a witness self-row — see ``_spread_min``
   ``rewrite=True``), so each round propagates along contracted stars.
   Measured on the sf0.1 corpus: 11 global rounds -> 5 (22 exchanges ->
-  10), wall 18-23 s -> ~9 s warm. ``max_iters`` guards pathological
+  10), wall 18-23 s -> ~9 s warm. ``MAX_ITERS`` guards pathological
   chains and raising — rather than returning a partially-converged
   labeling — keeps wrong answers impossible.
 * The first rewrite also CONTRACTS the working set: the exploded
@@ -47,12 +47,14 @@ import ray.data
 from ..ctx import bucket_exchange
 from .agg import keyed_agg
 
+# global rounds before min_label_components gives up and raises
+MAX_ITERS = 30
+
 
 def min_label_components(
     keys_ds: "ray.data.Dataset",
     node_col: str = "doc_id",
     key_col: str = "key",
-    max_iters: int = 30,
     local_finish_rows: int = 2_000_000,
 ) -> "ray.data.Dataset":
     """Label each node with min(node id) of its connected component.
@@ -64,10 +66,10 @@ def min_label_components(
     ``local_finish_rows``: once the path-compressed working set has
     contracted to at most this many rows (int64 triples — the default
     2M is ~50 MB in one task), the remaining propagation runs in
-    ONE single-partition task instead of more global rounds. Alternating
+    ONE task (a keyless exchange) instead of more global rounds. Alternating
     the two group-min transforms over the FULL edge set until stable IS
     global convergence, so this replaces every remaining all-to-all with
-    one repartition — the measured row count, not an assumption about
+    one ``repartition(1)`` — the measured row count, not an assumption about
     input size, opens the gate, so the distributed rounds still do the
     contraction work at any scale. ``0`` disables (pure distributed
     rounds, used by the convergence tests).
@@ -135,7 +137,7 @@ def min_label_components(
     ds = keys_ds.map_batches(
         lambda b: b.append_column("label", b.column(node_col)), batch_format="pyarrow"
     )
-    for it in range(max_iters):
+    for it in range(MAX_ITERS):
         ds = bucket_exchange(ds, key_col, _spread_min(key_col, node_col, rewrite=True))
         ds = bucket_exchange(ds, node_col, _spread_min(node_col, key_col))
         ds = ds.materialize()
@@ -150,11 +152,7 @@ def min_label_components(
             # contracted small enough: one task sees the whole edge set,
             # so its local alternating convergence is the global fixed
             # point — no further exchanges needed
-            ds = ds.repartition(1).map_batches(
-                _spread_min(key_col, node_col),
-                batch_format="pyarrow",
-                batch_size=None,
-            )
+            ds = bucket_exchange(ds, [], _spread_min(key_col, node_col))
             import logging
 
             logging.getLogger(__name__).info(
@@ -163,7 +161,7 @@ def min_label_components(
             break
     else:
         raise RuntimeError(
-            f"min_label_components: not converged after {max_iters} iterations"
+            f"min_label_components: not converged after {MAX_ITERS} iterations"
         )
 
     # the operator is keyed_agg's, which perfbench's trace folds into op.stages.agg

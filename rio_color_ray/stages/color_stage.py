@@ -279,7 +279,7 @@ class ColorStage:
                 group = pixels.take(rows)
             dt = "uint16" if u16 else "uint8"
             odt = self.out_dtype or dt
-            out = _color_stacked(_binary_data(group), count, b, dt, w, h, self.ops, odt)
+            out = _color_stacked(binary_view(group)[1], count, b, dt, w, h, self.ops, odt)
             outs.append(out.reshape(count, -1).view(np.uint8))
             out_dts.append(odt)
 
@@ -309,9 +309,22 @@ def tile_signature(batch: pa.Table) -> np.ndarray:
     )
 
 
-def _binary_data(arr: pa.Array) -> np.ndarray:
-    """The value bytes of a binary array, back to back, as a uint8 view."""
-    off_t = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
-    offs = np.frombuffer(arr.buffers()[1], off_t, len(arr) + 1, arr.offset * np.dtype(off_t).itemsize)
+def binary_view(arr):
+    """The offsets and values of a binary or string column, zero-copy.
+
+    Returns ``(offsets, values)``: ``len(arr) + 1`` int64 offsets that
+    start at 0, and the values back to back as a uint8 view. Either
+    offset width is read, a sliced array's offset is honoured and a
+    ChunkedArray is combined first.
+    """
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    if len(arr) == 0:
+        return np.zeros(1, np.int64), np.empty(0, np.uint8)
+    large = pa.types.is_large_binary(arr.type) or pa.types.is_large_string(arr.type)
+    off_t = np.dtype(np.int64 if large else np.int32)
+    offs = np.frombuffer(arr.buffers()[1], off_t, len(arr) + 1, arr.offset * off_t.itemsize)
+    offs = offs.astype(np.int64)
     values = arr.buffers()[2]
-    return np.frombuffer(values, np.uint8)[offs[0]:offs[-1]] if values else np.empty(0, np.uint8)
+    data = np.frombuffer(values, np.uint8)[offs[0]:offs[-1]] if values else np.empty(0, np.uint8)
+    return offs - offs[0], data

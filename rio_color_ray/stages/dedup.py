@@ -60,6 +60,8 @@ _BAND_P = np.uint64(1099511628211)  # FNV-style band fold multiplier
 # preserves duplicate-cluster connectivity (what dedup consumes), loses
 # only transitive pair enumeration. Degradations are counted and logged.
 MAX_BUCKET_PAIRS_IDS = 1024
+# grams per chunk of MinHashStage's (grams x N_HASHES) universal hash
+_GRAM_CHUNK = 4096
 
 
 def shingle_hash_arrays(texts):
@@ -112,21 +114,21 @@ class MinHashStage:
         self.id_col = id_col
         self.text_col = text_col
 
-    def signatures(self, texts, chunk=4096):
+    def signatures(self, texts):
         """(docs, N_HASHES) uint64 signature matrix, batch-vectorized.
 
         The (grams x 64) universal-hash matrix is computed in gram-axis
-        chunks that stay cache-resident (one monolithic matrix for a
-        whole batch is memory-bound: measured ~4x slower at 100k grams);
-        per-doc minima are merged across chunk boundaries.
+        chunks of ``_GRAM_CHUNK`` that stay cache-resident (one monolithic
+        matrix for a whole batch is memory-bound: measured ~4x slower at
+        100k grams); per-doc minima are merged across chunk boundaries.
         """
         grams, gcounts = shingle_hash_arrays(texts)
         ndocs = len(gcounts)
         starts = np.cumsum(gcounts) - gcounts
         doc_of = np.repeat(np.arange(ndocs), gcounts)
         sig = np.full((ndocs, N_HASHES), np.iinfo(np.uint64).max, dtype=np.uint64)
-        for s in range(0, len(grams), chunk):
-            e = min(s + chunk, len(grams))
+        for s in range(0, len(grams), _GRAM_CHUNK):
+            e = min(s + _GRAM_CHUNK, len(grams))
             v = (grams[s:e, None] * self.a[None, :] + self.b[None, :]) % _MERSENNE
             d0, d1 = doc_of[s], doc_of[e - 1]
             st = np.maximum(starts[d0 : d1 + 1], s) - s
@@ -234,17 +236,18 @@ def dedup_pairs(cand):
     return keyed_agg(cand, ["id_a", "id_b"], {})
 
 
-def simhash_candidate_pairs(band_ds, max_hamming, cap=MAX_BUCKET_PAIRS_IDS):
+def simhash_candidate_pairs(band_ds, max_hamming):
     """Bucketed SimHash candidate pairs with in-segment Hamming verify:
     the shared :func:`_bucketed_segment_pairs` scaffolding with an
     XOR+popcount pair filter against ``max_hamming``; segments over
-    ``cap`` degrade to Hamming-verified star pairs against the min id.
+    MAX_BUCKET_PAIRS_IDS degrade to Hamming-verified star pairs against
+    the min id.
     """
 
     def emit(u, extras):
         sv = extras["simhash"].astype(np.uint64)
         n = len(u)
-        if n > cap:
+        if n > MAX_BUCKET_PAIRS_IDS:
             x = sv[0] ^ sv
             ham = np.unpackbits(
                 x.view(np.uint8).reshape(n, 8), axis=1
@@ -334,75 +337,54 @@ def hamming_matrix(sims):
 
 
 class EmbeddingLSHStage:
-    """Actor: seeded random hyperplanes; emits (id, bucket) sign-bit keys.
+    """Seeded random hyperplanes: (id, table, bucket, embedding) rows.
 
-    ``carry_vec=True`` keeps the embedding column in the output so the
-    downstream per-bucket verification shuffles vectors alongside their
-    keys instead of re-reading them (the distributed near-dup path).
+    Each of ``n_tables`` independent sets of 16 hyperplanes (seed 777,
+    over the 64-dim ``embedding`` column) keys every ``vec_id`` by its 16
+    sign bits. The embedding rides along, so the downstream per-bucket
+    verification shuffles vectors alongside their keys instead of
+    re-reading them (the distributed near-dup path).
     """
 
-    def __init__(
-        self,
-        dim=64,
-        n_planes=16,
-        seed=777,
-        id_col="vec_id",
-        vec_col="embedding",
-        carry_vec=False,
-        n_tables=1,
-    ):
-        rng = np.random.default_rng(seed)
+    def __init__(self, n_tables):
+        rng = np.random.default_rng(777)
         # n_tables independent plane sets: near-dup pairs missed by one
         # table (a sign flip near a hyperplane) are caught by another —
         # classic multi-table LSH recall boost
-        self.planes = rng.standard_normal((n_tables, dim, n_planes))
-        self.id_col = id_col
-        self.vec_col = vec_col
-        self.carry_vec = carry_vec
-        self.n_tables = n_tables
+        self.planes = rng.standard_normal((n_tables, 64, 16))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from .ann import list_col_to_matrix
 
+        ids, emb = batch.column("vec_id"), batch.column("embedding")
         if batch.num_rows == 0:  # block-split artifact
-            cols = {
-                "id": batch.column(self.id_col),
-                "table": pa.array([], pa.int64()),
-                "bucket": pa.array([], pa.int64()),
-            }
-            if self.carry_vec:
-                cols["embedding"] = batch.column(self.vec_col)
-            return pa.table(cols)
-        vecs = list_col_to_matrix(batch.column(self.vec_col))
+            empty = pa.array([], pa.int64())
+            return pa.table({"id": ids, "table": empty, "bucket": empty, "embedding": emb})
+        vecs = list_col_to_matrix(emb)
         n = len(vecs)
-        ids = batch.column(self.id_col)
         out = []
-        for t in range(self.n_tables):
-            signs = (vecs @ self.planes[t]) > 0
+        for t, planes in enumerate(self.planes):
+            signs = (vecs @ planes) > 0
             buckets = np.zeros(n, dtype=np.int64)
-            for j in range(self.planes.shape[2]):
+            for j in range(planes.shape[1]):
                 buckets |= signs[:, j].astype(np.int64) << j
-            cols = {
-                "id": ids,
-                "table": pa.array(np.full(n, t, dtype=np.int64)),
-                "bucket": pa.array(buckets, pa.int64()),
-            }
-            if self.carry_vec:
-                cols["embedding"] = batch.column(self.vec_col)
-            out.append(pa.table(cols))
+            table = pa.array(np.full(n, t, dtype=np.int64))
+            out.append(pa.table({"id": ids, "table": table, "bucket": pa.array(buckets, pa.int64()),
+                                 "embedding": emb}))
         return pa.concat_tables(out)
 
 
-def embedding_cosine_pairs(band_ds, threshold, cap=MAX_BUCKET_PAIRS_IDS):
+def embedding_cosine_pairs(band_ds, threshold):
     """Bucketed embedding near-dup pairs with in-segment cosine verify.
 
     The shared :func:`_bucketed_segment_pairs` scaffolding — LSH (table,
     bucket) keys ride as (band, band_hash), vectors ride as the extra
     column — so the embedding path gets the same scale guarantees the
     text LSH paths have: grouping through the keyed exchange (one reduce
-    call per exchange block, not one per LSH bucket), a ``cap`` star degradation (a boilerplate
-    cluster of n identical embeddings emits n-1 cosine-verified star
-    pairs, never n^2), and the bucketed cross-table pair collapse
+    call per exchange block, not one per LSH bucket), a
+    MAX_BUCKET_PAIRS_IDS star degradation (a boilerplate cluster of n
+    identical embeddings emits n-1 cosine-verified star pairs, never
+    n^2), and the bucketed cross-table pair collapse
     (:func:`dedup_pairs`) instead of a pair-cardinality native groupby.
     """
 
@@ -410,7 +392,7 @@ def embedding_cosine_pairs(band_ds, threshold, cap=MAX_BUCKET_PAIRS_IDS):
         vecs = np.stack(extras["embedding"]).astype(np.float64)
         vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
         n = len(u)
-        if n > cap:
+        if n > MAX_BUCKET_PAIRS_IDS:
             sim = vecs @ vecs[0]
             keep = (sim >= threshold) & (u != u[0])
             return np.repeat(u[:1], int(keep.sum())), u[keep], 1

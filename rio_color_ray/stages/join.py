@@ -60,20 +60,14 @@ def _pa_types(schema):
     return {n: pa.string() if t is object else t for n, t in zip(schema.names, schema.types)}
 
 
-def bucketed_hash_join(
-    left,
-    right,
-    key,
-    join_type="inner",
-    suffixes=("_l", "_r"),
-    left_schema=None,
-    right_schema=None,
-):
+def bucketed_hash_join(left, right, key, join_type="inner", left_schema=None, right_schema=None):
     """Explicit partitioned hash join of two Datasets on an int64 key.
 
     Schema handling: each side's non-key columns are carried under the
     union schema with nulls for the other side; the per-bucket join
-    slices the two sides back out and joins them in Arrow.
+    slices the two sides back out and joins them in Arrow. The two sides
+    may share no non-key column (a ``ValueError`` names any that they
+    do): rename or project one away first.
 
     ``left_schema`` / ``right_schema`` (ordered ``{name: pa.DataType}``)
     skip the ``Dataset.schema()`` probe for that side. Pass them when a
@@ -86,30 +80,33 @@ def bucketed_hash_join(
     rschema = right_schema if right_schema is not None else _pa_types(right.schema())
     lcols = [f for f in lschema if f != key]
     rcols = [f for f in rschema if f != key]
-    overlap = set(lcols) & set(rcols)
-    lmap = {c: c + suffixes[0] if c in overlap else c for c in lcols}
-    rmap = {c: c + suffixes[1] if c in overlap else c for c in rcols}
+    overlap = sorted(set(lcols) & set(rcols))
+    if overlap:
+        raise ValueError(
+            f"bucketed_hash_join: both sides carry the non-key columns {overlap}; "
+            f"rename them on one side or project them away before the join"
+        )
 
     # each side's columns under its declared types; both sides are tagged
     # into one union schema, so every exchange block has one schema
-    lside = pa.schema([(key, lschema[key])] + [(lmap[c], lschema[c]) for c in lcols])
-    rside = pa.schema([(key, rschema[key])] + [(rmap[c], rschema[c]) for c in rcols])
+    lside = pa.schema([(c, lschema[c]) for c in [key, *lcols]])
+    rside = pa.schema([(c, rschema[c]) for c in [key, *rcols]])
     union = pa.unify_schemas([lside, rside]).append(pa.field("__side", pa.int8()))
 
-    def tag(side, colmap):
+    def tag(side, names):
         def fn(batch: pa.Table) -> pa.Table:
             # explicit-schema callers must declare EVERY upstream column:
             # silently dropping an undeclared one would turn schema drift
             # into data loss downstream of the join
-            extra = set(batch.column_names) - set(colmap) - {key}
+            extra = set(batch.column_names) - set(names)
             if extra:
                 raise ValueError(
                     f"bucketed_hash_join: side {side} carries undeclared "
                     f"columns {sorted(extra)}; add them to the declared schema "
                     f"or project them away before the join"
                 )
-            cols = {key: batch.column(key), "__side": pa.array(np.full(batch.num_rows, side, np.int8))}
-            cols.update((new, batch.column(orig)) for orig, new in colmap.items())
+            cols = {c: batch.column(c) for c in names}
+            cols["__side"] = pa.array(np.full(batch.num_rows, side, np.int8))
             return pa.table(
                 [cols[f.name] if f.name in cols else pa.nulls(batch.num_rows, f.type) for f in union],
                 names=union.names,
@@ -117,8 +114,8 @@ def bucketed_hash_join(
 
         return fn
 
-    lt = left.map_batches(tag(0, lmap), batch_format="pyarrow")
-    rt = right.map_batches(tag(1, rmap), batch_format="pyarrow")
+    lt = left.map_batches(tag(0, lside.names), batch_format="pyarrow")
+    rt = right.map_batches(tag(1, rside.names), batch_format="pyarrow")
 
     # Ray never calls a reduce with an empty block. A side's column can
     # arrive null-typed (an empty pandas block converts so), hence the cast

@@ -1,12 +1,13 @@
-"""Multimodal column stages — real Ray plumbing, stubbed codecs.
+"""Multimodal column stages — real Ray plumbing, fake codecs.
 
 Image/audio/video payloads are opaque ``binary`` columns with typed
 metadata columns beside them (the same layout as the tiles table). The
 stateful stage shape — schema in/out, batch sizing for large binary
 rows, model/codec initialisation once per worker process — is real and
-tested; the codec itself is either a clearly-marked NotImplementedError (real
-decode: no imaging/audio libraries exist in this environment) or a
-DETERMINISTIC FAKE decode used to exercise the pipeline end-to-end.
+tested; the codec is a DETERMINISTIC FAKE decode (no imaging, audio or
+video library exists in this environment) that exercises the pipeline
+end to end and has an exact DuckDB twin. Payload bytes are read straight
+off the Arrow buffers (``color_stage.binary_view``).
 
 Batch-size guidance (ray_guide "Memory-aware"): with payloads of
 ``P`` bytes, pick ``batch_size`` so ``batch_size * P`` times the
@@ -19,25 +20,19 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from .color_stage import binary_view
+
+# DecodeImageStage's output (height, width), the twin's h and w
+DECODE_SIZE = (16, 16)
+
 
 def binary_col_byte_sums(col) -> np.ndarray:
     """Per-row sum of a binary column's bytes, Arrow-buffer vectorized.
 
-    One int64 cumsum over the data buffer + a diff at the row offsets —
-    no per-row ``np.frombuffer(...).sum()`` Python loop (that loop is
-    fine at small payloads but O(rows) interpreter work as payloads
-    grow). Null rows sum to 0.
+    One int64 cumsum over the values + a diff at the row offsets — no
+    per-row ``np.frombuffer(...).sum()`` Python loop. Null rows sum to 0.
     """
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    n = len(arr)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    width = 8 if pa.types.is_large_binary(arr.type) else 4
-    odtype = np.int64 if width == 8 else np.int32
-    offsets = np.frombuffer(arr.buffers()[1], dtype=odtype)[
-        arr.offset : arr.offset + n + 1
-    ].astype(np.int64)
-    data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
+    offsets, data = binary_view(col)
     cs = np.zeros(len(data) + 1, dtype=np.int64)
     np.cumsum(data, dtype=np.int64, out=cs[1:])
     return cs[offsets[1:]] - cs[offsets[:-1]]
@@ -46,27 +41,18 @@ def binary_col_byte_sums(col) -> np.ndarray:
 class DecodeImageStage:
     """Decode image bytes -> (h, w, 3) uint8 + feature columns.
 
-    ``fake=True`` (default here): deterministic pseudo-decode — pixels
-    derived from a SHA-256 keystream of the payload, so tests exercise
-    the full stage/schema/batch path with stable outputs. The chain
-    iterates over lowercase HEX DIGESTS (block_{i+1} = sha256 of the
-    ASCII hex of block_i), not raw digests, so the keystream has an
-    exact DuckDB twin (sha256() there is VARCHAR-only) — see
-    pipelines/corpus.py:media_features_sql. ``fake=False`` raises
-    NotImplementedError (no PIL/libjpeg in this container).
+    A deterministic pseudo-decode: pixels derived from a SHA-256
+    keystream of the payload, so tests exercise the full
+    stage/schema/batch path with stable outputs. The chain iterates over
+    lowercase HEX DIGESTS (block_{i+1} = sha256 of the ASCII hex of
+    block_i), not raw digests, so the keystream has an exact DuckDB twin
+    (sha256() there is VARCHAR-only) — see
+    pipelines/corpus.py:media_features_sql.
     """
 
-    def __init__(self, out_size=(16, 16), fake=True):
-        self.out_size = out_size
-        self.fake = fake
-
-    def _decode(self, payload: bytes) -> np.ndarray:
-        if not self.fake:
-            raise NotImplementedError(
-                "real image decode requires an imaging library (PIL/opencv), "
-                "not present in this environment — run with fake=True"
-            )
-        h, w = self.out_size
+    @staticmethod
+    def _decode(payload: bytes) -> np.ndarray:
+        h, w = DECODE_SIZE
         n = h * w * 3
         stream = bytearray()
         hx = hashlib.sha256(payload).hexdigest()
@@ -77,7 +63,7 @@ class DecodeImageStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         payloads = batch.column("payload").to_pylist()
-        h, w = self.out_size
+        h, w = DECODE_SIZE
         decoded = np.stack([self._decode(p) for p in payloads]) if payloads else np.zeros((0, h, w, 3), np.uint8)
         # floor integer mean (sum // n): tie-free on both engines, unlike
         # float mean + round (a mean of uint8s lands exactly on .5 where
@@ -103,23 +89,15 @@ class DecodeImageStage:
 class AudioFrameStage:
     """Frame-sample an audio binary column -> fixed-rate feature rows.
 
-    Fake decode: interprets payload bytes as int8 PCM. Real decode
-    (fake=False) raises NotImplementedError (no soundfile/ffmpeg here).
+    A fake decode: the payload bytes are int8 PCM.
     """
 
-    def __init__(self, frame_len=256, fake=True):
+    def __init__(self, frame_len=256):
         self.frame_len = frame_len
-        self.fake = fake
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.fake:
-            raise NotImplementedError(
-                "real audio decode requires soundfile/ffmpeg — absent here"
-            )
         L = self.frame_len
-        ids = np.asarray(batch.column("media_id").to_pylist())
-        payloads = batch.column("payload").to_pylist()
-        if not payloads:
+        if batch.num_rows == 0:
             return pa.table(
                 {
                     "media_id": pa.array([], pa.int64()),
@@ -127,21 +105,22 @@ class AudioFrameStage:
                     "energy": pa.array([], pa.int64()),
                 }
             )
-        # one concatenated PCM buffer + a cumulative sum of squares: each
-        # frame's energy is cs[end] - cs[start] — no per-frame Python.
-        lens = np.asarray([len(p) for p in payloads], dtype=np.int64)
-        pcm = np.frombuffer(b"".join(payloads), dtype=np.int8).astype(np.int64)
+        # the batch's PCM bytes back to back + a cumulative sum of
+        # squares: each frame's energy is cs[end] - cs[start] — no
+        # per-frame Python.
+        offsets, data = binary_view(batch.column("payload"))
+        lens = np.diff(offsets)
+        pcm = data.view(np.int8).astype(np.int64)
         cs = np.concatenate(([0], np.cumsum(pcm * pcm)))
         n_frames = np.maximum(1, lens // L)
-        doc_start = np.cumsum(lens) - lens
         fidx = np.arange(int(n_frames.sum())) - np.repeat(
             np.cumsum(n_frames) - n_frames, n_frames
         )
-        starts = np.repeat(doc_start, n_frames) + fidx * L
-        ends = np.minimum(starts + L, np.repeat(doc_start + lens, n_frames))
+        starts = np.repeat(offsets[:-1], n_frames) + fidx * L
+        ends = np.minimum(starts + L, np.repeat(offsets[1:], n_frames))
         return pa.table(
             {
-                "media_id": pa.array(np.repeat(ids, n_frames)),
+                "media_id": pa.array(np.repeat(batch.column("media_id").to_numpy(), n_frames)),
                 "frame": pa.array(fidx, pa.int64()),
                 "energy": pa.array(cs[ends] - cs[starts], pa.int64()),
             }
@@ -163,23 +142,24 @@ class ResizeImageStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         oh, ow = self.out_size
-        hs = np.asarray(batch.column("height").to_pylist(), dtype=np.int64)
-        ws = np.asarray(batch.column("width").to_pylist(), dtype=np.int64)
-        payloads = batch.column("pixels").to_pylist()
-        out = np.empty((len(payloads), oh, ow, 3), dtype=np.uint8)
+        n = batch.num_rows
+        hs = batch.column("height").to_numpy().astype(np.int64)
+        ws = batch.column("width").to_numpy().astype(np.int64)
+        offsets, data = binary_view(batch.column("pixels"))
+        if not np.array_equal(np.diff(offsets), hs * ws * 3):
+            raise ValueError("ResizeImageStage: a pixels buffer is not height * width * 3 bytes")
+        out = np.empty((n, oh, ow, 3), dtype=np.uint8)
         for h, w in set(zip(hs.tolist(), ws.tolist())):
             sel = np.flatnonzero((hs == h) & (ws == w))
-            block = np.frombuffer(
-                b"".join(payloads[i] for i in sel), dtype=np.uint8
-            ).reshape(len(sel), h, w, 3)
+            block = data[offsets[sel, None] + np.arange(h * w * 3)].reshape(len(sel), h, w, 3)
             ri = (np.arange(oh) * h) // oh
             ci = (np.arange(ow) * w) // ow
             out[sel] = block[:, ri][:, :, ci]
         return pa.table(
             {
                 "media_id": batch.column("media_id"),
-                "height": pa.array(np.full(len(payloads), oh, dtype=np.int32)),
-                "width": pa.array(np.full(len(payloads), ow, dtype=np.int32)),
+                "height": pa.array(np.full(n, oh, dtype=np.int32)),
+                "width": pa.array(np.full(n, ow, dtype=np.int32)),
                 "pixels": pa.array([o.tobytes() for o in out], pa.binary()),
             }
         )
@@ -188,27 +168,21 @@ class ResizeImageStage:
 class VideoFrameSampleStage:
     """Sample every ``stride``-th frame from an opaque video column.
 
-    Fake container (documented): the payload is a plain concatenation of
+    A fake container: the payload is a plain concatenation of
     ``frame_bytes``-byte frames; only FULL frames exist (a tail shorter
     than frame_bytes is container padding and ignored — docs shorter than
-    one frame yield zero rows). Real demuxing (fake=False) raises
-    NotImplementedError (no ffmpeg here). Emits the sampled frame bytes
-    plus an exact integer luma sum — the metric the SQL twin verifies.
+    one frame yield zero rows). Emits the sampled frame bytes plus an
+    exact integer luma sum — the metric the SQL twin verifies.
     """
 
-    def __init__(self, frame_bytes=64, stride=4, fake=True):
+    def __init__(self, frame_bytes=64, stride=4):
         self.frame_bytes = frame_bytes
         self.stride = stride
-        self.fake = fake
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.fake:
-            raise NotImplementedError("real video demux requires ffmpeg — absent here")
         F, S = self.frame_bytes, self.stride
-        ids = np.asarray(batch.column("media_id").to_pylist())
-        payloads = batch.column("payload").to_pylist()
-        lens = np.asarray([len(p) for p in payloads], dtype=np.int64)
-        n_frames = lens // F
+        offsets, data = binary_view(batch.column("payload"))
+        n_frames = np.diff(offsets) // F
         n_sampled = (n_frames + S - 1) // S  # frames 0, S, 2S, ...
         total = int(n_sampled.sum())
         if total == 0:
@@ -220,20 +194,17 @@ class VideoFrameSampleStage:
                     "frame_payload": pa.array([], pa.binary()),
                 }
             )
-        buf = np.frombuffer(b"".join(payloads), dtype=np.uint8).astype(np.int64)
-        cs = np.concatenate(([0], np.cumsum(buf)))
-        doc_start = np.cumsum(lens) - lens
+        cs = np.concatenate(([0], np.cumsum(data, dtype=np.int64)))
         sidx = np.arange(total) - np.repeat(np.cumsum(n_sampled) - n_sampled, n_sampled)
         fidx = sidx * S
-        starts = np.repeat(doc_start, n_sampled) + fidx * F
-        raw = b"".join(payloads)
+        starts = np.repeat(offsets[:-1], n_sampled) + fidx * F
         return pa.table(
             {
-                "media_id": pa.array(np.repeat(ids, n_sampled)),
+                "media_id": pa.array(np.repeat(batch.column("media_id").to_numpy(), n_sampled)),
                 "frame": pa.array(fidx, pa.int64()),
                 "sum_luma": pa.array(cs[starts + F] - cs[starts], pa.int64()),
                 "frame_payload": pa.array(
-                    [raw[s : s + F] for s in starts.tolist()], pa.binary()
+                    [data[s : s + F].tobytes() for s in starts.tolist()], pa.binary()
                 ),
             }
         )

@@ -12,6 +12,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .agg import run_position
+from .color_stage import binary_view
 
 _TOKEN_RE = r"\S+"
 _ALPHA_RE = r"[A-Za-z]"
@@ -277,19 +278,8 @@ def tokenize_hash_arrays(texts):
     """
     if not isinstance(texts, (pa.Array, pa.ChunkedArray)):
         texts = pa.array(list(texts), pa.string())
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
     n_docs = len(texts)
-    if n_docs == 0:
-        return np.empty(0, np.uint64), np.empty(0, np.int64)
-    off_dtype = np.int64 if pa.types.is_large_string(texts.type) else np.int32
-    offs = np.frombuffer(texts.buffers()[1], dtype=off_dtype)[
-        texts.offset : texts.offset + n_docs + 1
-    ].astype(np.int64)
-    buf = texts.buffers()[2]
-    data = np.frombuffer(buf, dtype=np.uint8) if buf is not None else np.empty(0, np.uint8)
-    b = data[offs[0] : offs[-1]]
-    offs = offs - offs[0]
+    offs, b = binary_view(texts)
     if len(b) == 0:
         return np.empty(0, np.uint64), np.zeros(n_docs, np.int64)
 

@@ -159,7 +159,6 @@ def resumable_flagship(
     out_dir,
     n_parts=16,
     replicate=1,
-    ops=None,
     z=None,
     max_partitions=None,
 ):
@@ -167,21 +166,19 @@ def resumable_flagship(
 
     The pending pages' partial pixel counts carry their partition, and
     one keyed exchange on it renders, colors and writes every pending
-    partition (see the module docstring). ``max_partitions`` caps how
+    partition (see the module docstring), colored with the flagship's
+    ``DEFAULT_OPS``. ``max_partitions`` caps how
     many pending partitions this invocation processes — the test harness
     uses it to simulate a killed run. Returns a summary dict (counts +
     per-stage metrics).
     """
-    from ..color import parse_operations
     from ..sources.polygons import make_admin_polygons
     from ..stages.pip_stage import PIPJoinStage
     from ..stages.statecache import make_stage_fn
     from ..pipelines.tiles import DEFAULT_OPS, DEFAULT_ZOOM, _assemble_bucket, _partial_pixel_counts
     from ..pipelines.geo import cellified
 
-    ops = ops or DEFAULT_OPS
     z = DEFAULT_ZOOM if z is None else z
-    parse_operations(ops)  # validate before any work launches
 
     def run(pending, write):
         pending_arr = pa.array(pending, pa.int64())
@@ -200,7 +197,7 @@ def resumable_flagship(
 
         @functools.wraps(write)  # the Ray operator keeps the writer's name
         def render_and_write(block: pa.Table) -> pa.Table:
-            tiles = _assemble_bucket(block.drop_columns(["part"]), ops)
+            tiles = _assemble_bucket(block.drop_columns(["part"]), DEFAULT_OPS)
             part = _partition_of_tile_x(tiles.column("x").to_numpy(), z, n_parts)
             return write(tiles.append_column("part", pa.array(part)))
 

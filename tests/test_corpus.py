@@ -840,7 +840,7 @@ def test_min_label_components_multi_hop(ray_session):
 
 def test_min_label_components_long_chain(ray_session):
     """Worst-case diameter: a 3000-node path (node i shares key i with
-    node i+1) must converge within max_iters — the path-compression
+    node i+1) must converge within MAX_ITERS — the path-compression
     rewrite makes rounds O(log diameter), not one hop per round — and
     label every node with the chain head."""
     import ray.data

@@ -17,7 +17,7 @@ def test_pagerank_matches_sql_twin(ray_session, con):
 
     out = oracle_check(graph.pagerank(SF), con, graph.pagerank_sql())
     # the skewed link maps must actually produce a skewed rank vector
-    # (a permutation graph degenerates to uniform ranks — see _link_dsts)
+    # (a permutation graph degenerates to uniform ranks — see link_dsts)
     assert out["rank"].nunique() > 100
     assert out["rank"].max() > 5 * out["rank"].min()
     # the oracle must hand the driver int64, not HUGEINT-degraded float64
@@ -27,15 +27,17 @@ def test_pagerank_matches_sql_twin(ray_session, con):
 def test_pagerank_matches_local_reference(ray_session):
     """5 iterations on the exact dense reference recurrence (pure numpy,
     no Ray, no SQL) — guards both engines against a shared mistake."""
+    from rio_color_ray.io import table_num_rows
     from rio_color_ray.pipelines import graph
+    from rio_color_ray.sources.pages import link_dsts
 
-    n = graph._n_docs(SF)
+    n = table_num_rows(SF, "documents")
     rank = np.full(n, graph.RANK_UNIT, np.int64)
     src = np.arange(n, dtype=np.int64)
     for _ in range(graph.N_ITER):
         inc = np.zeros(n, np.int64)
         share = rank // graph.FANOUT
-        for dst in graph._link_dsts(src, n):
+        for dst in link_dsts(src, n):
             np.add.at(inc, dst, share)
         rank = graph.BASE + (graph.DAMP_NUM * inc) // graph.DAMP_DEN
     out = graph.pagerank(SF).to_pandas().sort_values("doc_id")
@@ -45,16 +47,18 @@ def test_pagerank_matches_local_reference(ray_session):
 def test_pagerank_single_iteration_base_case(ray_session):
     """After one iteration a node's rank is BASE + damped floor-shares
     of its in-links — in-degree times the uniform share."""
+    from rio_color_ray.io import table_num_rows
     from rio_color_ray.pipelines import graph
+    from rio_color_ray.sources.pages import link_dsts
 
-    n = graph._n_docs(SF)
+    n = table_num_rows(SF, "documents")
     out = (
         graph.pagerank(SF, n_iter=1).to_pandas().set_index("doc_id")["rank"]
     )
     src = np.arange(n, dtype=np.int64)
     share = graph.RANK_UNIT // graph.FANOUT
     indeg = np.zeros(n, np.int64)
-    for dst in graph._link_dsts(src, n):
+    for dst in link_dsts(src, n):
         np.add.at(indeg, dst, 1)
     expect = graph.BASE + (graph.DAMP_NUM * indeg * share) // graph.DAMP_DEN
     assert np.array_equal(out.sort_index().to_numpy(), expect)
@@ -65,10 +69,11 @@ def test_extract_links_matches_link_maps(ray_session):
     link maps — the crawl-extraction half of pagerank_edges."""
     import pandas as pd
 
+    from rio_color_ray.io import table_num_rows
     from rio_color_ray.pipelines import web
     from rio_color_ray.sources.pages import link_dsts
 
-    n = web._n_docs(SF)
+    n = table_num_rows(SF, "documents")
     got = (
         web.extract_links(SF)
         .to_pandas()

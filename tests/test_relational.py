@@ -112,6 +112,19 @@ def test_bucketed_join_edge_cases(ray_session):
     assert out3[["k", "lv", "rv"]].values.tolist() == [[3, 2, 20]]
 
 
+def test_bucketed_join_refuses_shared_non_key_column(ray_session):
+    """Two sides that share a non-key column are refused with a
+    ValueError naming it, before any work runs: no join renames one."""
+    import ray.data
+
+    from rio_color_ray.stages.join import bucketed_hash_join
+
+    left = ray.data.from_arrow(pa.table({"k": [1, 2], "v": [1, 2], "lv": [3, 4]}))
+    right = ray.data.from_arrow(pa.table({"k": [2, 3], "v": [5, 6]}))
+    with pytest.raises(ValueError, match=r"\['v'\]"):
+        bucketed_hash_join(left, right, key="k")
+
+
 def test_bucketed_join_pandas_backed_strings(ray_session):
     """pandas-backed Datasets with object/str non-key columns join fine
     (np.dtype('O') has no direct Arrow mapping) and int64 dtypes survive
@@ -212,10 +225,6 @@ def test_multimodal_plumbing(ray_session):
     fdf = frames.to_pandas()
     assert len(fdf) == 16 * (2048 // 256)
     assert (fdf["energy"] >= 0).all()
-
-    # the real-codec path fails loudly, not silently
-    with pytest.raises(NotImplementedError):
-        DecodeImageStage(fake=False)._decode(b"payload")
 
 
 def test_q14_promo_revenue(ray_session, con):
