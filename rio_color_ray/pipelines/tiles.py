@@ -33,7 +33,13 @@ import pyarrow as pa
 from ..color import parse_operations
 from ..ctx import bucket_exchange
 from ..spatial import mercator_tile, tile_pixel
-from ..stages.color_stage import ColorStage, apply_ops_to_tiles, binary_view, color_tuples
+from ..stages.color_stage import (
+    ColorStage,
+    apply_ops_to_tiles,
+    binary_array,
+    binary_view,
+    color_tuples,
+)
 from ..stages.sampling import splitmix64
 from ..stages.statecache import make_stage_fn
 
@@ -108,11 +114,14 @@ def _assemble_bucket(group: pa.Table, ops=None) -> pa.Table:
     the render contract and the color program run once per DISTINCT
     count in the block — a few hundred values instead of tiles x 1024
     pixels. Every tile buffer is filled with the count-0 tuple and only
-    occupied pixels are scattered. Output is byte-identical to rendering
-    densely and then applying ``ColorStage`` (tested), with the same
-    schema: ``dtype`` stays the input's uint8 and an ``ops`` column is
-    appended. Requires only that every partial of a given tile is
-    co-located in the block.
+    occupied pixels are scattered. That (tiles, 3, 32, 32) buffer is the
+    ``pixels`` column's data buffer as it is (``binary_array``, no
+    copy), and the constant ``dtype`` and ``ops`` columns are
+    ``pa.repeat`` arrays. Output is byte-identical to rendering densely
+    and then applying ``ColorStage`` (tested), with the same schema:
+    ``dtype`` stays the input's uint8 and an ``ops`` column is appended.
+    Requires only that every partial of a given tile is co-located in
+    the block.
     """
     import pyarrow.compute as pc
 
@@ -148,13 +157,7 @@ def _assemble_bucket(group: pa.Table, ops=None) -> pa.Table:
     px[:] = tuples[:, 0, None]  # count 0's tuple, where one is needed
     px[np.cumsum(first) - 1, :, cells % npix] = tuples[:, vinv].T
 
-    nbytes = 3 * npix
-    pixels = pc.cast(
-        pa.FixedSizeBinaryArray.from_buffers(
-            pa.binary(nbytes), k, [None, pa.py_buffer(px)]
-        ),
-        pa.binary(),
-    )
+    pixels = binary_array(np.arange(k + 1, dtype=np.int64) * (3 * npix), px.reshape(-1))
     z = (uniq >> 44).astype(np.int32)
     xt = ((uniq >> 22) & ((1 << 22) - 1)).astype(np.int32)
     yt = (uniq & ((1 << 22) - 1)).astype(np.int32)
@@ -173,13 +176,13 @@ def _assemble_bucket(group: pa.Table, ops=None) -> pa.Table:
         "x": pa.array(xt),
         "y": pa.array(yt),
         "band_count": pa.array(np.full(k, 3, dtype=np.uint8)),
-        "dtype": pa.array(["uint8"] * k, pa.string()),
+        "dtype": pa.repeat(pa.scalar("uint8", pa.string()), k),
         "width": pa.array(np.full(k, TILE_SIZE, dtype=np.int32)),
         "height": pa.array(np.full(k, TILE_SIZE, dtype=np.int32)),
         "pixels": pixels,
     }
     if ops is not None:
-        cols["ops"] = pa.array([ops] * k, pa.string())
+        cols["ops"] = pa.repeat(pa.scalar(ops, pa.string()), k)
     return pa.table(cols)
 
 
@@ -310,13 +313,7 @@ def _hex_string_array(arr: pa.Array) -> pa.Array:
     out = np.empty(data.size * 2, np.uint8)
     out[0::2] = hex_lut[data >> 4]
     out[1::2] = hex_lut[data & 0x0F]
-    if out.size >= (1 << 31):
-        raise ValueError("hex output exceeds int32 string offsets; lower batch_size")
-    return pa.Array.from_buffers(
-        pa.string(),
-        len(arr),
-        [None, pa.py_buffer((rel * 2).astype(np.int32)), pa.py_buffer(out)],
-    )
+    return binary_array(rel * 2, out, pa.string())
 
 
 def _pixels_to_hex(batch: pa.Table) -> pa.Table:

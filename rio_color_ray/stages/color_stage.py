@@ -285,11 +285,8 @@ class ColorStage:
 
         # one output buffer in signature order, then back to row order
         sizes = np.repeat([o.shape[1] for o in outs], counts)
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int32)
         data = np.concatenate([o.ravel() for o in outs] or [np.empty(0, np.uint8)])
-        out_px = pa.Array.from_buffers(
-            pa.binary(), n, [None, pa.py_buffer(offsets), pa.py_buffer(data)]
-        )
+        out_px = binary_array(np.concatenate([[0], np.cumsum(sizes)]), data)
         if not np.array_equal(order, np.arange(n)):
             out_px = out_px.take(pa.array(np.argsort(order)))
         out_dt = pa.array(out_dts, pa.string()).take(pa.array(inv))
@@ -315,7 +312,7 @@ def binary_view(arr):
     Returns ``(offsets, values)``: ``len(arr) + 1`` int64 offsets that
     start at 0, and the values back to back as a uint8 view. Either
     offset width is read, a sliced array's offset is honoured and a
-    ChunkedArray is combined first.
+    ChunkedArray is combined first. :func:`binary_array` is the inverse.
     """
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
@@ -328,3 +325,28 @@ def binary_view(arr):
     values = arr.buffers()[2]
     data = np.frombuffer(values, np.uint8)[offs[0]:offs[-1]] if values else np.empty(0, np.uint8)
     return offs - offs[0], data
+
+
+_INT32_OFFSET_LIMIT = np.iinfo(np.int32).max
+
+
+def binary_array(offsets, values, type=pa.binary()):
+    """A binary (or, given ``type``, string) column from ``len + 1``
+    int64 offsets that start at 0 and a uint8 values buffer; the inverse
+    of :func:`binary_view`.
+
+    The values become the Arrow data buffer as they are, not copied;
+    only the offsets are narrowed to int32. The engine's one way to make
+    a binary or string array from buffers. Raises ``ValueError`` when
+    the values do not fit int32 offsets, rather than wrapping them.
+    """
+    offsets = np.asarray(offsets, np.int64)
+    nbytes = int(offsets[-1])
+    if nbytes > _INT32_OFFSET_LIMIT:
+        raise ValueError(
+            f"{nbytes} bytes in one {type} column exceed the int32 offset limit "
+            f"of {_INT32_OFFSET_LIMIT} bytes; split the batch"
+        )
+    return pa.Array.from_buffers(
+        type, len(offsets) - 1, [None, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(values)]
+    )

@@ -7,7 +7,9 @@ rows, model/codec initialisation once per worker process — is real and
 tested; the codec is a DETERMINISTIC FAKE decode (no imaging, audio or
 video library exists in this environment) that exercises the pipeline
 end to end and has an exact DuckDB twin. Payload bytes are read straight
-off the Arrow buffers (``color_stage.binary_view``).
+off the Arrow buffers (``color_stage.binary_view``), and every binary
+column a stage emits is one stacked array handed to Arrow as its data
+buffer (``color_stage.binary_array``): no per-row ``tobytes()``.
 
 Batch-size guidance (ray_guide "Memory-aware"): with payloads of
 ``P`` bytes, pick ``batch_size`` so ``batch_size * P`` times the
@@ -20,7 +22,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
-from .color_stage import binary_view
+from .color_stage import binary_array, binary_view
 
 # DecodeImageStage's output (height, width), the twin's h and w
 DECODE_SIZE = (16, 16)
@@ -36,6 +38,13 @@ def binary_col_byte_sums(col) -> np.ndarray:
     cs = np.zeros(len(data) + 1, dtype=np.int64)
     np.cumsum(data, dtype=np.int64, out=cs[1:])
     return cs[offsets[1:]] - cs[offsets[:-1]]
+
+
+def _stacked_binary(rows: np.ndarray) -> pa.Array:
+    """A binary column with one row per leading index of the uint8
+    array ``rows``, each row's bytes in C order, with no copy."""
+    size = int(np.prod(rows.shape[1:]))
+    return binary_array(np.arange(len(rows) + 1, dtype=np.int64) * size, rows.reshape(-1))
 
 
 class DecodeImageStage:
@@ -78,7 +87,7 @@ class DecodeImageStage:
                 "media_id": batch.column("media_id"),
                 "height": pa.array([h] * len(payloads), pa.int32()),
                 "width": pa.array([w] * len(payloads), pa.int32()),
-                "pixels": pa.array([d.tobytes() for d in decoded], pa.binary()),
+                "pixels": _stacked_binary(decoded),
                 "mean_r": pa.array(mean_rgb[:, 0], pa.int64()),
                 "mean_g": pa.array(mean_rgb[:, 1], pa.int64()),
                 "mean_b": pa.array(mean_rgb[:, 2], pa.int64()),
@@ -160,7 +169,7 @@ class ResizeImageStage:
                 "media_id": batch.column("media_id"),
                 "height": pa.array(np.full(n, oh, dtype=np.int32)),
                 "width": pa.array(np.full(n, ow, dtype=np.int32)),
-                "pixels": pa.array([o.tobytes() for o in out], pa.binary()),
+                "pixels": _stacked_binary(out),
             }
         )
 
@@ -203,9 +212,7 @@ class VideoFrameSampleStage:
                 "media_id": pa.array(np.repeat(batch.column("media_id").to_numpy(), n_sampled)),
                 "frame": pa.array(fidx, pa.int64()),
                 "sum_luma": pa.array(cs[starts + F] - cs[starts], pa.int64()),
-                "frame_payload": pa.array(
-                    [data[s : s + F].tobytes() for s in starts.tolist()], pa.binary()
-                ),
+                "frame_payload": _stacked_binary(data[starts[:, None] + np.arange(F)]),
             }
         )
 

@@ -2,9 +2,12 @@
 
 Cell-range partitioning: partition p covers web-mercator tile-x range
 ``[p*2^z/K, (p+1)*2^z/K)`` at the render zoom z (K = n_parts). The id is
-computable BOTH from a page's lon (before any expensive stage — so resume
-filters the corpus at the source) and from a tile's x (so every partial
+computable BOTH from a page's lon and from a tile's x (so every partial
 pixel count and every rendered tile lands in its page's partition).
+Resume drops the pages of completed partitions by their lon once the
+pages are made and geocoded (``cellified``): every page is still
+generated and geocoded, and only the PIP join, the partial pixel counts,
+the exchange and the render skip the completed partitions.
 Partition count is a deployment knob: at cluster scale set K ≈ a few ×
 node count so a lost node forfeits only its in-flight cell ranges. A
 resumable run renders in one task per occupied ``part`` bucket,
@@ -27,8 +30,9 @@ record afterwards so resume does not re-run them forever. The corpus
 curation run (:func:`resumable_curate`) writes through the same
 partition writer and the same resume protocol (:func:`_resume`).
 
-The writer is Arrow-native: it filters, sorts and writes the exchange's
-Arrow block as is, with no pandas round trip, so no pandas schema
+The writer is Arrow-native: it sorts the exchange's Arrow block's row
+indices once by partition and ``sort_col``, copies each partition's rows
+once and writes them, with no pandas round trip, so no pandas schema
 metadata reaches the stored files or the blocks read back from them.
 :func:`read_output` reads those files through ``io.read_parquet``, in
 one block per CPU (one block at 1 CPU, for all 16 files), without hive
@@ -78,10 +82,19 @@ def _partition_writer(out_dir, stage, sort_col, cell_range_fn):
 
     def write_group(block: pa.Table) -> pa.Table:
         recs = []
-        part = block.column("part")
-        for p in sorted(pc.unique(part).to_pylist()):
+        # one stable sort of the row indices by (part, sort_col); each
+        # partition's rows are then copied once, by one take of its run
+        # of indices (cache-sized: one take of the whole block measured
+        # 2.4x slower on a tiles block)
+        order = pc.sort_indices(block, [("part", "ascending"), (sort_col, "ascending")])
+        part = block.column("part").take(order).to_numpy()
+        first = np.ones(len(part), dtype=bool)
+        first[1:] = part[1:] != part[:-1]
+        starts = np.flatnonzero(first)
+        for start, stop in zip(starts, [*starts[1:], len(part)]):
             t0 = time.time()
-            body = block.filter(pc.equal(part, p)).drop_columns(["part"]).sort_by(sort_col)
+            p = int(part[start])
+            body = block.take(order.slice(start, stop - start)).drop_columns(["part"])
             part_dir = os.path.join(out_dir, f"part={p}")
             os.makedirs(part_dir, exist_ok=True)
             os.makedirs(os.path.join(out_dir, TMP_DIR), exist_ok=True)

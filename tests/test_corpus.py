@@ -690,6 +690,35 @@ def test_video_frame_sample_semantics(ray_session):
     assert out["sum_luma"] == [sum(range(64))] * 3
 
 
+@pytest.mark.parametrize("rows", [9, 0])
+def test_media_stages_equal_their_per_row_binary_columns(rows):
+    """Each media stage's binary column, built from one stacked array,
+    equals the column built from one ``tobytes()`` per row, in value and
+    type; an empty batch too."""
+    from rio_color_ray.stages.multimodal import (
+        DecodeImageStage,
+        ResizeImageStage,
+        VideoFrameSampleStage,
+        make_media_table,
+    )
+
+    def with_column(t, name, values):
+        return t.set_column(t.schema.get_field_index(name), name, pa.array(values, pa.binary()))
+
+    t = make_media_table(n=9, payload_bytes=700).slice(0, rows)
+    dec = DecodeImageStage()(t)
+    decoded = [DecodeImageStage._decode(p) for p in t.column("payload").to_pylist()]
+    assert dec.equals(with_column(dec, "pixels", [d.tobytes() for d in decoded]))
+
+    small = ResizeImageStage(out_size=(5, 3))(dec)
+    resized = [d[(np.arange(5) * 16) // 5][:, (np.arange(3) * 16) // 3] for d in decoded]
+    assert small.equals(with_column(small, "pixels", [r.tobytes() for r in resized]))
+
+    frames = VideoFrameSampleStage(frame_bytes=100, stride=3)(t)
+    want = [p[f * 100:(f + 1) * 100] for p in t.column("payload").to_pylist() for f in range(0, 7, 3)]
+    assert frames.equals(with_column(frames, "frame_payload", want))
+
+
 def _ann_tie():
     """A query (vec_id 0) and two vectors whose cosines with it,
     0.99999902 (vec_id 10) and 0.99999901 (vec_id 5), both round to

@@ -563,20 +563,26 @@ def test_partition_writer_writes_every_part_in_its_block(tmp_path):
 
     out_dir = str(tmp_path)
     write_group = _partition_writer(out_dir, "test", "tile_id", lambda p: (10 * p, 10 * p + 9))
+    # parts out of order and interleaved; tied tile_ids keep their order
     block = pa.table(
         {
-            "tile_id": ["b", "a", "c", "d", "e"],
-            "val": pa.array(np.arange(5), pa.int64()),
-            "part": pa.array([1, 1, 3, 3, 3], pa.int64()),
+            "tile_id": ["d", "b", "a", "c", "e", "a", "b", "d", "a"],
+            "val": pa.array(np.arange(9), pa.int64()),
+            "part": pa.array([3, 1, 1, 3, 3, 0, 1, 3, 1], pa.int64()),
         }
     )
     lineage = write_group(block).to_pandas()
-    assert lineage["partition_id"].tolist() == ["1", "3"]
-    assert lineage["rows_out"].tolist() == [2, 3]
-    assert lineage["cell_lo"].tolist() == [10, 30]
-    assert set(completed_partitions(out_dir)) == {"1", "3"}
-    for p, ids in ((1, ["a", "b"]), (3, ["c", "d", "e"])):
+    assert lineage["partition_id"].tolist() == ["0", "1", "3"]
+    assert lineage["rows_out"].tolist() == [1, 4, 4]
+    assert lineage["cell_lo"].tolist() == [0, 10, 30]
+    assert set(completed_partitions(out_dir)) == {"0", "1", "3"}
+    for p, ids, vals in ((0, ["a"], [5]), (1, ["a", "a", "b", "b"], [2, 8, 1, 6]),
+                         (3, ["c", "d", "d", "e"], [3, 0, 7, 4])):
         t = pq.read_table(os.path.join(out_dir, f"part={p}", "data.parquet"))
         assert t.column_names == ["tile_id", "val"]
         assert t.schema.metadata is None  # no pandas metadata stored
         assert t.column("tile_id").to_pylist() == ids
+        assert t.column("val").to_pylist() == vals
+        # the table a filter of the part and a stable sort would store
+        part = block.filter(pc.equal(block.column("part"), p))
+        assert t.equals(part.drop_columns(["part"]).sort_by("tile_id"))

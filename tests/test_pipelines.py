@@ -483,6 +483,123 @@ def test_assemble_bucket_with_ops_equals_color_stage():
     assert px[2, 40] == 300 % 256 and px[1, 40] == 255  # the two partials summed
 
 
+def _partials_block(z, n_points=3000, seed=5):
+    """Partial pixel counts of two point batches at zoom z (so partials
+    of one pixel repeat), one fully occupied tile appended, rows
+    shuffled as an exchange may deliver them."""
+    import pyarrow as pa
+
+    from rio_color_ray.pipelines.tiles import _partial_pixel_counts, _tile_key
+
+    rng = np.random.default_rng(seed)
+    parts = [
+        _partial_pixel_counts(z)(pa.table({
+            "lat": rng.normal(45, 3, n_points), "lon": rng.normal(8, 3, n_points),
+        }))
+        for _ in range(2)
+    ]
+    full = pa.table({
+        "tile_key": pa.array(np.full(1024, _tile_key(z, np.array([1]), np.array([2]))[0])),
+        "pix": pa.array(np.arange(1024, dtype=np.int64)),
+        "n": pa.array(rng.integers(1, 900, 1024)),
+    })
+    block = pa.concat_tables([*parts, full])
+    return block.take(rng.permutation(block.num_rows))
+
+
+def _assemble_dense(group, ops=None):
+    """Tiles rendered densely, one (3, 1024) count buffer per tile, with
+    the columns built as the reduce once built them: the pixels a
+    FixedSizeBinaryArray cast to binary, the constant columns Python
+    lists; colored by ``ColorStage`` given ``ops``."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from rio_color_ray.stages.color_stage import ColorStage
+
+    uniq, tinv = np.unique(group.column("tile_key").to_numpy(), return_inverse=True)
+    k = len(uniq)
+    counts = np.zeros((k, 1024), np.int64)
+    np.add.at(counts, (tinv, group.column("pix").to_numpy()), group.column("n").to_numpy())
+    px = np.stack([
+        np.clip(np.round(32.0 * np.log2(1.0 + counts)), 0, 255).astype(np.uint8),
+        np.where(counts > 0, 255, 0).astype(np.uint8),
+        (counts % 256).astype(np.uint8),
+    ], axis=1)
+    z, x, y = uniq >> 44, (uniq >> 22) & ((1 << 22) - 1), uniq & ((1 << 22) - 1)
+    tiles = pa.table({
+        "tile_id": pa.array([f"{a}/{b}/{c}" for a, b, c in zip(z, x, y)], pa.string()),
+        "z": pa.array(z.astype(np.int32)),
+        "x": pa.array(x.astype(np.int32)),
+        "y": pa.array(y.astype(np.int32)),
+        "band_count": pa.array([3] * k, pa.uint8()),
+        "dtype": pa.array(["uint8"] * k, pa.string()),
+        "width": pa.array([32] * k, pa.int32()),
+        "height": pa.array([32] * k, pa.int32()),
+        "pixels": pc.cast(
+            pa.FixedSizeBinaryArray.from_buffers(pa.binary(3 * 1024), k, [None, pa.py_buffer(px)]),
+            pa.binary(),
+        ),
+    })
+    return ColorStage(ops)(tiles) if ops else tiles
+
+
+@pytest.mark.parametrize("z", [7, 10])
+def test_assemble_bucket_equals_dense_render(z):
+    """The reduce's columns equal a dense render built the old way, value
+    and type, with and without a color program; the empty block too."""
+    from rio_color_ray.pipelines.tiles import _PARTIALS_SCHEMA, DEFAULT_OPS, _assemble_bucket
+
+    block = _partials_block(z)
+    out = _assemble_bucket(block)
+    assert out.equals(_assemble_dense(block), check_metadata=True)
+    assert out.num_rows > 50
+    full = out.filter(out.column("x").to_numpy() == 1)
+    assert full.num_rows == 1 and 0 not in full.column("pixels")[0].as_py()[1024:2048]
+    assert _assemble_bucket(block, DEFAULT_OPS).equals(_assemble_dense(block, DEFAULT_OPS))
+    empty = _PARTIALS_SCHEMA.empty_table()
+    assert _assemble_bucket(empty).equals(_assemble_dense(empty), check_metadata=True)
+
+
+def test_assemble_bucket_does_not_copy_its_pixels():
+    """Arrow's pool grows by less than the pixel bytes over one reduce:
+    the pixel buffer is handed to Arrow, not copied into its pool."""
+    import pyarrow as pa
+
+    from rio_color_ray.pipelines.tiles import DEFAULT_OPS, _assemble_bucket
+
+    block = _partials_block(10)
+    before = pa.total_allocated_bytes()
+    out = _assemble_bucket(block, DEFAULT_OPS)
+    grown = pa.total_allocated_bytes() - before
+    assert out.num_rows > 50
+    assert grown < out.num_rows * 3 * 1024, (grown, out.num_rows)
+
+
+def test_binary_array_is_binary_views_inverse():
+    import pyarrow as pa
+
+    from rio_color_ray.stages.color_stage import binary_array, binary_view
+
+    for typ, rows in ((pa.binary(), [b"\x00\xffab", b"", b"xyz"]), (pa.string(), ["ab", "", "é"])):
+        arr = pa.array(rows * 2, typ).slice(1, 4)
+        offsets, values = binary_view(arr)
+        assert offsets.dtype == np.int64
+        back = binary_array(offsets, values, typ)
+        assert back.type == typ and back.equals(arr)
+        assert binary_view(back)[1].ctypes.data == values.ctypes.data  # no copy
+    assert binary_array(np.zeros(1, np.int64), np.empty(0, np.uint8)).equals(pa.array([], pa.binary()))
+
+
+def test_binary_array_refuses_offsets_past_int32():
+    """2 GiB of values do not fit int32 offsets: a ValueError naming the
+    byte count and the limit, not wrapped offsets (no 2 GiB is made)."""
+    from rio_color_ray.stages.color_stage import binary_array
+
+    with pytest.raises(ValueError, match=r"2147483648 bytes .* int32 offset limit of 2147483647"):
+        binary_array(np.array([0, 2**31], np.int64), np.empty(0, np.uint8))
+
+
 def _malformed(t, case):
     """Tiles table ``t`` with its third tile broken one way."""
     import pyarrow as pa

@@ -56,6 +56,13 @@ imports pandas once for its siphash kernel. A driver-sized result comes
 back as an Arrow table (``ctx.collect``), not through ``.to_pandas(``,
 except in the checkpoint's lineage frames and the CLI's print.
 
+Binary and string columns made from buffers are made by one builder,
+``stages.color_stage.binary_array``, the inverse of ``binary_view``: it
+hands Arrow the values without a copy and refuses values past int32
+offsets instead of wrapping them. So no other code may call
+``Array.from_buffers`` with a binary or string type, or a binary or
+string array class's ``from_buffers``.
+
 The flagship's fused map operator does only work its output needs: it
 computes no cell id (the flagship keeps none), and the PIP join checks
 candidates in one broadcast pass, so the per-edge loop
@@ -280,6 +287,62 @@ def test_one_gram_kernel_and_no_hand_written_run_rank():
         "stages.agg.run_position:\n" + "\n".join(bad)
     )
     assert in_kernel == 1
+
+
+# the one builder of binary and string arrays from buffers: (module, function)
+BINARY_BUILDER = ("stages/color_stage.py", "binary_array")
+BINARY_TYPES = {"binary", "string", "utf8", "large_binary", "large_string", "large_utf8"}
+BINARY_CLASSES = {
+    "FixedSizeBinaryArray", "BinaryArray", "StringArray", "LargeBinaryArray", "LargeStringArray"
+}
+
+# a fixed-size pixel column cast to binary and a hand-built string
+# column, which the scan must flag
+BUILDER_SNIPPET = """
+def pixels(px, k, offsets, data):
+    fixed = pa.FixedSizeBinaryArray.from_buffers(pa.binary(3072), k, [None, pa.py_buffer(px)])
+    return pa.Array.from_buffers(pa.string(), k, [None, offsets, data]), pc.cast(fixed, pa.binary())
+"""
+
+
+def _binary_from_buffers(modules):
+    """Every ``from_buffers`` call that makes a binary or string array
+    outside the builder, as "module:line"; and how many ``from_buffers``
+    calls the builder makes."""
+    sites, in_builder = [], 0
+    for rel, tree in modules.items():
+        builder = {
+            id(n)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and (rel, f.name) == BINARY_BUILDER
+            for n in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and _name(node.func) == "from_buffers"):
+                continue
+            if id(node) in builder:
+                in_builder += 1
+                continue
+            cls = _name(node.func.value)
+            typ = node.args[0] if node.args else {k.arg: k.value for k in node.keywords}.get("type")
+            if cls in BINARY_CLASSES or (
+                cls == "Array" and isinstance(typ, ast.Call) and _name(typ.func) in BINARY_TYPES
+            ):
+                sites.append(f"{rel}:{node.lineno}")
+    return sorted(sites), in_builder
+
+
+def test_one_builder_of_binary_columns():
+    assert _binary_from_buffers({"snippet": ast.parse(BUILDER_SNIPPET)}) == (
+        ["snippet:3", "snippet:4"], 0
+    )
+    bad, in_builder = _binary_from_buffers(
+        {path.relative_to(PKG).as_posix(): tree for path, tree in _modules().items()}
+    )
+    assert not bad, (
+        "binary or string arrays built outside stages.color_stage.binary_array:\n" + "\n".join(bad)
+    )
+    assert in_builder == 1
 
 
 PANDAS_SCANS = {"cumsum", "cummax", "cummin", "transform"}
