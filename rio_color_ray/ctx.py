@@ -15,7 +15,9 @@ Every read through ``io.read_parquet`` (the testdata tables and the
 checkpoint's output) and every exchange runs one task per CPU of the
 session, with no floor (:func:`shuffle_partitions`). At 1 CPU, and
 for every keyless exchange, the exchange is one bucket moved by one
-``repartition(1)`` task, with no empty range beside it.
+``repartition(1)`` task, with no empty range beside it and no bucket
+column: the plan is the input's operators, ``Repartition`` and the
+reduce's ``MapBatches``.
 
 The engine sets no ``DataContext`` field: the range sort runs under
 Ray's default shuffle strategy (the pull-based sort shuffle in Ray
@@ -92,11 +94,11 @@ def bucket_exchange(ds, key, reduce_block, *, schema=None):
     """Co-locate every key's rows and reduce each exchange block once.
 
     ``ds`` is a Dataset, or a list of Datasets whose rows the exchange
-    co-groups: each gets its bucket inside its own map chain, before
-    their union (a bucket pass after the union is one more operator; it
-    made ``pagerank_edges`` ~35% slower at sf0.01, 4 CPUs). ``key`` is
-    a column name or a list of column names. The exchange owns the
-    bucket: there is one bucket per reduce task,
+    co-groups: at n >= 2 each gets its bucket inside its own map chain,
+    before their union (a bucket pass after the union is one more
+    operator; it made ``pagerank_edges`` ~35% slower at sf0.01, 4 CPUs).
+    ``key`` is a column name or a list of column names. The exchange
+    owns the bucket: there is one bucket per reduce task,
     ``n = shuffle_partitions()`` of them (one per CPU), and the rule
     that maps a key to its bucket is chosen from the key's Arrow type, so
     every block of one Dataset follows the same rule:
@@ -110,15 +112,18 @@ def bucket_exchange(ds, key, reduce_block, *, schema=None):
     * no key (``[]``): one bucket, so one reduce task sees every row (a
       global top-k, whose combiner already cut each block to ``k`` rows).
 
-    A null key lands in one fixed bucket (an int null reads as 0). The
-    bucket is computed from the key columns alone, appended to the block
-    without copying it, moved by ONE exchange and dropped again before
-    ``reduce_block`` runs, once per output block, via
-    ``map_batches(batch_size=None)``. At n >= 2 the exchange is
-    ``sort(bucket, boundaries=1..n-1)``, one range per bucket. At n = 1
-    it is ``repartition(1)``, one task that concatenates every block: a
-    range sort given no boundaries samples them, and a split repartition
-    cannot co-locate keys over two ranges or more.
+    A null key lands in one fixed bucket (an int null reads as 0). At
+    n >= 2 the bucket is computed from the key columns alone, appended to
+    the block without copying it, moved by ONE exchange,
+    ``sort(bucket, boundaries=1..n-1)`` (one range per bucket), and
+    dropped again before ``reduce_block`` runs, once per output block,
+    via ``map_batches(batch_size=None)``. At n = 1 every row is in the
+    one bucket, so none is computed: no bucket map runs and no bucket
+    column exists. ``repartition(1)``, one task, concatenates every
+    block as it is (a range sort given no boundaries samples them, and a
+    split repartition cannot co-locate keys over two ranges or more),
+    and ``reduce_block`` gets that block without its schema metadata, as
+    a bucketed block has none.
     ``reduce_block`` takes that block as a ``pyarrow.Table`` and returns a
     ``pyarrow.Table``. A block holds every row of each of its keys and many
     keys, so ``reduce_block`` must reduce per key vectorized. Ray skips the
@@ -155,33 +160,39 @@ def bucket_exchange(ds, key, reduce_block, *, schema=None):
     """
     keys = [key] if isinstance(key, str) else list(key)
     n = shuffle_partitions() if keys else 1
-
-    def add_bucket(block: pa.Table) -> pa.Table:
-        # a caller's pandas block converts with pandas metadata, which Ray
-        # cannot hash when it concatenates a reduce range's blocks
-        block = block.replace_schema_metadata(None)
-        return block.append_column(BUCKET, pa.array(_bucket_of(block, keys, n)))
+    sides = ds if isinstance(ds, list) else [ds]
 
     @functools.wraps(getattr(reduce_block, "func", reduce_block))
     def reduce(block: pa.Table) -> pa.Table:
-        return reduce_block(block.drop_columns([BUCKET]))
+        if n > 1:
+            return reduce_block(block.drop_columns([BUCKET]))
+        # a caller's pandas block converts with pandas metadata, which
+        # add_bucket strips at n >= 2
+        return reduce_block(block.replace_schema_metadata(None))
 
-    sides = [
-        d.map_batches(add_bucket, batch_format="pyarrow")
-        for d in (ds if isinstance(ds, list) else [ds])
-    ]
-    bucketed = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
-    # a range sort samples its boundaries when given none, so one bucket
-    # is a split repartition: one task concatenates every block
-    moved = (
-        bucketed.repartition(1)
-        if n == 1
-        else bucketed.sort(BUCKET, boundaries=list(range(1, n)))
-    )
+    if n == 1:
+        # one bucket needs no bucket column: a range sort given no
+        # boundaries samples them, so one split repartition task
+        # concatenates every block as it is
+        moved = _union(sides).repartition(1)
+    else:
+
+        def add_bucket(block: pa.Table) -> pa.Table:
+            # a caller's pandas block converts with pandas metadata, which
+            # Ray cannot hash when it concatenates a reduce range's blocks
+            block = block.replace_schema_metadata(None)
+            return block.append_column(BUCKET, pa.array(_bucket_of(block, keys, n)))
+
+        bucketed = _union([d.map_batches(add_bucket, batch_format="pyarrow") for d in sides])
+        moved = bucketed.sort(BUCKET, boundaries=list(range(1, n)))
     out = moved.map_batches(reduce, batch_format="pyarrow", batch_size=None)
     if schema is not None:
         out._plan.cache_schema(schema)
     return out
+
+
+def _union(sides):
+    return sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
 
 
 def collect(ds):

@@ -12,6 +12,8 @@ Scale notes (the 100 TB design, exercised at sf scale):
   worker process (stages/statecache.py); no shuffle.
 """
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -39,33 +41,45 @@ def pages(sf_dir, replicate=1, links_n=0):
     used by the link-graph pipelines; off elsewhere so the geocode/tile
     path never pays for them.
 
-    Reads through io.read_table (one block per CPU; rationale and
-    measurements there).
+    One ``map_batches`` of :func:`expand_pages` over :func:`page_docs`.
     """
+    expand = partial(expand_pages, replicate=replicate, links_n=links_n)
+    return page_docs(sf_dir).map_batches(expand, batch_format="pyarrow")
+
+
+def page_docs(sf_dir):
+    """The documents columns a page is made of, read through
+    io.read_table (one block per CPU; rationale and measurements there)."""
     from ..io import read_table
 
-    docs = read_table(
-        sf_dir,
-        "documents",
-        columns=["doc_id", "source", "text", "lang"],  # n_chars never used
+    # n_chars never used
+    return read_table(sf_dir, "documents", columns=["doc_id", "source", "text", "lang"])
+
+
+def expand_pages(batch: pa.Table, replicate=1, links_n=0) -> pa.Table:
+    """A :func:`page_docs` block -> its pages, ``replicate`` copies.
+
+    Every replica of the block in ONE synth_pages_batch call (its fixed
+    per-call cost dominates at Ray's block shape), replica-major like
+    ``synth_pages_batch(batch, replica=r) for r in range(replicate)``.
+    """
+    n = batch.num_rows
+    reps = batch.take(np.tile(np.arange(n), replicate))
+    doc_id = reps.column("doc_id")
+    offset = np.repeat(np.arange(replicate) * REP_STRIDE, n)
+    reps = reps.set_column(
+        reps.schema.get_field_index("doc_id"),
+        "doc_id",
+        pa.array(doc_id.to_numpy() + offset, doc_id.type),
     )
+    return synth_pages_batch(reps, links_n=links_n)
 
-    def expand(batch: pa.Table) -> pa.Table:
-        # every replica of the block in ONE synth_pages_batch call (its
-        # fixed per-call cost dominates at Ray's block shape), replica-major
-        # like synth_pages_batch(batch, replica=r) for r in range(replicate)
-        n = batch.num_rows
-        reps = batch.take(np.tile(np.arange(n), replicate))
-        doc_id = reps.column("doc_id")
-        offset = np.repeat(np.arange(replicate) * REP_STRIDE, n)
-        reps = reps.set_column(
-            reps.schema.get_field_index("doc_id"),
-            "doc_id",
-            pa.array(doc_id.to_numpy() + offset, doc_id.type),
-        )
-        return synth_pages_batch(reps, links_n=links_n)
 
-    return docs.map_batches(expand, batch_format="pyarrow")
+def geocode_steps(replicate=1):
+    """:func:`pages` and ``geocode_batch`` as the Arrow functions that map
+    a :func:`page_docs` block to geocoded pages, for a map chain that
+    runs them inside one function (``pipelines.tiles.tile_chain``)."""
+    return (partial(expand_pages, replicate=replicate), geocode_batch)
 
 
 def cellified(sf_dir, keep_columns=None, replicate=1):

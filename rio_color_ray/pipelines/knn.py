@@ -50,7 +50,7 @@ def _brute_ranked(pts, query_ids, urls, lat_u, lon_u, k):
     per-batch partial top-k, merged and ranked per query by
     ``stages.agg.keyed_topk``. Returns (query_id, url, rank) with the
     query's position mapped to ``query_ids``. The queries are a few KB,
-    so they ride in the stage function's closure."""
+    so they ride in the stage function's arguments."""
     partial = pts.map_batches(
         make_stage_fn(KNNBruteStage, urls, lat_u, lon_u, k), batch_format="pyarrow"
     )

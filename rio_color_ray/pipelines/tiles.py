@@ -7,9 +7,10 @@ standalone stage (:func:`color_stage`) colors arbitrary tiles tables for
 the CLI, with the ops program parsed once per worker process.
 
 Shuffle discipline (round-5 design; measurements in BASELINE.md):
-* stage 1 (map_batches): per-batch PARTIAL pixel histograms
-  (tile_key, pix, n) — reduces the corpus to at most
-  active-pixels-per-tile rows per batch before any exchange.
+* stage 1 (one map function, :func:`tile_chain`): the pipeline's own
+  steps (pages, geocode, a PIP join, a pending filter), then per-batch
+  PARTIAL pixel histograms (tile_key, pix, n) — reduces the corpus to at
+  most active-pixels-per-tile rows per batch before any exchange.
 * stage 2 (the keyed exchange, ``ctx.bucket_exchange``): partials get
   ``tile_hash = splitmix64(tile_key)`` and the exchange keys on it (the
   mix decorrelates the bucket from tile adjacency, so hot cities spread
@@ -80,22 +81,21 @@ def _tile_key(z, xt, yt):
     )
 
 
-def _partial_pixel_counts(z):
-    def fn(batch: pa.Table) -> pa.Table:
-        lat = batch.column("lat").to_numpy(zero_copy_only=False)
-        lon = batch.column("lon").to_numpy(zero_copy_only=False)
-        xt, yt = mercator_tile(lat, lon, z)
-        row, col = tile_pixel(lat, lon, z, xt, yt, TILE_SIZE)
-        key = _tile_key(z, xt, yt)
-        pix = row.astype(np.int64) * TILE_SIZE + col.astype(np.int64)
-        combo = key * (TILE_SIZE * TILE_SIZE) + pix
-        uniq, counts = np.unique(combo, return_counts=True)
-        tile_key, pix = np.divmod(uniq, TILE_SIZE * TILE_SIZE)
-        return pa.Table.from_arrays(
-            [tile_key, pix, counts.astype(np.int64)], schema=_PARTIALS_SCHEMA
-        )
-
-    return fn
+def _partial_pixel_counts(batch: pa.Table, z) -> pa.Table:
+    """A block's lat/lon rows -> its (tile_key, pix, n) partial counts at
+    zoom ``z``."""
+    lat = batch.column("lat").to_numpy(zero_copy_only=False)
+    lon = batch.column("lon").to_numpy(zero_copy_only=False)
+    xt, yt = mercator_tile(lat, lon, z)
+    row, col = tile_pixel(lat, lon, z, xt, yt, TILE_SIZE)
+    key = _tile_key(z, xt, yt)
+    pix = row.astype(np.int64) * TILE_SIZE + col.astype(np.int64)
+    combo = key * (TILE_SIZE * TILE_SIZE) + pix
+    uniq, counts = np.unique(combo, return_counts=True)
+    tile_key, pix = np.divmod(uniq, TILE_SIZE * TILE_SIZE)
+    return pa.Table.from_arrays(
+        [tile_key, pix, counts.astype(np.int64)], schema=_PARTIALS_SCHEMA
+    )
 
 
 def _add_tile_hash(batch: pa.Table) -> pa.Table:
@@ -186,37 +186,69 @@ def _assemble_bucket(group: pa.Table, ops=None) -> pa.Table:
     return pa.table(cols)
 
 
+def tile_chain(batch: pa.Table, steps) -> pa.Table:
+    """A tile pipeline's whole map chain: the Arrow functions ``steps``
+    over one block, in order.
+
+    Every tile pipeline maps its input with ONE ``map_batches`` of this
+    function bound by ``functools.partial`` to module-level kernels and
+    their partials (``stages.statecache.make_stage_fn`` for the PIP
+    join), so Ray pickles it by reference and its plan holds one map
+    operator per chain, not one per kernel: Ray fused those into one
+    task anyway, but made a Dataset of each at every build and
+    cloudpickled each closure by value at every execution. At
+    ``tiles_z10``'s shape (one 1-CPU session, variants interleaved,
+    median of 40), a flagship build went from 31.9 to 20.4 ms and a
+    build plus ``to_arrow_refs()`` from 212 to 189 ms.
+    """
+    for step in steps:
+        batch = step(batch)
+    return batch
+
+
+def _render(ds, steps, z, ops):
+    """``ds`` -> tiles at zoom z: ``steps`` (a block of ``ds`` -> rows with
+    lat/lon), the partial counts and the mixed tile key run as one
+    :func:`tile_chain`; then the keyed exchange, :func:`_assemble_bucket`
+    its reduce."""
+    chain = partial(
+        tile_chain, steps=(*steps, partial(_partial_pixel_counts, z=z), _add_tile_hash)
+    )
+    parts = ds.map_batches(chain, batch_format="pyarrow")
+    reduce_block = partial(_assemble_bucket, ops=ops)
+    schema = reduce_block(_PARTIALS_SCHEMA.empty_table()).schema
+    return bucket_exchange(parts, "tile_hash", reduce_block, schema=schema)
+
+
 def render_tiles_from(points_ds, z=DEFAULT_ZOOM, ops=None):
     """Any Dataset with lat/lon columns -> raster tiles at zoom z,
     color-corrected by the DSL program ``ops`` when one is given.
 
-    Per-batch partial pixel histograms, then one keyed exchange on the
-    mixed tile key (``ctx.bucket_exchange``, which documents the
-    exchange and its reduce-task count) with :func:`_assemble_bucket` as
-    the reduce. One reduce task holds one bucket, 1/``shuffle_partitions()``
-    of the tiles, one task per CPU: at 1 CPU one ``repartition(1)`` task
-    moves every partial and one reduce holds every tile, with no empty
-    range beside it.
+    One map function (:func:`tile_chain`) makes per-batch partial pixel
+    histograms keyed by the mixed tile key, then one keyed exchange on
+    it (``ctx.bucket_exchange``, which documents the exchange and its
+    reduce-task count) with :func:`_assemble_bucket` as the reduce. One
+    reduce task holds one bucket, 1/``shuffle_partitions()`` of the
+    tiles, one task per CPU: at 1 CPU one ``repartition(1)`` task moves
+    every partial, with no bucket column, and one reduce holds every
+    tile. :func:`render_tiles` and ``pipelines.flagship.flagship`` run
+    their pages, geocode and PIP join inside the same map function.
 
     The returned Dataset carries its output schema, taken from the
     reduce's own output over an empty partials table (one cheap local
     call; it cannot drift from the blocks), so ``to_arrow_refs()`` and
     ``schema()`` never re-run the plan (see ``bucket_exchange``).
     """
-    parts = points_ds.map_batches(_partial_pixel_counts(z), batch_format="pyarrow").map_batches(
-        _add_tile_hash, batch_format="pyarrow"
-    )
-    reduce_block = partial(_assemble_bucket, ops=ops)
-    schema = reduce_block(_PARTIALS_SCHEMA.empty_table()).schema
-    return bucket_exchange(parts, "tile_hash", reduce_block, schema=schema)
+    return _render(points_ds, (), z, ops)
 
 
 def render_tiles(sf_dir, z=DEFAULT_ZOOM, replicate=1, ops=None):
-    """Point corpus -> raster tiles at zoom z, colored by ``ops`` if given."""
-    from .geo import cellified
+    """Point corpus -> raster tiles at zoom z, colored by ``ops`` if given:
+    :func:`render_tiles_from` with the pages and geocode in its map
+    function."""
+    from .geo import geocode_steps, page_docs
 
-    pts = cellified(sf_dir, keep_columns=["lat", "lon"], replicate=replicate)
-    return render_tiles_from(pts, z, ops=ops)
+    return _render(page_docs(sf_dir), geocode_steps(replicate), z, ops)
 
 
 def color_tiles(sf_dir, ops=DEFAULT_OPS, z=DEFAULT_ZOOM, replicate=1):

@@ -1,9 +1,9 @@
 """Point-in-polygon join stages — stateful, broadcast small side.
 
 The polygon/rect table is the SMALL side (≪ memory): it rides in the
-stage function's closure (``make_stage_fn``) and is indexed with an
-STRtree built once per worker process — never per batch, never
-shuffled. Join modes:
+stage function's arguments (``make_stage_fn``) and is indexed with an
+STRtree built once per worker process and per distinct table — never
+per batch or per pipeline build, never shuffled. Join modes:
 
 * inner  — one output row per (point, matching region) pair
 * semi   — points with >= 1 match, original columns only

@@ -5,7 +5,12 @@ kNN's broadcast queries) is a class whose ``__init__`` builds the state
 and whose ``__call__`` maps one batch. :func:`make_stage_fn` wraps it as
 a plain ``map_batches`` function: every worker process builds the state
 once and caches it, and the stage's tasks fuse with the surrounding map
-chain and reuse already-warm workers.
+chain and reuse already-warm workers. The state is keyed by a SHA-256
+of the stage's pickled class and arguments, not by the build, so a
+stage built again with equal arguments (the flagship's admin polygons,
+every run) finds its state already warm. A fresh key per build made
+every flagship execution rebuild its STRtree and edge table (2.1 ms
+for the 80 admin polygons, Ray-free).
 
 Ray Data's other mechanism, an actor pool (``map_batches(Cls,
 concurrency=(lo, hi))``), was measured against this one before it was
@@ -26,16 +31,20 @@ and state build before the first batch) outside the fused chain; the
 task variant runs the same batches in warm workers.
 """
 
-import uuid
+import hashlib
+import pickle
 from collections import OrderedDict
+from functools import partial
 
-# token -> stage instance, bounded per group (see _GROUP_CAP): Ray worker
-# processes are long-lived, and every pipeline construction mints a fresh
-# token, so an unbounded dict would leak one stage (with its STRtree /
-# index) per pipeline build per worker. Keying on args instead is unsafe
-# here — stage args include Arrow tables and numpy matrices whose cheap
-# hashes could collide, and silently reusing the WRONG state is worse
-# than a rebuild.
+# key -> stage instance, bounded per group (see _GROUP_CAP). A stage's
+# key is its class name and the SHA-256 of its pickled class and
+# arguments (:func:`make_stage_fn`), so equal arguments share one
+# instance across pipeline builds and different arguments never do:
+# pickled bytes determine the arguments they unpickle to, and a
+# cryptographic digest of them is not a cheap hash that collides. Ray
+# worker processes are long-lived and a stage's arguments change
+# between builds (kNN's and ANN's query sets), so the LRU keeps
+# worker memory bounded.
 _PROCESS_CACHE = {}
 _GROUP_LRU = {}
 _GROUP_CAP = 4  # distinct live stages per class per worker; LRU beyond
@@ -63,14 +72,32 @@ def process_cached(key, builder, group=None):
 def make_stage_fn(cls, *args, **kwargs):
     """Wrap a stateful stage class as a ``map_batches`` function.
 
-    The returned closure carries a unique token; every task that lands in
-    a given worker process constructs the stage once and reuses it.
+    The function is a :class:`StageFn`, :func:`run_stage` bound to the
+    stage's key, class and arguments, so Ray pickles it by reference
+    plus the arguments. The key digests the pickled class and arguments
+    (stdlib ``pickle``; module-level classes and plain data): every task
+    that lands in a given worker process constructs the stage once per
+    distinct arguments and reuses it, across pipeline builds too.
     """
-    token = f"{cls.__name__}-{uuid.uuid4().hex}"
+    blob = pickle.dumps((cls, args, kwargs), protocol=pickle.HIGHEST_PROTOCOL)
+    key = f"{cls.__name__}-{hashlib.sha256(blob).hexdigest()}"
+    return StageFn(run_stage, key, cls, args, kwargs)
 
-    def stage_fn(batch):
-        stage = process_cached(token, lambda: cls(*args, **kwargs), group=cls.__name__)
-        return stage(batch)
 
-    stage_fn.__name__ = f"{cls.__name__}Fn"
-    return stage_fn
+class StageFn(partial):
+    """A stage function: a ``functools.partial`` whose repr is its key.
+
+    Ray Data's plan exporter takes ``str()`` of every map function on
+    every execution. A plain partial's repr prints the stage's arguments,
+    which for the flagship's 80 admin polygons is 160 numpy array reprs:
+    34 ms of each flagship execution under cProfile (1-CPU session).
+    """
+
+    def __repr__(self):
+        return f"StageFn({self.args[0]})"
+
+
+def run_stage(key, cls, args, kwargs, batch):
+    """Map ``batch`` by the worker's cached ``cls(*args, **kwargs)``."""
+    stage = process_cached(key, lambda: cls(*args, **kwargs), group=cls.__name__)
+    return stage(batch)

@@ -4,10 +4,14 @@ Cell-range partitioning: partition p covers web-mercator tile-x range
 ``[p*2^z/K, (p+1)*2^z/K)`` at the render zoom z (K = n_parts). The id is
 computable BOTH from a page's lon and from a tile's x (so every partial
 pixel count and every rendered tile lands in its page's partition).
-Resume drops the pages of completed partitions by their lon once the
-pages are made and geocoded (``cellified``): every page is still
-generated and geocoded, and only the PIP join, the partial pixel counts,
-the exchange and the render skip the completed partitions.
+A resumable run maps each documents block with ONE function
+(``pipelines.tiles.tile_chain``), whose steps run in this order: make
+the pages, geocode them, drop the pages of completed partitions by their
+lat/lon (:func:`_keep_pending`), join the rest to the admin polygons,
+sum their partial pixel counts and tag each with its partition
+(:func:`_add_part`). So every page is still generated and geocoded, and
+only the PIP join, the partial pixel counts, the exchange and the render
+skip the completed partitions.
 Partition count is a deployment knob: at cluster scale set K ≈ a few ×
 node count so a lost node forfeits only its in-flight cell ranges. A
 resumable run renders in one task per occupied ``part`` bucket,
@@ -185,43 +189,34 @@ def resumable_flagship(
     uses it to simulate a killed run. Returns a summary dict (counts +
     per-stage metrics).
     """
-    from ..sources.polygons import make_admin_polygons
-    from ..stages.pip_stage import PIPJoinStage
-    from ..stages.statecache import make_stage_fn
-    from ..pipelines.tiles import DEFAULT_OPS, DEFAULT_ZOOM, _assemble_bucket, _partial_pixel_counts
-    from ..pipelines.geo import cellified
+    from ..pipelines.flagship import admin_pip_left
+    from ..pipelines.geo import geocode_steps, page_docs
+    from ..pipelines.tiles import (
+        DEFAULT_OPS,
+        DEFAULT_ZOOM,
+        _assemble_bucket,
+        _partial_pixel_counts,
+        tile_chain,
+    )
 
     z = DEFAULT_ZOOM if z is None else z
 
     def run(pending, write):
-        pending_arr = pa.array(pending, pa.int64())
-
-        def keep_pending(batch: pa.Table) -> pa.Table:
-            part = partition_of_lonlat(
-                batch.column("lat").to_numpy(), batch.column("lon").to_numpy(), z, n_parts
-            )
-            mask = pc.is_in(pa.array(part, pa.int64()), value_set=pending_arr)
-            return batch.filter(mask)
-
-        def add_part(batch: pa.Table) -> pa.Table:
-            # the x bits of tile_key (pipelines/tiles.py:_tile_key)
-            x = (batch.column("tile_key").to_numpy() >> 22) & ((1 << 22) - 1)
-            return batch.append_column("part", pa.array(_partition_of_tile_x(x, z, n_parts)))
-
         @functools.wraps(write)  # the Ray operator keeps the writer's name
         def render_and_write(block: pa.Table) -> pa.Table:
             tiles = _assemble_bucket(block.drop_columns(["part"]), DEFAULT_OPS)
             part = _partition_of_tile_x(tiles.column("x").to_numpy(), z, n_parts)
             return write(tiles.append_column("part", pa.array(part)))
 
-        pts = cellified(sf_dir, keep_columns=["url", "lat", "lon"], replicate=replicate)
-        pts = pts.map_batches(keep_pending, batch_format="pyarrow")
-        joined = pts.map_batches(
-            make_stage_fn(PIPJoinStage, make_admin_polygons(), "left"),
-            batch_format="pyarrow",
+        steps = (
+            *geocode_steps(replicate),
+            functools.partial(_keep_pending, pending=tuple(pending), z=z, n_parts=n_parts),
+            admin_pip_left(),
+            functools.partial(_partial_pixel_counts, z=z),
+            functools.partial(_add_part, z=z, n_parts=n_parts),
         )
-        parts = joined.map_batches(_partial_pixel_counts(z), batch_format="pyarrow").map_batches(
-            add_part, batch_format="pyarrow"
+        parts = page_docs(sf_dir).map_batches(
+            functools.partial(tile_chain, steps=steps), batch_format="pyarrow"
         )
         # lineage is tiny (one row per partition)
         return bucket_exchange(parts, "part", render_and_write).to_pandas()
@@ -229,6 +224,22 @@ def resumable_flagship(
     return _resume(
         out_dir, n_parts, max_partitions, "flagship", "tile_id", lambda p: _x_range(p, z, n_parts), run
     )
+
+
+def _keep_pending(batch: pa.Table, pending, z, n_parts) -> pa.Table:
+    """The rows of ``batch`` whose lat/lon lie in a ``pending`` partition."""
+    part = partition_of_lonlat(
+        batch.column("lat").to_numpy(), batch.column("lon").to_numpy(), z, n_parts
+    )
+    mask = pc.is_in(pa.array(part, pa.int64()), value_set=pa.array(pending, pa.int64()))
+    return batch.filter(mask)
+
+
+def _add_part(batch: pa.Table, z, n_parts) -> pa.Table:
+    """Partial pixel counts + their ``part``, from the x bits of
+    ``tile_key`` (pipelines/tiles.py:_tile_key)."""
+    x = (batch.column("tile_key").to_numpy() >> 22) & ((1 << 22) - 1)
+    return batch.append_column("part", pa.array(_partition_of_tile_x(x, z, n_parts)))
 
 
 def read_output(out_dir):

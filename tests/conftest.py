@@ -144,3 +144,41 @@ def oracle_check(ray_result, con, sql):
     b = odf[cols].sort_values(cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
     return rdf
+
+
+def map_fns(ds):
+    """Every map function in ``ds``'s logical plan (Ray's, before it
+    fuses the maps into operators)."""
+    from ray.data._internal.logical.operators.map_operator import AbstractUDFMap
+
+    fns, todo = [], [ds._logical_plan.dag]
+    while todo:
+        op = todo.pop()
+        if isinstance(op, AbstractUDFMap):
+            fns.append(op._fn)
+        todo.extend(op.input_dependencies)
+    return fns
+
+
+def chain_steps(ds):
+    """The steps of the one ``pipelines.tiles.tile_chain`` map of ``ds``."""
+    from rio_color_ray.pipelines.tiles import tile_chain
+
+    (chain,) = [f for f in map_fns(ds) if getattr(f, "func", None) is tile_chain]
+    return chain.keywords["steps"]
+
+
+def assert_one_map_then_exchange(ds, reduce_name):
+    """The plan of an executed tile pipeline at one bucket, as ``stats()``
+    names its operators (maps Ray fused into one task share one name):
+    the read fused with at most two map functions (``io.read_table``'s
+    metadata strip and the tile chain), ``Repartition``, then the
+    reduce; no bucket map."""
+    import re
+
+    stats = ds.stats()
+    ops = re.findall(r"^Operator \d+ (.*?): ", stats, flags=re.M)
+    assert len(ops) == 3, ops
+    assert ops[0].startswith("ReadParquet->") and ops[0].count("MapBatches(") <= 2, ops
+    assert ops[1:] == ["Repartition", f"MapBatches({reduce_name})"], ops
+    assert "add_bucket" not in stats

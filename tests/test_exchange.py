@@ -478,6 +478,52 @@ def test_one_bucket_exchange_is_one_block_of_its_schema(ray_session, monkeypatch
     assert block.num_rows == 100
 
 
+def _one_bucket_input(layout):
+    """``layout``'s input to a one-bucket exchange: 300 rows whose every
+    key ``k`` sits in each of three blocks, or no rows."""
+    import ray.data
+
+    table = pa.table({"k": pa.array(np.arange(300) % 10, pa.int64()), "v": pa.array(np.arange(300))})
+    thirds = [table.slice(i, 100) for i in (0, 100, 200)]
+    if layout == "three_blocks":
+        return ray.data.from_arrow(thirds)
+    if layout == "two_datasets":
+        return [ray.data.from_arrow(thirds[:2]), ray.data.from_arrow(thirds[2:])]
+    if layout == "pandas_blocks":  # each converts to Arrow with pandas metadata
+        return ray.data.from_pandas([t.to_pandas() for t in thirds])
+    return ray.data.from_arrow(table.slice(0, 0))
+
+
+@pytest.mark.parametrize("layout", ["three_blocks", "two_datasets", "pandas_blocks", "no_rows"])
+def test_one_bucket_exchange_meets_every_key_in_one_call(ray_session, monkeypatch, layout):
+    """At n = 1 the exchange runs no bucket map: one ``repartition(1)``
+    brings every block, of every Dataset, to one reduce call, which sees
+    neither a bucket column nor pandas schema metadata."""
+    from conftest import map_fns
+    from rio_color_ray import ctx
+
+    monkeypatch.setattr(ctx, "shuffle_partitions", lambda: 1)
+
+    def census(block: pa.Table) -> pa.Table:
+        """Rows per key in the block, tagged with this call's id and
+        whether the block came plain."""
+        out = block.group_by("k").aggregate([("v", "count")])
+        n = out.num_rows
+        plain = ctx.BUCKET not in block.column_names and block.schema.metadata is None
+        return out.append_column("call", pa.array([uuid.uuid4().hex] * n)).append_column(
+            "plain", pa.array([plain] * n)
+        )
+
+    out = ctx.bucket_exchange(_one_bucket_input(layout), "k", census)
+    assert [getattr(f, "__name__", None) for f in map_fns(out)] == ["census"]
+    got = _arrow(out).to_pandas()
+    if layout == "no_rows":
+        assert got.empty
+        return
+    assert got["call"].nunique() == 1 and got["plain"].all()
+    assert sorted(got["k"]) == list(range(10)) and (got["v_count"] == 30).all()
+
+
 def test_keyless_topk_is_one_block(ray_session):
     """A global top-k has one bucket at any CPU count: one block out."""
     import ray.data
@@ -538,10 +584,14 @@ def test_kmv_output_blocks_are_arrow(ray_session, monkeypatch):
     assert got.num_rows > 0
 
 
-def test_reduce_name_is_the_operator_name(ray_session):
+@pytest.mark.parametrize("n", [1, 4])
+def test_reduce_name_is_the_operator_name(ray_session, monkeypatch, n):
     import ray.data
 
+    from rio_color_ray import ctx
     from rio_color_ray.ctx import bucket_exchange
+
+    monkeypatch.setattr(ctx, "shuffle_partitions", lambda: n)
 
     def my_reduce(block: pa.Table, scale=1) -> pa.Table:
         i = block.schema.get_field_index("v")

@@ -156,21 +156,45 @@ def test_color_tiles_match_single_process_oracle(ray_session):
 
 
 def test_entry_is_the_flagship_with_its_pip_join(ray_session):
-    """``__ray_entry__.entry()`` runs the flagship: the PIP join stage is
-    in its plan, and its declared schema and tiles are ``color_tiles``'
-    (no tile depends on the join yet)."""
+    """``__ray_entry__.entry()`` runs the flagship: the left PIP join is a
+    step of its one map function, and its declared schema and tiles are
+    ``color_tiles``' (no tile depends on the join yet)."""
     import __ray_entry__
+    from conftest import chain_steps
     from rio_color_ray.pipelines.tiles import color_tiles
+    from rio_color_ray.stages.pip_stage import PIPJoinStage
+    from rio_color_ray.stages.statecache import run_stage
 
     ds, ref = __ray_entry__.entry(), color_tiles(__ray_entry__.SF_SMOKE)
     assert ds.schema(fetch_if_missing=False).base_schema.equals(
         ref.schema(fetch_if_missing=False).base_schema, check_metadata=True
     )
-    ds = ds.materialize()
-    assert "PIPJoinStageFn" in ds.stats()
+    # a stage function binds (key, class, args, kwargs); args = (polygons, mode)
+    stages = [s.args[1:3] for s in chain_steps(ds) if getattr(s, "func", None) is run_stage]
+    assert [(cls, args[1]) for cls, args in stages] == [(PIPJoinStage, "left")], stages
     got, want = (d.to_pandas().sort_values("tile_id").reset_index(drop=True) for d in (ds, ref))
     assert len(got) > 0
     pd.testing.assert_frame_equal(got, want)
+
+
+def test_flagship_is_one_map_then_the_exchange_at_one_bucket(ray_session, monkeypatch):
+    """At 1 CPU the flagship's pages, geocode, PIP join and partial counts
+    run as one map function fused into the read's task, then
+    ``Repartition`` and the tile reduce, with no bucket map; the chain
+    pickles with the standard library, so Ray pickles it by reference
+    and not as closures by value."""
+    import pickle
+
+    from conftest import assert_one_map_then_exchange, map_fns
+    from rio_color_ray import ctx
+    from rio_color_ray.pipelines.flagship import flagship
+
+    monkeypatch.setattr(ctx, "shuffle_partitions", lambda: 1)
+    ds = flagship(SF)
+    fns = {getattr(f, "func", f).__name__: f for f in map_fns(ds)}
+    assert sorted(fns) == ["_assemble_bucket", "_strip_schema_metadata", "tile_chain"]
+    pickle.dumps(fns["tile_chain"])
+    assert_one_map_then_exchange(ds.materialize(), "_assemble_bucket")
 
 
 def test_render_tiles_deterministic(ray_session):
@@ -493,9 +517,9 @@ def _partials_block(z, n_points=3000, seed=5):
 
     rng = np.random.default_rng(seed)
     parts = [
-        _partial_pixel_counts(z)(pa.table({
+        _partial_pixel_counts(pa.table({
             "lat": rng.normal(45, 3, n_points), "lon": rng.normal(8, 3, n_points),
-        }))
+        }), z)
         for _ in range(2)
     ]
     full = pa.table({

@@ -63,7 +63,7 @@ offsets instead of wrapping them. So no other code may call
 ``Array.from_buffers`` with a binary or string type, or a binary or
 string array class's ``from_buffers``.
 
-The flagship's fused map operator does only work its output needs: it
+The flagship's one map function does only work its output needs: it
 computes no cell id (the flagship keeps none), and the PIP join checks
 candidates in one broadcast pass, so the per-edge loop
 ``points_in_polygon`` lives in the tests only, as their reference.
@@ -438,15 +438,24 @@ def test_the_engine_uses_no_pandas_but_the_hash_kernel():
 
 
 def test_flagship_map_chain_computes_no_cell(ray_session):
-    from conftest import SF_SMOKE
-    from rio_color_ray.pipelines.flagship import flagship
+    """The flagship's one map function, run step by step over a documents
+    block, joins the admin polygons and never adds a cell column."""
+    import pyarrow.parquet as pq
 
-    ds = flagship(SF_SMOKE).materialize()
-    chain = [line for line in ds.stats().splitlines() if "MapBatches(geocode_batch)" in line]
-    assert chain, ds.stats()
-    for line in chain:
-        assert "PIPJoinStageFn" in line and "_add_tile_hash" in line  # one fused operator
-        assert "cellify_batch" not in line
+    from conftest import SF_SMOKE, chain_steps
+    from rio_color_ray.pipelines.flagship import flagship
+    from rio_color_ray.stages.cellify import CELL_COLUMNS
+
+    cols = ["doc_id", "source", "text", "lang"]
+    block = pq.read_table(f"{SF_SMOKE}/documents.parquet", columns=cols)
+    seen = []
+    for step in chain_steps(flagship(SF_SMOKE)):
+        block = step(block)
+        seen.append(block.column_names)
+    joined = [names for names in seen if "admin_id" in names]
+    assert joined, seen  # the PIP join ran inside the chain
+    assert not [names for names in seen if set(names) & set(CELL_COLUMNS)], seen
+    assert block.column_names == ["tile_key", "pix", "n", "tile_hash"]
 
 
 def test_no_engine_module_uses_points_in_polygon():

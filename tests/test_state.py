@@ -117,6 +117,33 @@ def test_resumable_flagship_is_one_exchange(ray_session, tmp_path, monkeypatch):
     assert built == ["part"]
 
 
+def test_resumable_flagship_is_one_map_then_the_exchange_at_one_bucket(
+    ray_session, tmp_path, monkeypatch
+):
+    """At 1 CPU a resumable run's pending filter, PIP join, partial counts
+    and ``part`` column run in the one map function fused into the
+    read's task, then ``Repartition`` and the writer."""
+    import ray.data
+
+    from conftest import assert_one_map_then_exchange
+    from rio_color_ray import ctx
+    from rio_color_ray.state import checkpoint
+
+    consumed = []
+    to_pandas = ray.data.Dataset.to_pandas
+
+    def spy(self, *args, **kwargs):
+        consumed.append(self)
+        return to_pandas(self, *args, **kwargs)
+
+    monkeypatch.setattr(ctx, "shuffle_partitions", lambda: 1)
+    monkeypatch.setattr(ray.data.Dataset, "to_pandas", spy)
+    s = checkpoint.resumable_flagship(SF, str(tmp_path / "ckpt"), n_parts=8, max_partitions=5)
+    assert s["written_now"] == 5
+    (ds,) = consumed
+    assert_one_map_then_exchange(ds, "write_group")
+
+
 def test_lineage_record_atomic_and_validated(tmp_path):
     from rio_color_ray.state import completed_partitions, write_lineage_record
 
